@@ -129,7 +129,7 @@ def beth_bound(which: str, l: int, n: int) -> int:
 
 def alpha_lower(n: int, l: int) -> int:
     """Lower bound (l - 2**(n-1)) * (n-2) * (n-3) / 2 realized by the edge construction."""
-    _check(n >= 4 and l >= 1, "alpha needs n >= 4, l >= 1")
+    _check(n >= 4 and l > 2 ** (n - 1), "alpha needs n >= 4 and l > 2**(n-1)")
     num = (l - 2 ** (n - 1)) * (n - 2) * (n - 3)
     assert num % 2 == 0
     return num // 2

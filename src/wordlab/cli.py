@@ -18,6 +18,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import factorial
 
 from . import bounds as bnd
 from . import divisibility as dv
@@ -25,7 +26,7 @@ from . import growth as gr
 from . import morphisms as mo
 from . import posets as po
 from . import tableaux as tb
-from .words import Alphabet, Word, format_word, parse_word
+from .words import Alphabet, Word, find_period_power, format_word, parse_word
 
 SUBCOMMANDS = (
     "divide",
@@ -75,7 +76,9 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _word_arg(text: str, l: int | None) -> Word:
+def _word_arg(text: str | None, l: int | None) -> Word:
+    if text is None:
+        raise ValueError("--word is required")
     return parse_word(text, Alphabet(l) if l else None)
 
 
@@ -105,8 +108,6 @@ def _cmd_divide(args) -> list[dict]:
 
 
 def _cmd_reduce(args) -> list[dict]:
-    from .words import find_period_power
-
     w = _word_arg(args.word, args.l)
     hit = find_period_power(w, args.d)
     divisible = dv.is_n_divisible(w, args.n, dv.Sense.ORDINARY) is not None
@@ -159,30 +160,25 @@ def _cmd_oracle(args) -> list[dict]:
     ]
 
 
+# --which choice -> bound value for the parsed arguments, in the order argparse lists them
+_BOUNDS = {
+    "psi": lambda a: bnd.psi_bound(a.n, a.d, a.l),
+    "psi-log2": lambda a: bnd.psi_log2_bound(a.n, a.d, a.l),
+    "phi": lambda a: bnd.phi_bound(a.n, a.l),
+    "upsilon": lambda a: bnd.upsilon_bound(a.n, a.l),
+    "upsilon-coding": lambda a: bnd.upsilon_coding_bound(a.n, a.l),
+    "p-nd": lambda a: bnd.p_nd(a.n, a.d),
+    "q-n": lambda a: bnd.q_n(a.n),
+    "beth-2": lambda a: bnd.beth_bound("t2", a.l, a.n),
+    "beth-3": lambda a: bnd.beth_bound("t3", a.l, a.n),
+    "beth-large": lambda a: bnd.beth_bound("large", a.l, a.n),
+    "alpha": lambda a: bnd.alpha_lower(a.n, a.l),
+}
+
+
 def _cmd_bounds(args) -> list[dict]:
     which = args.which
-    if which == "psi":
-        value = bnd.psi_bound(args.n, args.d, args.l)
-    elif which == "psi-log2":
-        value = bnd.psi_log2_bound(args.n, args.d, args.l)
-    elif which == "phi":
-        value = bnd.phi_bound(args.n, args.l)
-    elif which == "upsilon":
-        value = bnd.upsilon_bound(args.n, args.l)
-    elif which == "upsilon-coding":
-        value = bnd.upsilon_coding_bound(args.n, args.l)
-    elif which == "p-nd":
-        value = bnd.p_nd(args.n, args.d)
-    elif which == "q-n":
-        value = bnd.q_n(args.n)
-    elif which == "beth-2":
-        value = bnd.beth_bound("t2", args.l, args.n)
-    elif which == "beth-3":
-        value = bnd.beth_bound("t3", args.l, args.n)
-    elif which == "beth-large":
-        value = bnd.beth_bound("large", args.l, args.n)
-    else:
-        value = bnd.alpha_lower(args.n, args.l)
+    value = _BOUNDS[which](args)
     rec = {"which": which, "n": args.n, "value": str(value)}
     if which in ("psi", "psi-log2", "p-nd"):
         rec["d"] = args.d
@@ -266,8 +262,6 @@ def _cmd_rsk(args) -> list[dict]:
         ok = ok and tb.rsk_inverse(P, Q) == pi
         ok = ok and len(P.rows) == tb.longest_decreasing(pi)
         total += 1
-    from math import factorial
-
     hooks = sum(tb.hook_count(s) ** 2 for s in tb.partitions(n))
     return [
         {
@@ -305,8 +299,6 @@ def _cmd_count(args) -> list[dict]:
 
 
 def _square_factorial(k: int) -> int:
-    from math import factorial
-
     return factorial(k) ** 2
 
 
@@ -454,7 +446,11 @@ def _cmd_growth(args) -> list[dict]:
 def _cmd_complexity(args) -> list[dict]:
     if args.mechanical:
         slope, rho, length = args.mechanical.split(",")
-        w = gr.mechanical_word(Fraction(slope), Fraction(rho), int(length))
+        try:
+            alpha, intercept = Fraction(slope), Fraction(rho)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in --mechanical {args.mechanical}") from None
+        w = gr.mechanical_word(alpha, intercept, int(length))
         source = f"mechanical({slope},{rho})"
     else:
         w = _word_arg(args.word, args.l)
@@ -509,23 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="closed-form bound values")
     common(p, "n", "d", "l")
-    p.add_argument(
-        "--which",
-        choices=(
-            "psi",
-            "psi-log2",
-            "phi",
-            "upsilon",
-            "upsilon-coding",
-            "p-nd",
-            "q-n",
-            "beth-2",
-            "beth-3",
-            "beth-large",
-            "alpha",
-        ),
-        required=True,
-    )
+    p.add_argument("--which", choices=tuple(_BOUNDS), required=True)
     p.set_defaults(l=1)
 
     p = sub.add_parser("height", help="height and essential height over a base set")

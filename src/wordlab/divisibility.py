@@ -25,6 +25,8 @@ from .words import (
     Theta,
     Word,
     WordCycle,
+    _power_suffix,
+    _root_length,
     canonical_rotation,
     find_period_power,
     format_word,
@@ -115,37 +117,60 @@ def is_n_divisible(
     elif sense is Sense.TAIL:
         witness = _tail_witness(w, n, d)
     else:
-        witness = _ordinary_witness(w, n)
+        witness = _ordinary_witness(w.letters, n)
     if witness is not None:
         validate_witness(w, witness, min_power)
     return witness
 
 
-def _ordinary_witness(w: Word, n: int) -> DivisibilityWitness | None:
-    ls = w.letters
+def _ordinary_witness(ls: tuple[int, ...], n: int) -> DivisibilityWitness | None:
+    """First n-division of ls into strictly decreasing blocks, or None.
+
+    Depth-first over block ends, shortest block first.  Three cuts
+    keep it fast, and each only drops branches that cannot succeed, so
+    the witness is the one the plain search finds: the last block is
+    pinned to end at |ls|; ends that would leave a block not smaller
+    than the previous one are skipped after one mismatch scan; and a
+    failed state (previous block start, current start, depth) is never
+    searched twice.  The depth belongs in that key: the same two starts
+    with a different number of blocks left are a different question.
+    """
     L = len(ls)
     if L < n:
         return None
+    failed: set[tuple[int, int, int]] = set()
+    ends: list[int] = []  # block ends of the witness, filled last block first
 
-    def extend(blocks: list[tuple[int, int]], start: int) -> list[tuple[int, int]] | None:
-        depth = len(blocks)
-        if depth == n:
-            return blocks if start == L else None
-        # leave room for the remaining blocks
-        for end in range(start + 1, L - (n - depth - 1) + 1):
-            if depth and lex_compare_letters(
-                ls[blocks[-1][0] : blocks[-1][1]], ls[start:end]
-            ) is not Cmp.GREATER:
-                continue
-            got = extend(blocks + [(start, end)], end)
-            if got is not None:
-                return got
-        return None
+    def extend(prev: int, start: int, depth: int) -> bool:
+        # place block `depth` at `start`; ls[prev:start] is block depth - 1
+        first = start + 1
+        if depth:
+            # the new block is smaller than the previous one iff it runs
+            # past their first mismatch and is smaller there
+            m = 0
+            while start + m < L and prev + m < start and ls[prev + m] == ls[start + m]:
+                m += 1
+            if start + m == L or prev + m == start or ls[prev + m] < ls[start + m]:
+                return False
+            first = start + m + 1
+        if depth == n - 1:
+            ends.append(L)
+            return True
+        key = (prev, start, depth)
+        if key in failed:
+            return False
+        for end in range(first, L - (n - depth - 1) + 1):
+            if extend(start, end, depth + 1):
+                ends.append(end)
+                return True
+        failed.add(key)
+        return False
 
-    got = extend([], 0)
-    if got is None:
+    if not extend(0, 0, 0):
         return None
-    return DivisibilityWitness(Sense.ORDINARY, tuple((s + 1, e) for s, e in got))
+    ends.reverse()
+    starts = [0] + ends[:-1]
+    return DivisibilityWitness(Sense.ORDINARY, tuple((s + 1, e) for s, e in zip(starts, ends)))
 
 
 def _tail_witness(w: Word, n: int, d: int | None) -> DivisibilityWitness | None:
@@ -222,38 +247,15 @@ def _strong_witness(
 
 
 def is_nd_reducible(w: Word, n: int, d: int) -> bool:
-    """Ordinary n-divisible, or containing a d-th power."""
+    """Ordinary n-divisible, or containing a d-th power.
+
+    Divisibility is decided by the witness search behind is_n_divisible.
+    """
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
     if find_period_power(w, d) is not None:
         return True
-    return _divisible_whole(w.letters, n)
-
-
-def _divisible_whole(ls: tuple[int, ...], n: int) -> bool:
-    """Partition of the whole letter tuple into n strictly decreasing blocks."""
-    L = len(ls)
-    if L < n:
-        return False
-    if n == 1:
-        return True
-    # last_starts[e] lists the starts s of possible last blocks ls[s:e]
-    # among splits of ls[:e] into j blocks; grow j block by block.
-    last_starts: dict[int, list[int]] = {e: [0] for e in range(1, L)}
-    for _ in range(n - 2):
-        nxt: dict[int, list[int]] = {}
-        for e, starts in last_starts.items():
-            for e2 in range(e + 1, L):
-                for s in starts:
-                    if lex_compare_letters(ls[s:e], ls[e:e2]) is Cmp.GREATER:
-                        nxt.setdefault(e2, []).append(e)
-                        break
-        last_starts = nxt
-    for e, starts in last_starts.items():
-        for s in starts:
-            if lex_compare_letters(ls[s:e], ls[e:]) is Cmp.GREATER:
-                return True
-    return False
+    return _ordinary_witness(w.letters, n) is not None
 
 
 @dataclass(frozen=True)
@@ -272,10 +274,13 @@ def max_nonreducible_length(
     """Exact maximum length of a word over l letters that is not (n,d)-reducible.
 
     Depth-first search over the word tree; reducibility is monotone
-    under extension, so pruning at reducible nodes is complete.  Two
-    loud guards instead of silent truncation: a node budget, and a
-    length ceiling that catches configurations whose non-reducible
-    language is infinite (they raise BudgetExceededError quickly).
+    under extension, so pruning at reducible nodes is complete.  Each
+    node tests for a d-th power ending at its last letter, and for
+    ordinary n-divisibility with the witness search behind
+    is_n_divisible.  Two loud guards instead of silent truncation: a
+    node budget, and a length ceiling that catches configurations whose
+    non-reducible language is infinite (they raise BudgetExceededError
+    quickly).
     """
     if l < 1:
         raise ValueError("need at least one letter")
@@ -296,7 +301,7 @@ def max_nonreducible_length(
                 f"oracle budget of {budget} nodes exhausted at depth {len(cand)}",
                 nodes,
             )
-        if _new_power_suffix(cand, d) or _divisible_whole(cand, n):
+        if _power_suffix(cand, d) or _ordinary_witness(cand, n) is not None:
             continue
         if len(cand) > best_len:
             best_len, best_word = len(cand), cand
@@ -308,16 +313,6 @@ def max_nonreducible_length(
             )
         stack.append((cand, 1))
     return OracleResult(n, d, l, best_len, Word(best_word, alphabet), nodes)
-
-
-def _new_power_suffix(ls: tuple[int, ...], d: int) -> bool:
-    # a d-th power created by the last letter must end at the last position
-    L = len(ls)
-    for zlen in range(1, L // d + 1):
-        z = ls[L - zlen:]
-        if ls[L - zlen * d :] == z * d:
-            return True
-    return False
 
 
 # --- zero-one process sequences ---
@@ -569,18 +564,11 @@ def _candidate_runs(w: Word, period_len: int, boundary: int) -> list[tuple[int, 
     out = []
     for i in range(0, len(ls) - need + 1):
         z = ls[i : i + t]
-        if not _primitive(z):
+        if _root_length(z) < t:
             continue
         if ls[i : i + need] == z * (boundary + 1):
             out.append((i, i + need, min(z[r:] + z[:r] for r in range(t))))
     return out
-
-
-def _primitive(z: tuple[int, ...]) -> bool:
-    for p in range(1, len(z)):
-        if len(z) % p == 0 and z == z[:p] * (len(z) // p):
-            return False
-    return True
 
 
 def small_selective_height(w: Word, period_len: int, boundary: int) -> int:
@@ -612,7 +600,7 @@ def _maximal_runs(w: Word, period_len: int, boundary: int) -> list[tuple[int, in
     out = []
     for i in range(0, len(ls) - t + 1):
         z = ls[i : i + t]
-        if not _primitive(z):
+        if _root_length(z) < t:
             continue
         if i >= t and ls[i - t : i] == z:
             continue  # not maximal on the left
@@ -868,7 +856,7 @@ def primitive_cycle_classes(t: int, alphabet: Alphabet) -> tuple[WordCycle, ...]
     out = []
     for ls in itertools.product(alphabet.letters(), repeat=t):
         w = Word(ls, alphabet)
-        if not _primitive(ls):
+        if _root_length(ls) < t:
             continue
         key = canonical_rotation(w).letters
         if key not in seen:
@@ -889,7 +877,7 @@ def selective_corpus_check(
     Z = [
         Word(ls, alphabet)
         for ls in itertools.product(alphabet.letters(), repeat=period_len)
-        if _primitive(ls)
+        if _root_length(ls) == period_len
     ]
     boundary = 2 * n
     scanned = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Alphabet, Word, format_word, parse_word
+from .words import Alphabet, Word, _power_suffix, format_word, parse_word
 
 ITERATE_CAP = 10**6
 
@@ -104,16 +104,8 @@ def square_free_words(alphabet: Alphabet, max_len: int):
         if len(ls) < max_len:
             for x in reversed(list(alphabet.letters())):
                 cand = ls + (x,)
-                if not _square_ending_at(cand):
+                if not _power_suffix(cand, 2):
                     stack.append(cand)
-
-
-def _square_ending_at(ls: tuple[int, ...]) -> bool:
-    n = len(ls)
-    for rlen in range(1, n // 2 + 1):
-        if ls[n - rlen :] == ls[n - 2 * rlen : n - rlen]:
-            return True
-    return False
 
 
 @dataclass(frozen=True)

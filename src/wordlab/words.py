@@ -175,7 +175,7 @@ def find_period_power(w: Word, d: int) -> PeriodOccurrence | None:
         block = zlen * d
         for start in range(0, n - block + 1):
             z = ls[start : start + zlen]
-            if ls[start : start + block] == z * d and _is_primitive_letters(z):
+            if ls[start : start + block] == z * d and _root_length(z) == zlen:
                 return PeriodOccurrence(Word(z, w.alphabet), start + 1, d)
     return None
 
@@ -184,7 +184,8 @@ def subword_count_period(w: Word, k: int, t: int) -> bool:
     """True iff w (of length k*t) has at most k distinct length-k factors.
 
     When true, w must contain z**t with |z| <= k; that consequence is
-    re-checked here rather than trusted.
+    re-checked here rather than trusted.  find_period_power tries the
+    shortest primitive root first, so its hit is short enough if any is.
     """
     if len(w) != k * t:
         raise ValueError(f"need |w| = k*t, got {len(w)} != {k}*{t}")
@@ -192,34 +193,35 @@ def subword_count_period(w: Word, k: int, t: int) -> bool:
     factors = {ls[i : i + k] for i in range(len(ls) - k + 1)}
     if len(factors) > k:
         return False
-    found = _find_power_with_short_period(ls, t, k)
-    assert found, "at most k distinct k-factors must force a period of length t"
+    assert t < 2 or (hit := find_period_power(w, t)) and len(hit.period) <= k, (
+        "at most k distinct k-factors must force a period of length t"
+    )
     return True
-
-
-def _find_power_with_short_period(ls: tuple[int, ...], t: int, max_zlen: int) -> bool:
-    for zlen in range(1, max_zlen + 1):
-        block = zlen * t
-        for start in range(0, len(ls) - block + 1):
-            z = ls[start : start + zlen]
-            if ls[start : start + block] == z * t:
-                return True
-    return False
 
 
 def is_primitive(w: Word) -> bool:
     """True iff w is not a proper power v**k, k > 1."""
     if len(w) == 0:
         raise ValueError("the empty word has no primitivity")
-    return _is_primitive_letters(w.letters)
+    return _root_length(w.letters) == len(w)
 
 
-def _is_primitive_letters(ls: tuple[int, ...]) -> bool:
+def _root_length(ls: tuple[int, ...]) -> int:
+    """Length of the primitive root of ls: the least p with ls = ls[:p]**(|ls|/p)."""
     n = len(ls)
     for p in range(1, n):
-        if n % p == 0 and ls == ls[:p] * (n // p):
-            return False
-    return True
+        if n % p == 0 and ls[p:] == ls[: n - p]:
+            return p
+    return n
+
+
+def _power_suffix(ls: tuple[int, ...], e: int) -> bool:
+    """True iff ls ends with some z**e, z nonempty."""
+    L = len(ls)
+    for p in range(1, L // e + 1):
+        if ls[L - e * p : L - p] == ls[L - (e - 1) * p :]:
+            return True
+    return False
 
 
 def rotations(w: Word) -> tuple[Word, ...]:
@@ -266,12 +268,7 @@ class WordCycle:
         if len(w) == 0:
             raise ValueError("the empty word has no cycle")
         rep = canonical_rotation(w)
-        root = len(w)
-        for p in range(1, len(w)):
-            if len(w) % p == 0 and rep.letters == rep.letters[:p] * (len(w) // p):
-                root = p
-                break
-        return WordCycle(rep, root)
+        return WordCycle(rep, _root_length(rep.letters))
 
     def __len__(self) -> int:
         return len(self.representative)
@@ -305,12 +302,7 @@ def is_regular(w: Word) -> bool:
     """True iff w is strictly greater than each of its proper rotations."""
     if len(w) == 0:
         raise ValueError("the empty word is not regular")
-    ls = w.letters
-    for i in range(1, len(ls)):
-        rot = ls[i:] + ls[:i]
-        if not rot < ls:  # same length: plain tuple order is the lex order
-            return False
-    return True
+    return _is_regular_letters(w.letters)
 
 
 @dataclass(frozen=True)
@@ -372,7 +364,10 @@ def _bracket(ls: tuple[int, ...]) -> Leaf | Pair:
 
 
 def _is_regular_letters(ls: tuple[int, ...]) -> bool:
-    return all(ls[i:] + ls[:i] < ls for i in range(1, len(ls)))
+    for i in range(1, len(ls)):
+        if not ls[i:] + ls[:i] < ls:  # same length: plain tuple order is the lex order
+            return False
+    return True
 
 
 def zimin_word(n: int, alphabet: Alphabet | None = None) -> Word:

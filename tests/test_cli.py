@@ -25,9 +25,19 @@ class TestExitCodes:
         code, _ = run_cli("divide", "--word", "a#b")
         assert code == 2
 
-    def test_domain_error(self):
-        code, _ = run_cli("bounds", "--which", "phi", "--n", "2", "--l", "1")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--which", "phi", "--n", "2", "--l", "1"),
+            ("divide", "--n", "2"),
+            ("selective", "--n", "3"),
+            ("complexity", "--mechanical", "1/0,0,10"),
+            ("bounds", "--which", "alpha", "--n", "30", "--l", "2"),
+        ],
+    )
+    def test_domain_error(self, argv):
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
 
     def test_budget_exhaustion(self):
         code, _ = run_cli("oracle", "--n", "3", "--d", "3", "--l", "2", "--budget", "300")

@@ -32,6 +32,7 @@ from wordlab.divisibility import (
     validate_witness,
     word_height,
 )
+from wordlab.morphisms import thue_morse
 from wordlab.words import Alphabet, Cmp, Word, lex_compare_letters, parse_word, word
 
 A2 = Alphabet(2)
@@ -46,6 +47,33 @@ def naive_ordinary(ls, n):
             lex_compare_letters(a, b) is Cmp.GREATER for a, b in zip(blocks, blocks[1:])
         ):
             return True
+    return False
+
+
+def _divisible_whole(ls, n):
+    """Reference DP: a partition of the whole letter tuple into n strictly
+    decreasing blocks."""
+    L = len(ls)
+    if L < n:
+        return False
+    if n == 1:
+        return True
+    # last_starts[e] lists the starts s of possible last blocks ls[s:e]
+    # among splits of ls[:e] into j blocks; grow j block by block.
+    last_starts = {e: [0] for e in range(1, L)}
+    for _ in range(n - 2):
+        nxt = {}
+        for e, starts in last_starts.items():
+            for e2 in range(e + 1, L):
+                for s in starts:
+                    if lex_compare_letters(ls[s:e], ls[e:e2]) is Cmp.GREATER:
+                        nxt.setdefault(e2, []).append(e)
+                        break
+        last_starts = nxt
+    for e, starts in last_starts.items():
+        for s in starts:
+            if lex_compare_letters(ls[s:e], ls[e:]) is Cmp.GREATER:
+                return True
     return False
 
 
@@ -100,7 +128,7 @@ class TestWitnesses:
         with pytest.raises(ValueError):
             validate_witness(w, DivisibilityWitness(Sense.ORDINARY, ((1, 1), (2, 2))))
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_cross_check_naive_enumerators(self, n):
         for length in range(1, 11):
             for ls in itertools.product((1, 2), repeat=length):
@@ -113,6 +141,23 @@ class TestWitnesses:
                 assert (tail is not None) == naive_tail(ls, n)
                 if tail is not None:
                     validate_witness(w, tail)
+
+
+    def test_witness_search_against_reference_dp(self):
+        # Thue-Morse 2^7 at n = 10 catches a failed-state memo keyed
+        # without the depth; the seeded words cover small alphabets
+        tm = thue_morse(7)
+        cases = [(tm, n) for n in (6, 10, 16)]
+        rng = random.Random(2014)
+        for _ in range(300):
+            ls = tuple(rng.randint(1, 3) for _ in range(rng.randint(12, 24)))
+            cases.append((Word(ls, A3), rng.randint(2, 5)))
+        for w, n in cases:
+            witness = is_n_divisible(w, n, "ordinary")
+            assert (witness is not None) == _divisible_whole(w.letters, n)
+            assert is_nd_reducible(w, n, len(w) + 1) == (witness is not None)
+            if witness is not None:
+                validate_witness(w, witness)
 
 
 class TestReducibility:

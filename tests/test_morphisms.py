@@ -69,6 +69,17 @@ class TestRepetitions:
         occ = has_square(word("baa"))
         assert (occ.start, format_word(occ.root)) == (2, "a")
 
+    def test_square_free_ternary_counts(self):
+        # OEIS A006156, lengths 1..12
+        counts = [0] * 12
+        for w in square_free_words(A3, 12):
+            counts[len(w) - 1] += 1
+        assert counts == [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264]
+
+    def test_square_free_binary_stops_at_three(self):
+        got = sorted(format_word(w) for w in square_free_words(A2, 10))
+        assert got == ["a", "ab", "aba", "b", "ba", "bab"]
+
 
 class TestCrochemore:
     def test_ternary_morphism(self):
