@@ -110,6 +110,8 @@ def is_n_divisible(
     sense = Sense(sense) if not isinstance(sense, Sense) else sense
     if n < 1:
         raise ValueError("n must be positive")
+    if d is not None and d < 1:
+        raise ValueError("d must be positive")
     if sense is Sense.STRONG:
         if Z is None:
             raise ValueError("the strong sense needs the period set Z")
@@ -203,47 +205,89 @@ def _tail_witness(w: Word, n: int, d: int | None) -> DivisibilityWitness | None:
 def _strong_witness(
     w: Word, n: int, Z: tuple[Word, ...], min_power: int
 ) -> DivisibilityWitness | None:
-    ls = w.letters
-    L = len(ls)
-    heads = []
-    for z in Z:
-        if len(z) == 0:
-            raise ValueError("periods in Z must be nonempty")
-        heads.append(z.letters * min_power)
+    """First strong n-division of w, shortest free prefix first, or None.
+
+    Each free-prefix length short enough to leave room for n distinct
+    heads is handed to _strong_blocks, the one strong-sense search, in
+    increasing order; the first division found is the witness.
+    """
+    if any(len(z) == 0 for z in Z):
+        raise ValueError("periods in Z must be nonempty")
     if len({z.letters for z in Z}) < n:
         return None
-
-    def search(
-        blocks: list[tuple[int, int]], zs: list[int], start: int
-    ) -> tuple[list[tuple[int, int]], list[int]] | None:
-        depth = len(blocks)
-        if depth == n:
-            return (blocks, zs) if start == L else None
-        for end in range(start + 1, L - (n - depth - 1) + 1):
-            if depth and lex_compare_letters(
-                ls[blocks[-1][0] : blocks[-1][1]], ls[start:end]
-            ) is not Cmp.GREATER:
-                continue
-            for zi, head in enumerate(heads):
-                if zi in zs or len(head) > end - start:
-                    continue
-                if ls[start : start + len(head)] != head:
-                    continue
-                got = search(blocks + [(start, end)], zs + [zi], end)
-                if got is not None:
-                    return got
-        return None
-
-    for w0_len in range(0, L - n + 1):
-        got = search([], [], w0_len)
-        if got is not None:
-            blocks, zs = got
+    ls = w.letters
+    heads = [z.letters * min_power for z in Z]
+    # the n blocks hold n distinct heads, so they span at least this much
+    span = sum(sorted(map(len, heads))[:n])
+    for start in range(len(ls) - span + 1):
+        blocks = _strong_blocks(ls, n, heads, start)
+        if blocks is not None:
             return DivisibilityWitness(
                 Sense.STRONG,
-                tuple((s + 1, e) for s, e in blocks),
-                tuple(Z[zi] for zi in zs),
+                tuple((s + 1, e) for s, e, _ in blocks),
+                tuple(Z[zi] for _, _, zi in blocks),
             )
     return None
+
+
+def _strong_blocks(
+    ls: tuple[int, ...], n: int, heads: Sequence[tuple[int, ...]], start: int
+) -> list[tuple[int, int, int]] | None:
+    """First division of ls[start:] into n strictly decreasing blocks,
+    each opening with a head not used by an earlier block, as 0-based
+    (start, end, head index) triples; or None.
+
+    Depth-first over block ends, shortest block first, heads in order.
+    The cuts drop only branches that cannot succeed, so the division is
+    the one the plain search finds: the last block is pinned to end at
+    |ls|; ends that would leave a block not smaller than the previous
+    one are skipped after one mismatch scan; ends that leave too little
+    room for the shortest heads of the blocks still to come are not
+    tried; and the heads that open a block are found once per block
+    start, not once per candidate end.
+    """
+    L = len(ls)
+    used: list[int] = []
+    blocks: list[tuple[int, int, int]] = []  # filled last block first
+    # reserve[j]: the least room j more blocks need, one distinct head each
+    shortest = sorted(map(len, heads))
+    reserve = [sum(shortest[:j]) for j in range(n)]
+
+    def place(prev: int, begin: int, depth: int) -> bool:
+        # place block `depth` at `begin`; ls[prev:begin] is block depth - 1
+        first = begin + 1
+        if depth:
+            m = 0
+            while begin + m < L and prev + m < begin and ls[prev + m] == ls[begin + m]:
+                m += 1
+            if begin + m == L or prev + m == begin or ls[prev + m] < ls[begin + m]:
+                return False
+            first = begin + m + 1
+        opening = [
+            (zi, len(h))
+            for zi, h in enumerate(heads)
+            if zi not in used and ls[begin : begin + len(h)] == h
+        ]
+        if not opening:
+            return False
+        if depth == n - 1:
+            blocks.append((begin, L, opening[0][0]))
+            return True
+        for end in range(first, L - reserve[n - depth - 1] + 1):
+            for zi, size in opening:
+                if size > end - begin:
+                    continue
+                used.append(zi)
+                if place(begin, end, depth + 1):
+                    blocks.append((begin, end, zi))
+                    return True
+                used.pop()
+        return False
+
+    if not place(start, start, 0):
+        return None
+    blocks.reverse()
+    return blocks
 
 
 def is_nd_reducible(w: Word, n: int, d: int) -> bool:
@@ -556,19 +600,27 @@ def extract_periodic_fragments(
 # --- selective heights ---
 
 
-def _candidate_runs(w: Word, period_len: int, boundary: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Minimal z**(boundary+1) occurrences as (start, end, class key), 0-based."""
-    ls = w.letters
+def _candidate_run(
+    ls: tuple[int, ...], end: int, period_len: int, boundary: int
+) -> tuple[int, int, tuple[int, ...]] | None:
+    """The z**(boundary+1) occurrence ending at `end`, z primitive of
+    length period_len, as (start, end, class key), 0-based; or None."""
     t = period_len
-    need = t * (boundary + 1)
-    out = []
-    for i in range(0, len(ls) - need + 1):
-        z = ls[i : i + t]
-        if _root_length(z) < t:
-            continue
-        if ls[i : i + need] == z * (boundary + 1):
-            out.append((i, i + need, min(z[r:] + z[:r] for r in range(t))))
-    return out
+    start = end - t * (boundary + 1)
+    if start < 0 or ls[start + t : end] != ls[start : end - t]:
+        return None
+    z = ls[start : start + t]
+    if _root_length(z) < t:
+        return None
+    return (start, end, min(z[r:] + z[:r] for r in range(t)))
+
+
+def _candidate_runs(
+    ls: tuple[int, ...], period_len: int, boundary: int
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Minimal z**(boundary+1) occurrences as (start, end, class key), 0-based."""
+    runs = (_candidate_run(ls, end, period_len, boundary) for end in range(len(ls) + 1))
+    return [run for run in runs if run is not None]
 
 
 def small_selective_height(w: Word, period_len: int, boundary: int) -> int:
@@ -576,7 +628,11 @@ def small_selective_height(w: Word, period_len: int, boundary: int) -> int:
     period conjugacy classes."""
     if period_len < 1 or boundary < 1:
         raise ValueError("need period_len >= 1 and boundary >= 1")
-    cands = _candidate_runs(w, period_len, boundary)
+    return _selection_height(_candidate_runs(w.letters, period_len, boundary))
+
+
+def _selection_height(cands: Sequence[tuple[int, int, tuple[int, ...]]]) -> int:
+    """Most pairwise disjoint candidate runs with pairwise distinct classes."""
     best = 0
 
     def grow(idx: int, last_end: int, used: frozenset, count: int) -> None:
@@ -872,30 +928,50 @@ def selective_corpus_check(
     and report the largest small selective height against the bound.
 
     The declared period set is every primitive word of the given length.
+    The words are walked depth-first as a prefix tree on letter tuples.
+    Strong divisibility is kept under right extension, so a divisible
+    node is counted in `excluded` with its whole subtree and not entered.
+    The small selective height can only grow under right extension too,
+    so it is taken only at maximal scanned words: those of length
+    max_len and those whose one-letter extensions are all excluded.
+    Each node carries its candidate runs, one new run at most per
+    letter, and a word without runs has height 0.
     """
-    alphabet = Alphabet(l)
-    Z = [
-        Word(ls, alphabet)
-        for ls in itertools.product(alphabet.letters(), repeat=period_len)
-        if _root_length(ls) == period_len
+    if n < 1 or period_len < 1 or l < 1 or max_len < 1:
+        raise ValueError("need n, period_len, l and max_len all >= 1")
+    letters = range(1, l + 1)
+    heads = [
+        z for z in itertools.product(letters, repeat=period_len) if _root_length(z) == period_len
     ]
     boundary = 2 * n
     scanned = 0
     excluded = 0
     worst = 0
-    min_span = n * period_len
-    for length in range(1, max_len + 1):
-        for ls in itertools.product(alphabet.letters(), repeat=length):
-            w = Word(ls, alphabet)
-            if (
-                length >= min_span
-                and len(Z) >= n
-                and is_n_divisible(w, n, Sense.STRONG, Z=Z) is not None
+    # n blocks need n distinct heads; with fewer periods nothing divides
+    min_span = n * period_len if len(heads) >= n else max_len + 1
+    # (word, its candidate runs); the empty root is not scanned
+    stack: list[tuple[tuple[int, ...], tuple]] = [((), ())]
+    while stack:
+        ls, runs = stack.pop()
+        k = len(ls)
+        maximal = True
+        for x in letters:
+            child = ls + (x,)
+            if k + 1 >= min_span and any(
+                _strong_blocks(child, n, heads, s) is not None for s in range(k + 2 - min_span)
             ):
-                excluded += 1
+                excluded += sum(l**j for j in range(max_len - k))  # child and subtree
                 continue
             scanned += 1
-            worst = max(worst, small_selective_height(w, period_len, boundary))
+            maximal = False
+            run = _candidate_run(child, k + 1, period_len, boundary)
+            child_runs = runs + (run,) if run else runs
+            if k + 1 < max_len:
+                stack.append((child, child_runs))
+            elif child_runs:
+                worst = max(worst, _selection_height(child_runs))
+        if maximal and runs:
+            worst = max(worst, _selection_height(runs))
     return {
         "l": l,
         "n": n,

@@ -207,6 +207,14 @@ def test_criterion_11_growth():
     assert ok
 
 
+def _height_report(r: dict) -> str:
+    # disjoint z**(boundary+1) fragments of period period_len fit at most
+    # this many times into the longest swept word
+    reach = r["max_len"] // (r["period_len"] * (r["boundary"] + 1))
+    scope = "vacuous" if reach == 0 else f"length {r['max_len']} allows at most {reach}"
+    return f"period {r['period_len']} max {r['max_height']} <= {r['bound']} ({scope})"
+
+
 def test_criterion_12_selective_heights_and_edges():
     r2 = dv.selective_corpus_check(2, 3, 14, 2, bounds.beth_bound("t2", 2, 3))
     r3 = dv.selective_corpus_check(2, 3, 14, 3, bounds.beth_bound("t3", 2, 3))
@@ -221,8 +229,8 @@ def test_criterion_12_selective_heights_and_edges():
     _verdict(
         12,
         ok,
-        f"small heights: period 2 max {r2['max_height']} <= {r2['bound']}, "
-        f"period 3 max {r3['max_height']} <= {r3['bound']} over {r2['scanned']}/{r3['scanned']} words; "
+        f"small heights: {_height_report(r2)}, {_height_report(r3)} "
+        f"over {r2['scanned']}/{r3['scanned']} words; "
         "edge generator duplicate-free with alpha count per big step",
     )
     assert ok

@@ -33,6 +33,12 @@ class TestExitCodes:
             ("selective", "--n", "3"),
             ("complexity", "--mechanical", "1/0,0,10"),
             ("bounds", "--which", "alpha", "--n", "30", "--l", "2"),
+            ("divide", "--word", "bacab", "--n", "2", "--sense", "tail", "--d", "-1"),
+            ("divide", "--word", "bacab", "--n", "2", "--sense", "tail", "--d", "0"),
+            ("selective", "--corpus", "--l", "2", "--n", "3", "--max-len", "-1",
+             "--period", "2", "--bound", "1"),
+            ("selective", "--corpus", "--l", "2", "--n", "0", "--max-len", "6",
+             "--period", "2", "--bound", "1"),
         ],
     )
     def test_domain_error(self, argv):

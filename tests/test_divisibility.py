@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wordlab import divisibility
 from wordlab.bounds import alpha_lower, beth_bound, psi_bound, psi_log2_bound
 from wordlab.divisibility import (
     BudgetExceededError,
@@ -88,6 +89,91 @@ def naive_tail(ls, n):
     return False
 
 
+def is_primitive(ls):
+    return all(ls != ls[r:] + ls[:r] for r in range(1, len(ls)))
+
+
+def reference_strong_witness(w, n, Z, min_power):
+    """Reference strong search: every block end is tried and compared in
+    full, and the heads are matched again for every end."""
+    ls = w.letters
+    L = len(ls)
+    heads = []
+    for z in Z:
+        if len(z) == 0:
+            raise ValueError("periods in Z must be nonempty")
+        heads.append(z.letters * min_power)
+    if len({z.letters for z in Z}) < n:
+        return None
+
+    def search(blocks, zs, start):
+        depth = len(blocks)
+        if depth == n:
+            return (blocks, zs) if start == L else None
+        for end in range(start + 1, L - (n - depth - 1) + 1):
+            if depth and lex_compare_letters(
+                ls[blocks[-1][0] : blocks[-1][1]], ls[start:end]
+            ) is not Cmp.GREATER:
+                continue
+            for zi, head in enumerate(heads):
+                if zi in zs or len(head) > end - start:
+                    continue
+                if ls[start : start + len(head)] != head:
+                    continue
+                got = search(blocks + [(start, end)], zs + [zi], end)
+                if got is not None:
+                    return got
+        return None
+
+    for w0_len in range(0, L - n + 1):
+        got = search([], [], w0_len)
+        if got is not None:
+            blocks, zs = got
+            return DivisibilityWitness(
+                Sense.STRONG,
+                tuple((s + 1, e) for s, e in blocks),
+                tuple(Z[zi] for zi in zs),
+            )
+    return None
+
+
+def reference_corpus_check(l, n, max_len, period_len, bound):
+    """Reference corpus sweep: every word up to max_len is built, tested
+    with reference_strong_witness and measured on its own."""
+    alphabet = Alphabet(l)
+    Z = [
+        Word(ls, alphabet)
+        for ls in itertools.product(alphabet.letters(), repeat=period_len)
+        if is_primitive(ls)
+    ]
+    boundary = 2 * n
+    scanned = excluded = worst = 0
+    for length in range(1, max_len + 1):
+        for ls in itertools.product(alphabet.letters(), repeat=length):
+            w = Word(ls, alphabet)
+            if (
+                length >= n * period_len
+                and len(Z) >= n
+                and reference_strong_witness(w, n, tuple(Z), 1) is not None
+            ):
+                excluded += 1
+                continue
+            scanned += 1
+            worst = max(worst, small_selective_height(w, period_len, boundary))
+    return {
+        "l": l,
+        "n": n,
+        "max_len": max_len,
+        "period_len": period_len,
+        "boundary": boundary,
+        "scanned": scanned,
+        "excluded": excluded,
+        "max_height": worst,
+        "bound": bound,
+        "ok": worst <= bound,
+    }
+
+
 class TestWitnesses:
     def test_ordinary_example(self):
         w = word("cba")
@@ -120,6 +206,31 @@ class TestWitnesses:
         witness = is_n_divisible(w, 2, "strong", Z=Z, min_power=2)
         assert witness is not None
         validate_witness(w, witness, min_power=2)
+
+    def test_strong_search_against_reference(self):
+        rng = random.Random(2014)
+        found = 0
+        for _ in range(2000):
+            A = rng.choice((A2, A3))
+            ls = tuple(rng.randint(1, A.size) for _ in range(rng.randint(1, 24)))
+            periods = [
+                Word(z, A)
+                for t in (1, 2, 3)
+                for z in itertools.product(A.letters(), repeat=t)
+                if is_primitive(z)
+            ]
+            Z = tuple(rng.sample(periods, rng.randint(1, len(periods))))
+            n, min_power = rng.randint(1, 4), rng.randint(1, 2)
+            w = Word(ls, A)
+            got = is_n_divisible(w, n, "strong", Z=Z, min_power=min_power)
+            assert got == reference_strong_witness(w, n, Z, min_power)
+            found += got is not None
+        assert found > 500
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_must_be_positive(self, d):
+        with pytest.raises(ValueError):
+            is_n_divisible(word("bacab"), 2, "tail", d=d)
 
     def test_witness_validation_rejects_bad_blocks(self):
         w = word("cba")
@@ -421,6 +532,40 @@ class TestSelectiveHeights:
     def test_corpus_check_small_range(self):
         report = selective_corpus_check(2, 3, 10, 2, beth_bound("t2", 2, 3))
         assert report["ok"] and report["scanned"] > 0
+
+    @pytest.mark.parametrize(
+        "l,n,max_len,period_len",
+        [
+            (2, 2, 10, 2),
+            (2, 2, 12, 3),
+            (3, 2, 6, 2),
+            (2, 1, 12, 2),
+            (2, 2, 10, 1),
+            (2, 3, 10, 3),
+            (3, 3, 6, 2),
+        ],
+    )
+    def test_corpus_walk_against_reference(self, l, n, max_len, period_len):
+        report = selective_corpus_check(l, n, max_len, period_len, 1)
+        assert report == reference_corpus_check(l, n, max_len, period_len, 1)
+
+    def test_corpus_walk_measures_words_with_all_extensions_excluded(self, monkeypatch):
+        # with every word of length >= 6 counted as divisible, the
+        # maximal scanned words are the 32 words of length 5, and aaaaa
+        # holds one z**5 fragment of period 1
+        monkeypatch.setattr(
+            divisibility, "_strong_blocks", lambda ls, n, heads, start: [] if len(ls) >= 6 else None
+        )
+        report = selective_corpus_check(2, 2, 8, 1, 1)
+        assert (report["scanned"], report["excluded"], report["max_height"]) == (62, 448, 1)
+
+    @pytest.mark.parametrize(
+        "l,n,max_len,period_len",
+        [(2, 0, 6, 2), (2, 3, 6, 0), (0, 3, 6, 2), (2, 3, 0, 2), (2, 3, -1, 2)],
+    )
+    def test_corpus_check_rejects_bad_input(self, l, n, max_len, period_len):
+        with pytest.raises(ValueError):
+            selective_corpus_check(l, n, max_len, period_len, 1)
 
     def test_large_bounded_by_small_relation(self):
         # the large height stays below 2(n-1) times the small-height
