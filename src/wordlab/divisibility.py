@@ -27,7 +27,6 @@ from .words import (
     WordCycle,
     _power_suffix,
     _root_length,
-    canonical_rotation,
     find_period_power,
     format_word,
     lex_compare_letters,
@@ -213,7 +212,8 @@ def _strong_witness(
     """
     if any(len(z) == 0 for z in Z):
         raise ValueError("periods in Z must be nonempty")
-    if len({z.letters for z in Z}) < n:
+    Z = tuple({z.letters: z for z in Z}.values())  # a repeated period is one period
+    if len(Z) < n:
         return None
     ls = w.letters
     heads = [z.letters * min_power for z in Z]
@@ -480,6 +480,8 @@ def dilworth_tail_coloring(
     With d given, only tails starting in the first floor(|w|/d)
     positions are colored; they must be pairwise comparable.
     """
+    if d is not None and d < 1:
+        raise ValueError("d must be positive")
     L = len(w)
     limit = L // d if d else L
     positions = tuple(range(1, limit + 1))
@@ -753,9 +755,12 @@ def is_n_light(c: CodingClass, n: int) -> bool:
     """True iff the two-coordinate order on the class has no antichain of size n."""
     if n < 1:
         raise ValueError("n must be positive")
-    if not c.cycles:
-        return True
-    return max_antichain(coding_poset(c))[0] < n
+    return _class_width(c) < n
+
+
+def _class_width(c: CodingClass) -> int:
+    """Largest antichain of the two-coordinate order, 0 for an empty class."""
+    return max_antichain(coding_poset(c))[0] if c.cycles else 0
 
 
 def recode_pairs(c: CodingClass) -> CodingClass:
@@ -799,26 +804,7 @@ def pad_to_power_of_two(c: CodingClass, s: int) -> CodingClass:
 
 def word_height(w: Word, Y: Iterable[Word]) -> int | None:
     """Least r with w = y_1**k_1 ... y_r**k_r over Y, or None."""
-    ys = {y.letters for y in Y if len(y) > 0}
-    if not ys:
-        raise ValueError("Y must contain a nonempty word")
-    ls = w.letters
-    L = len(ls)
-    INF = L + 1
-    best = [INF] * (L + 1)
-    best[0] = 0
-    for i in range(L):
-        if best[i] >= INF:
-            continue
-        for y in ys:
-            e = 0
-            pos = i
-            while ls[pos : pos + len(y)] == y:
-                e += 1
-                pos += len(y)
-                if best[i] + 1 < best[pos]:
-                    best[pos] = best[i] + 1
-    return best[L] if best[L] < INF else None
+    return essential_height(w, Y, pad=0, min_power=1)
 
 
 def essential_height(
@@ -829,52 +815,31 @@ def essential_height(
     ys = {y.letters for y in Y if len(y) > 0}
     if not ys:
         raise ValueError("Y must contain a nonempty word")
+    if pad < 0:
+        raise ValueError("pad must be >= 0")
     ls = w.letters
     L = len(ls)
     INF = L + 2
-    if L <= pad:
-        return 0
-    after_power = [INF] * (L + 1)
-    for i in range(0, min(pad, L) + 1):
-        _mark_powers(ls, i, ys, min_power, 1, after_power)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(L + 1):
-            h = after_power[i]
-            if h >= INF:
-                continue
-            for g in range(0, pad + 1):
-                start = i + g
-                if start > L:
-                    break
-                if _mark_powers(ls, start, ys, min_power, h + 1, after_power):
-                    changed = True
-    candidates = [
-        after_power[i] for i in range(L + 1) if L - i <= pad and after_power[i] < INF
-    ]
-    return min(candidates) if candidates else None
-
-
-def _mark_powers(
-    ls: tuple[int, ...],
-    start: int,
-    ys: set[tuple[int, ...]],
-    min_power: int,
-    level: int,
-    after_power: list[int],
-) -> bool:
-    changed = False
-    for y in ys:
-        e = 0
-        pos = start
-        while ls[pos : pos + len(y)] == y:
-            e += 1
-            pos += len(y)
-            if e >= min_power and level < after_power[pos]:
-                after_power[pos] = level
-                changed = True
-    return changed
+    # after_power[i]: fewest powers in a parse of ls[:i] ending with a
+    # power at i; after_power[0] = 0 is the empty parse.  A power opening
+    # at `start` follows the best parse that ends at most pad letters
+    # earlier.  Every power ends right of where it opens, so one
+    # left-to-right pass suffices: that window is final when it is read.
+    after_power = [0] + [INF] * L
+    for start in range(L):
+        level = min(after_power[max(start - pad, 0) : start + 1]) + 1
+        if level > INF:
+            continue
+        for y in ys:
+            e = 0
+            pos = start
+            while ls[pos : pos + len(y)] == y:
+                e += 1
+                pos += len(y)
+                if e >= min_power and level < after_power[pos]:
+                    after_power[pos] = level
+    h = min(after_power[max(L - pad, 0) :])
+    return h if h < INF else None
 
 
 # --- explicit lower-bound construction (edge generator) ---
@@ -907,18 +872,17 @@ def lower_bound_witness_edges(n: int, l: int) -> tuple[tuple[int, int], ...]:
 
 
 def primitive_cycle_classes(t: int, alphabet: Alphabet) -> tuple[WordCycle, ...]:
-    """All conjugacy classes of primitive length-t words, canonical order."""
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for ls in itertools.product(alphabet.letters(), repeat=t):
-        w = Word(ls, alphabet)
-        if _root_length(ls) < t:
-            continue
-        key = canonical_rotation(w).letters
-        if key not in seen:
-            seen.add(key)
-            out.append(WordCycle.of(w))
-    return tuple(out)
+    """All conjugacy classes of primitive length-t words, canonical order.
+
+    A primitive word is the representative of its class exactly when it
+    is strictly below each of its proper rotations, so the classes come
+    out in the lexicographic order of their representatives.
+    """
+    return tuple(
+        WordCycle(Word(ls, alphabet), t)
+        for ls in itertools.product(alphabet.letters(), repeat=t)
+        if all(ls < ls[i:] + ls[:i] for i in range(1, t))
+    )
 
 
 def selective_corpus_check(
@@ -988,7 +952,10 @@ def selective_corpus_check(
 
 def coding_corpus_check(t_max: int, l: int, n_max: int) -> dict:
     """Brute-force the recoding and padding lemmas over every ordered class
-    with cycle length <= t_max over l letters, both directions."""
+    with cycle length <= t_max over l letters, in the lemmas' direction:
+    a light class has a light image.  The converse does not hold (at
+    t_max=4, l=2, n_max=3 some classes that are not n-light have an
+    n-light image), so it is not checked."""
     alphabet = Alphabet(l)
     recode_checked = recode_light = 0
     pad_checked = pad_light = 0
@@ -1001,28 +968,23 @@ def coding_corpus_check(t_max: int, l: int, n_max: int) -> dict:
                 yield CodingClass(t, alphabet, tuple(combo))
 
     for t in range(1, t_max + 1):
+        s = (t - 1).bit_length()  # least s with 2**s >= t
         for c in classes(t):
+            # a class is n-light exactly when its width is below n
+            width = _class_width(c)
+            recoded_width = _class_width(recode_pairs(c)) if t % 2 == 0 else None
+            padded_width = _class_width(pad_to_power_of_two(c, s))
             for n in range(2, n_max + 1):
-                light = is_n_light(c, n)
-                if t % 2 == 0:
-                    recoded = recode_pairs(c)
+                light = width < n
+                if recoded_width is not None:
                     recode_checked += 1
                     if light:
                         recode_light += 1
-                        ok = ok and is_n_light(recoded, n)
-                    if not is_n_light(recoded, n):
-                        ok = ok and not light
-                s = 0
-                while (1 << s) < t:
-                    s += 1
-                padded = pad_to_power_of_two(c, s)
+                        ok = ok and recoded_width < n
                 pad_checked += 1
-                m = (1 << s) * (n - 1) + 1
                 if light:
                     pad_light += 1
-                    ok = ok and is_n_light(padded, m)
-                if not is_n_light(padded, m):
-                    ok = ok and not light
+                    ok = ok and padded_width < (1 << s) * (n - 1) + 1
     return {
         "t_max": t_max,
         "l": l,

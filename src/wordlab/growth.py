@@ -113,13 +113,7 @@ def growth_function(spec: MonomialAlgebraSpec, n: int, cap: int = 10_000) -> lis
     """Cumulative counts V(0..n): words of length at most k, empty word included."""
     if n > cap:
         raise ValueError(f"growth cap {cap} exceeded")
-    counts = count_words(spec, n)
-    out = []
-    total = 0
-    for c in counts:
-        total += c
-        out.append(total)
-    return out
+    return list(itertools.accumulate(count_words(spec, n)))
 
 
 def count_words_direct(spec: MonomialAlgebraSpec, n: int) -> list[int]:
@@ -171,14 +165,15 @@ def classify_growth(spec: MonomialAlgebraSpec) -> GrowthClass:
             )
     if any(branching):
         return GrowthClass("exponential", None)
-    # condensation DAG; degree = most cyclic components along a path
+    # condensation DAG; degree = most cyclic components along a path.
+    # Tarjan's algorithm emits a component after every component it
+    # reaches, so emission order is a reverse topological order.
     comp_succ: list[set[int]] = [set() for _ in sccs]
     for a, b in g.edges:
         if comp_of[a] != comp_of[b]:
             comp_succ[comp_of[a]].add(comp_of[b])
-    order = _topo_order(comp_succ)
     best = [0] * len(sccs)
-    for ci in reversed(order):
+    for ci in range(len(sccs)):
         follow = max((best[cj] for cj in comp_succ[ci]), default=0)
         best[ci] = follow + (1 if cyclic[ci] else 0)
     degree = max(best, default=0)
@@ -250,25 +245,6 @@ def _two_cycles_through(v: int, comp: list[int], succ: list[list[int]]) -> bool:
 
     cycles_found = walk(v, frozenset([v]))
     return cycles_found >= 2
-
-
-def _topo_order(succ: list[set[int]]) -> list[int]:
-    n = len(succ)
-    indeg = [0] * n
-    for outs in succ:
-        for b in outs:
-            indeg[b] += 1
-    ready = [v for v in range(n) if indeg[v] == 0]
-    order = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for b in succ[v]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-    assert len(order) == n
-    return order
 
 
 def gk_dimension_estimate(spec: MonomialAlgebraSpec, n: int) -> Fraction:

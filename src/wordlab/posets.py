@@ -1,10 +1,10 @@
 """Finite posets, Dilworth machinery, and permutation-ordered posets.
 
 Relations are kept as strict-order bitmasks: bit j of `above[i]` says
-i < j.  Chain covers come from a maximum bipartite matching on the
-split graph; maximum antichains from the matching's vertex cover, so
-the Dilworth equality |min chain cover| = |max antichain| is asserted
-on every call.
+i < j.  One maximum bipartite matching on the split graph gives both
+the minimum chain cover and, through its vertex cover, a maximum
+antichain, so the Dilworth equality |min chain cover| = |max antichain|
+is asserted on every call.
 """
 
 from __future__ import annotations
@@ -115,33 +115,23 @@ def _max_matching(p: FinitePoset) -> tuple[int, list[int]]:
     return size, match_right
 
 
-def min_chain_cover(p: FinitePoset) -> tuple[tuple[int, ...], ...]:
-    """Partition into the minimum number of chains (Dilworth)."""
-    size, match_right = _max_matching(p)
-    succ = {match_right[j]: j for j in range(p.size) if match_right[j] >= 0}
-    has_pred = set(succ.values())
-    chains = []
-    for start in range(p.size):
-        if start in has_pred:
-            continue
-        chain = [start]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-        chains.append(tuple(chain))
-    assert len(chains) == p.size - size
-    anti, _ = max_antichain(p)
-    assert len(chains) == anti, "Dilworth equality violated"
-    return tuple(chains)
-
-
-def max_antichain(p: FinitePoset) -> tuple[int, frozenset[int]]:
-    """Maximum antichain size with a witness, via the matching's vertex cover."""
+def _dilworth(p: FinitePoset) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
+    """A minimum chain cover and a maximum antichain from one maximum matching."""
     n = p.size
     size, match_right = _max_matching(p)
     match_left = [-1] * n
-    for j in range(n):
-        if match_right[j] >= 0:
-            match_left[match_right[j]] = j
+    for j, i in enumerate(match_right):
+        if i >= 0:
+            match_left[i] = j
+    # Chains follow matched edges up from each element without a matched predecessor.
+    chains = []
+    for start in range(n):
+        if match_right[start] >= 0:
+            continue
+        chain = [start]
+        while match_left[chain[-1]] >= 0:
+            chain.append(match_left[chain[-1]])
+        chains.append(tuple(chain))
     # Alternating reachability from unmatched left vertices.
     seen_left = [False] * n
     seen_right = [False] * n
@@ -158,13 +148,24 @@ def max_antichain(p: FinitePoset) -> tuple[int, frozenset[int]]:
                     seen_left[k] = True
                     stack.append(k)
     # Cover = unreached left + reached right; antichain = fully uncovered elements.
-    witness = frozenset(
+    antichain = frozenset(
         x for x in range(n) if seen_left[x] and not seen_right[x]
     )
-    assert len(witness) == n - size
-    for a, b in itertools.combinations(sorted(witness), 2):
+    assert len(chains) == n - size == len(antichain), "Dilworth equality violated"
+    for a, b in itertools.combinations(sorted(antichain), 2):
         assert not p.comparable(a, b)
-    return n - size, witness
+    return tuple(chains), antichain
+
+
+def min_chain_cover(p: FinitePoset) -> tuple[tuple[int, ...], ...]:
+    """Partition into the minimum number of chains (Dilworth)."""
+    return _dilworth(p)[0]
+
+
+def max_antichain(p: FinitePoset) -> tuple[int, frozenset[int]]:
+    """Maximum antichain size with a witness, via the matching's vertex cover."""
+    antichain = _dilworth(p)[1]
+    return len(antichain), antichain
 
 
 def max_antichain_bruteforce(p: FinitePoset) -> int:

@@ -12,6 +12,7 @@ function.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -56,45 +57,41 @@ class Tableau:
         return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in self.rows)
 
 
+def _bump(rows: list[list[int]], x: int) -> int:
+    """Row-insert x into mutable rows in place; returns the 0-based landing row."""
+    for r, row in enumerate(rows):
+        c = bisect_right(row, x)
+        if c == len(row):
+            row.append(x)
+            return r
+        x, row[c] = row[c], x  # bump the least entry above x into the next row
+    rows.append([x])
+    return len(rows) - 1
+
+
 def schensted_insert(t: Tableau | None, x: int) -> tuple[Tableau, tuple[int, int]]:
     """Row-insert x; returns the new tableau and the landing cell (1-based)."""
     rows = [list(r) for r in t.rows] if t is not None else []
     if any(x in row for row in rows):
         raise ValueError(f"entry {x} already present")
-    r = 0
-    while True:
-        if r == len(rows):
-            rows.append([x])
-            return Tableau(tuple(tuple(row) for row in rows)), (r + 1, 1)
-        row = rows[r]
-        if x >= row[-1]:
-            row.append(x)
-            return Tableau(tuple(tuple(row) for row in rows)), (r + 1, len(row))
-        # bump the least entry above x into the next row
-        lo, hi = 0, len(row) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if row[mid] > x:
-                hi = mid
-            else:
-                lo = mid + 1
-        x, row[lo] = row[lo], x
-        r += 1
+    r = _bump(rows, x)
+    return Tableau(tuple(map(tuple, rows))), (r + 1, len(rows[r]))
 
 
 def rsk(pi: Sequence[int]) -> tuple[Tableau, Tableau]:
     """P by successive row insertion, Q by recording each landing cell."""
-    _check_permutation(pi)
-    p: Tableau | None = None
+    _check_permutation(pi)  # distinct entries, so no insertion meets its own value
+    if not pi:
+        raise ValueError("empty permutation")
+    p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for step, x in enumerate(pi, start=1):
-        p, (r, _) = schensted_insert(p, x)
-        if r > len(q_rows):
+        r = _bump(p_rows, x)
+        if r == len(q_rows):
             q_rows.append([])
-        q_rows[r - 1].append(step)
-    if p is None:
-        raise ValueError("empty permutation")
-    q = Tableau(tuple(tuple(row) for row in q_rows))
+        q_rows[r].append(step)
+    p = Tableau(tuple(map(tuple, p_rows)))
+    q = Tableau(tuple(map(tuple, q_rows)))
     assert p.shape == q.shape and p.is_standard() and q.is_standard()
     return p, q
 
@@ -119,14 +116,8 @@ def rsk_inverse(p: Tableau, q: Tableau) -> tuple[int, ...]:
             rows.pop(r)
         for rr in range(r - 1, -1, -1):
             row = rows[rr]
-            lo, hi = 0, len(row) - 1
-            while lo < hi:  # rightmost entry below x
-                mid = (lo + hi + 1) // 2
-                if row[mid] < x:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            x, row[lo] = row[lo], x
+            c = bisect_left(row, x) - 1  # rightmost entry below x
+            x, row[c] = row[c], x
         out.append(x)
     return tuple(reversed(out))
 
@@ -140,13 +131,7 @@ def longest_decreasing(pi: Sequence[int]) -> int:
     tails: list[int] = []  # negated patience piles
     for x in pi:
         y = -x
-        lo, hi = 0, len(tails)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if tails[mid] < y:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(tails, y)
         if lo == len(tails):
             tails.append(y)
         else:
@@ -244,13 +229,7 @@ def _xi_enumerate(n: int, k: int) -> int:
             if used[x]:
                 continue
             y = -x
-            lo, hi = 0, len(tails)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if tails[mid] < y:
-                    lo = mid + 1
-                else:
-                    hi = mid
+            lo = bisect_left(tails, y)
             if lo == len(tails) and len(tails) == k:
                 continue
             used[x] = True

@@ -244,7 +244,7 @@ def test_criterion_13_coding_transfers():
         ok,
         f"recoding and padding lightness transfer on t<=4, l=2, n<=3: "
         f"{report['recode_checked']} recode checks ({report['recode_light_cases']} light), "
-        f"{report['pad_checked']} pad checks ({report['pad_light_cases']} light), both directions",
+        f"{report['pad_checked']} pad checks ({report['pad_light_cases']} light), light class => light image",
     )
     assert ok
 

@@ -39,6 +39,7 @@ class TestExitCodes:
              "--period", "2", "--bound", "1"),
             ("selective", "--corpus", "--l", "2", "--n", "0", "--max-len", "6",
              "--period", "2", "--bound", "1"),
+            ("height", "--word", "abba", "--y", "a", "--essential", "--pad", "-1"),
         ],
     )
     def test_domain_error(self, argv):
@@ -62,6 +63,12 @@ class TestSpecExamples:
     def test_bounds_upsilon(self):
         code, out = run_cli("bounds", "--n", "3", "--l", "2", "--which", "upsilon")
         assert code == 0 and "8748" in out
+
+    def test_divide_strong_repeated_period(self):
+        argv = ("divide", "--word", "abbaba", "--n", "2", "--sense", "strong", "--format", "jsonl")
+        code, out = run_cli(*argv, "--z", "ab,ab,ba")
+        assert (code, out) == run_cli(*argv, "--z", "ab,ba")
+        assert code == 0 and json.loads(out)["divisible"] is False
 
     def test_divide_witness(self):
         code, out = run_cli("divide", "--word", "cba", "--n", "3", "--sense", "ordinary")

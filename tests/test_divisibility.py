@@ -34,7 +34,15 @@ from wordlab.divisibility import (
     word_height,
 )
 from wordlab.morphisms import thue_morse
-from wordlab.words import Alphabet, Cmp, Word, lex_compare_letters, parse_word, word
+from wordlab.words import (
+    Alphabet,
+    Cmp,
+    Word,
+    canonical_rotation,
+    lex_compare_letters,
+    parse_word,
+    word,
+)
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -172,6 +180,66 @@ def reference_corpus_check(l, n, max_len, period_len, bound):
         "bound": bound,
         "ok": worst <= bound,
     }
+
+
+def reference_word_height(w, Y):
+    """Reference DP: least r with w = y_1**k_1 ... y_r**k_r over Y."""
+    ys = {y.letters for y in Y if len(y) > 0}
+    ls = w.letters
+    L = len(ls)
+    INF = L + 1
+    best = [INF] * (L + 1)
+    best[0] = 0
+    for i in range(L):
+        if best[i] >= INF:
+            continue
+        for y in ys:
+            pos = i
+            while ls[pos : pos + len(y)] == y:
+                pos += len(y)
+                best[pos] = min(best[pos], best[i] + 1)
+    return best[L] if best[L] < INF else None
+
+
+def reference_essential_height(w, Y, pad, min_power):
+    """Reference fixpoint: relax the fewest powers ending at each position
+    until nothing changes, starting from powers that open within pad."""
+    ys = {y.letters for y in Y if len(y) > 0}
+    ls = w.letters
+    L = len(ls)
+    INF = L + 2
+    if L <= pad:
+        return 0
+    after_power = [INF] * (L + 1)
+
+    def mark(start, level):
+        changed = False
+        for y in ys:
+            e = 0
+            pos = start
+            while ls[pos : pos + len(y)] == y:
+                e += 1
+                pos += len(y)
+                if e >= min_power and level < after_power[pos]:
+                    after_power[pos] = level
+                    changed = True
+        return changed
+
+    for i in range(0, min(pad, L) + 1):
+        mark(i, 1)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(L + 1):
+            h = after_power[i]
+            if h >= INF:
+                continue
+            for start in range(i, min(i + pad, L) + 1):
+                changed = mark(start, h + 1) or changed
+    candidates = [
+        after_power[i] for i in range(L + 1) if L - i <= pad and after_power[i] < INF
+    ]
+    return min(candidates) if candidates else None
 
 
 class TestWitnesses:
@@ -350,6 +418,11 @@ class TestTailColoring:
     def test_prefix_restriction(self):
         tc = dilworth_tail_coloring(word("aba"), 10, d=2)
         assert tc.positions == (1,)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_must_be_positive(self, d):
+        with pytest.raises(ValueError, match="d must be positive"):
+            dilworth_tail_coloring(word("bacab"), 10, d=d)
 
     def test_chain_count_is_maximum_antichain(self):
         rng = random.Random(99)
@@ -618,9 +691,30 @@ class TestCoding:
 
     def test_corpus_transfers(self):
         report = coding_corpus_check(4, 2, 3)
-        assert report["ok"]
-        assert report["recode_light_cases"] >= 1
-        assert report["pad_light_cases"] >= 1
+        assert report == {
+            "t_max": 4,
+            "l": 2,
+            "n_max": 3,
+            "recode_checked": 32,
+            "recode_light_cases": 1,
+            "pad_checked": 48,
+            "pad_light_cases": 8,
+            "ok": True,
+        }
+
+    def test_light_image_does_not_imply_light_class(self):
+        # the lemmas transfer lightness one way only, so the corpus check
+        # tests only that direction
+        recode_converse = pad_converse = 0
+        for r in range(1, 4):
+            for combo in itertools.permutations(primitive_cycle_classes(4, A2), r):
+                c = CodingClass(4, A2, combo)
+                for n in (2, 3):
+                    if is_n_light(c, n):
+                        continue
+                    recode_converse += is_n_light(recode_pairs(c), n)
+                    pad_converse += is_n_light(pad_to_power_of_two(c, 2), 4 * (n - 1) + 1)
+        assert recode_converse > 0 and pad_converse > 0
 
     def test_pad_nonvacuous_case(self):
         # a light class at t = 3 exists once n exceeds the cycle length
@@ -651,6 +745,30 @@ class TestHeights:
 
     def test_essential_unreachable(self):
         assert essential_height(word("abcabc", A3), [word("a", A3)], pad=1) is None
+
+    def test_negative_pad_rejected(self):
+        with pytest.raises(ValueError, match="pad"):
+            essential_height(word("abba"), [word("a", A2)], pad=-1)
+
+    def test_heights_against_reference(self):
+        rng = random.Random(2024)
+        found = 0
+        for _ in range(4000):
+            alphabet = Alphabet(rng.randint(1, 3))
+            letters = alphabet.letters()
+
+            def draw(length):
+                return Word(tuple(rng.choice(letters) for _ in range(length)), alphabet)
+
+            w = draw(rng.randint(0, 14))
+            Y = [draw(rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+            pad = rng.randint(0, 3)
+            min_power = rng.randint(1, 3)
+            got = essential_height(w, Y, pad, min_power)
+            assert got == reference_essential_height(w, Y, pad, min_power)
+            assert word_height(w, Y) == reference_word_height(w, Y)
+            found += got is not None and got > 0
+        assert found > 500
 
     def test_essential_requires_square_powers(self):
         # one lone c is not a repeated period under min_power=2, and the
@@ -686,3 +804,17 @@ class TestCycleClasses:
         assert [str(c.representative) for c in primitive_cycle_classes(2, A2)] == ["ab"]
         assert len(primitive_cycle_classes(4, A2)) == 3
         assert len(primitive_cycle_classes(3, A3)) == 8
+
+    @pytest.mark.parametrize("l,t", [(1, 1), (1, 3), (2, 6), (3, 4), (4, 3)])
+    def test_one_class_per_primitive_rotation_set(self, l, t):
+        alphabet = Alphabet(l)
+        reps = sorted(
+            {
+                canonical_rotation(Word(ls, alphabet)).letters
+                for ls in itertools.product(alphabet.letters(), repeat=t)
+                if is_primitive(ls)
+            }
+        )
+        classes = primitive_cycle_classes(t, alphabet)
+        assert [c.representative.letters for c in classes] == reps
+        assert all(c.period_length == t for c in classes)
