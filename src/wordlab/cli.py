@@ -455,6 +455,8 @@ def _cmd_complexity(args) -> list[dict]:
     else:
         w = _word_arg(args.word, args.l)
         source = format_word(w)
+    if args.n < 1:
+        raise ValueError("--n must be positive")
     limit = min(args.n, len(w))
     values = gr.complexity_function(w, limit)
     records = [

@@ -25,6 +25,7 @@ from .words import (
     Theta,
     Word,
     WordCycle,
+    _first_power,
     _power_suffix,
     _root_length,
     find_period_power,
@@ -328,6 +329,10 @@ def max_nonreducible_length(
     """
     if l < 1:
         raise ValueError("need at least one letter")
+    if n < 1 or d < 2:
+        raise ValueError("need n >= 1 and d >= 2")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     alphabet = Alphabet(l)
     nodes = 0
     best_len = 0
@@ -398,6 +403,8 @@ def max_process_sequence_length(p: int, k: int, budget: int = 2_000_000) -> Proc
     """Exact maximum sequence length, exhaustive over counter states."""
     if p < 2 or k < 2:
         raise ValueError("need p >= 2 and k >= 2")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     width = k - 1
     states = 0
     memo: dict[tuple[int, ...], tuple[int, int | None]] = {}
@@ -574,12 +581,12 @@ def extract_periodic_fragments(
     fragments: list[Fragment] = []
     residues: list[Word] = []
     while max_steps is None or len(fragments) < max_steps:
-        hit = find_period_power(Word(tuple(current), w.alphabet), power)
+        ls = tuple(current)
+        hit = _first_power(ls, power, leftmost=False)
         if hit is None:
             break
-        z = hit.period.letters
-        zlen = len(z)
-        start = hit.start - 1
+        start, zlen = hit
+        z = ls[start : start + zlen]
         end = start + zlen * power
         while start >= zlen and tuple(current[start - zlen : start]) == z:
             start -= zlen
@@ -590,7 +597,7 @@ def extract_periodic_fragments(
         pieces = 1 + sum(
             1 for a, b in zip(span_origins, span_origins[1:]) if b != a + 1
         )
-        fragments.append(Fragment(hit.period, exponent, start + 1, pieces))
+        fragments.append(Fragment(Word(z, w.alphabet), exponent, start + 1, pieces))
         del current[start:end]
         del origin[start:end]
         residues.append(Word(tuple(current), w.alphabet))

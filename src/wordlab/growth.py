@@ -85,6 +85,8 @@ def subword_graph(spec: MonomialAlgebraSpec) -> SubwordGraph:
 
 def count_words(spec: MonomialAlgebraSpec, n: int) -> list[int]:
     """Allowed words per length 0..n, by transfer over the subword graph."""
+    if n < 0:
+        raise ValueError("growth length must be non-negative")
     g = subword_graph(spec)
     m = g.window
     counts = [0] * (n + 1)
@@ -275,9 +277,9 @@ def is_balanced(w: Word) -> bool:
     """Any two equal-length factors carry 'b' counts differing by at most 1."""
     if w.alphabet.size > 2:
         raise ValueError("balance is defined over a two-letter alphabet")
-    ls = w.letters
-    for k in range(1, len(ls) + 1):
-        counts = {sum(1 for x in ls[i : i + k] if x == 2) for i in range(len(ls) - k + 1)}
+    prefix = [0, *itertools.accumulate(x == 2 for x in w.letters)]
+    for k in range(1, len(w) + 1):
+        counts = [b - a for a, b in zip(prefix, prefix[k:])]
         if max(counts) - min(counts) > 1:
             return False
     return True

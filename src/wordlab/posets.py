@@ -245,8 +245,8 @@ def canonical_key(p: FinitePoset) -> tuple[int, ...]:
 
 def epsilon_table(n: int) -> dict[int, int]:
     """epsilon_k(n): isomorphism classes of permutation posets by max antichain k."""
-    if n > 7:
-        raise ValueError("epsilon enumeration capped at n = 7")
+    if not 1 <= n <= 7:
+        raise ValueError("epsilon enumeration needs 1 <= n <= 7")
     seen: dict[tuple[int, ...], int] = {}
     for pi in itertools.permutations(range(1, n + 1)):
         p = permutation_poset(pi)

@@ -4,6 +4,11 @@ Letters are the integers 1..l with 1 < 2 < ... < l; for l <= 26 they
 print as 'a', 'b', ...  Two words are *comparable* when neither is a
 prefix of the other (equal words are a degenerate prefix pair, hence
 incomparable).  All values are immutable and every operation is pure.
+
+Every "is there a z**e here, and where" query (find_period_power here,
+the square and cube scans of `morphisms`, fragment extraction in
+`divisibility`) goes through one letter-level engine, `_first_power`,
+which checks each period for all starts at once on a packed integer.
 """
 
 from __future__ import annotations
@@ -169,15 +174,51 @@ def find_period_power(w: Word, d: int) -> PeriodOccurrence | None:
     """Leftmost occurrence of z**d with z primitive, shortest z first."""
     if d < 2:
         raise ValueError("power threshold d must be at least 2")
-    ls = w.letters
+    hit = _first_power(w.letters, d, leftmost=False)
+    if hit is None:
+        return None
+    start, p = hit
+    return PeriodOccurrence(Word(w.letters[start : start + p], w.alphabet), start + 1, d)
+
+
+def _first_power(ls: tuple[int, ...], e: int, leftmost: bool) -> tuple[int, int] | None:
+    """(0-based start, root length) of an occurrence of z**e in ls, or None.
+
+    With leftmost=False the shortest root wins and then the leftmost
+    start; with leftmost=True the leftmost start wins and then the
+    shortest root.  Either way the root is primitive: were z = v**k,
+    the same start would carry v**(k*e) with the shorter period |v|.
+
+    All periods are checked word-parallel on one packed integer X, each
+    letter `width` bytes big-endian.  For the period p, byte j >= p*width
+    of X ^ (X >> 8*p*width) is zero iff byte j equals byte j - p*width,
+    so z**e with |z| = p starts at s iff (e-1)*p*width zero bytes begin
+    at the letter-aligned offset (s+p)*width.  That is one bytes.find per
+    period: O(n**2/e) byte operations in C, with no per-letter Python.
+    """
     n = len(ls)
-    for zlen in range(1, n // d + 1):
-        block = zlen * d
-        for start in range(0, n - block + 1):
-            z = ls[start : start + zlen]
-            if ls[start : start + block] == z * d and _root_length(z) == zlen:
-                return PeriodOccurrence(Word(z, w.alphabet), start + 1, d)
-    return None
+    if n < e:
+        return None
+    width = (max(ls).bit_length() + 7) // 8
+    packed = bytes(ls) if width == 1 else b"".join(x.to_bytes(width, "big") for x in ls)
+    X = int.from_bytes(packed, "big")
+    size = n * width
+    best = None
+    for p in range(1, n // e + 1):
+        shift = p * width
+        D = (X ^ (X >> 8 * shift)).to_bytes(size, "big")
+        run = bytes((e - 1) * shift)
+        # leftmost: only a strictly earlier start than the best one can win
+        end = size if best is None else min(size, (best[0] + e * p - 1) * width)
+        i = D.find(run, shift, end)
+        while i > 0 and i % width:
+            i = D.find(run, i + width - i % width, end)
+        if i < 0:
+            continue
+        best = (i // width - p, p)
+        if not leftmost or best[0] == 0:
+            return best
+    return best
 
 
 def subword_count_period(w: Word, k: int, t: int) -> bool:
@@ -231,15 +272,6 @@ def rotations(w: Word) -> tuple[Word, ...]:
 
 def canonical_rotation(w: Word) -> Word:
     return Word(min(w.letters[i:] + w.letters[:i] for i in range(len(w))), w.alphabet)
-
-
-def are_conjugate(u: Word, v: Word) -> bool:
-    _require_same_alphabet(u, v)
-    if len(u) != len(v):
-        return False
-    if len(u) == 0:
-        return True
-    return v.letters in {u.letters[i:] + u.letters[:i] for i in range(len(u))}
 
 
 def strongly_comparable(u: Word, v: Word) -> bool:
@@ -427,8 +459,3 @@ def all_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
     """Every word of exactly the given length, lexicographic order."""
     for ls in itertools.product(alphabet.letters(), repeat=length):
         yield Word(ls, alphabet)
-
-
-def words_up_to(alphabet: Alphabet, max_len: int, min_len: int = 1) -> Iterator[Word]:
-    for n in range(min_len, max_len + 1):
-        yield from all_words(alphabet, n)

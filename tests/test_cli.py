@@ -40,6 +40,13 @@ class TestExitCodes:
             ("selective", "--corpus", "--l", "2", "--n", "0", "--max-len", "6",
              "--period", "2", "--bound", "1"),
             ("height", "--word", "abba", "--y", "a", "--essential", "--pad", "-1"),
+            ("oracle", "--n", "0", "--d", "2", "--l", "2"),
+            ("oracle", "--n", "2", "--d", "2", "--l", "2", "--budget", "-5"),
+            ("oracle", "--which", "process", "--p", "2", "--k", "3", "--budget", "-1"),
+            ("posets", "--epsilon", "--n", "0"),
+            ("growth", "--forbidden", "ba", "--n", "-1"),
+            ("complexity", "--word", "abacaba", "--n", "0"),
+            ("complexity", "--word", "abacaba", "--n", "-2"),
         ],
     )
     def test_domain_error(self, argv):
@@ -129,6 +136,14 @@ class TestSubcommandSurfaces:
         assert code == 0
         rec = json.loads(out)
         assert rec["reducible"] is False
+
+    def test_reduce_wide_letters(self):
+        code, out = run_cli("reduce", "--word", "i:300,300,1", "--n", "2", "--d", "2")
+        assert code == 0
+        assert out == (
+            "word         n  d  reducible  divisible  has_power  power_root  power_start\n"
+            "i:300,300,1  2  2  true       true       true       i:300       1\n"
+        )
 
     def test_oracle_report_fields(self):
         code, out = run_cli("oracle", "--n", "2", "--d", "2", "--l", "2", "--format", "jsonl")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from wordlab.growth import (
     subword_graph,
 )
 from wordlab.morphisms import fibonacci_morphism, iterate
-from wordlab.words import Alphabet, word
+from wordlab.words import Alphabet, Word, word
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
@@ -105,6 +106,16 @@ class TestSubwordGraph:
         assert [str(f) for f in spec.forbidden] == ["ab"]
 
 
+def reference_is_balanced(w):
+    """The O(n**3) check the prefix-sum pass replaced: recount every factor."""
+    ls = w.letters
+    for k in range(1, len(ls) + 1):
+        counts = {sum(1 for x in ls[i : i + k] if x == 2) for i in range(len(ls) - k + 1)}
+        if max(counts) - min(counts) > 1:
+            return False
+    return True
+
+
 class TestComplexity:
     def test_fibonacci_prefix(self):
         fib = iterate(fibonacci_morphism(), "a", 10)
@@ -116,6 +127,20 @@ class TestComplexity:
     def test_balance(self):
         assert is_balanced(word("aabb")) is False
         assert is_balanced(iterate(fibonacci_morphism(), "a", 9)) is True
+
+    def test_balance_against_reference(self):
+        for n in range(13):
+            for ls in itertools.product((1, 2), repeat=n):
+                w = Word(ls, A2)
+                assert is_balanced(w) == reference_is_balanced(w), ls
+        for alpha in (Fraction(89, 144), Fraction(1, 3), Fraction(2, 5), Fraction(7, 10)):
+            for rho in (Fraction(0), Fraction(1, 2)):
+                w = mechanical_word(alpha, rho, 60)
+                assert is_balanced(w) == reference_is_balanced(w)
+        fib = iterate(fibonacci_morphism(), "a", 9)
+        for end in range(0, len(fib), 5):
+            unbalanced = fib[0:end] + word("bb")
+            assert is_balanced(unbalanced) == reference_is_balanced(unbalanced)
 
     def test_mechanical_word_sturmian_shape(self):
         w = mechanical_word(Fraction(89, 144), Fraction(0), 120)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from wordlab.morphisms import (
     Morphism,
+    RepetitionOccurrence,
+    _repetition,
     apply,
     crochemore_test,
     fibonacci_morphism,
@@ -125,6 +128,52 @@ class TestCrochemore:
             assert report.is_square_free == direct
 
 
+def reference_repetition(w, e):
+    """The slice-compare scanner the packed engine replaced: leftmost start, then shortest root."""
+    ls = w.letters
+    n = len(ls)
+    for start in range(n):
+        for rlen in range(1, (n - start) // e + 1):
+            root = ls[start : start + rlen]
+            if ls[start : start + rlen * e] == root * e:
+                return RepetitionOccurrence(start + 1, Word(root, w.alphabet))
+    return None
+
+
+# letters above 255 pack several bytes wide; these share and differ in single bytes
+WIDE_LETTERS = (1, 2, 255, 256, 257, 263, 512, 519, 521, 65536, 65537, 65792)
+
+
+class TestRepetitionEngine:
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_exhaustive_against_reference(self, e):
+        for l, max_len in ((2, 12), (3, 8)):
+            alphabet = Alphabet(l)
+            for n in range(max_len + 1):
+                for ls in itertools.product(range(1, l + 1), repeat=n):
+                    w = Word(ls, alphabet)
+                    assert _repetition(w, e) == reference_repetition(w, e), ls
+
+    @given(st.lists(st.integers(1, 3), max_size=60))
+    def test_long_words_against_reference(self, ls):
+        w = Word(tuple(ls), A3)
+        assert has_square(w) == reference_repetition(w, 2)
+        assert has_cube(w) == reference_repetition(w, 3)
+
+    @given(st.lists(st.sampled_from(WIDE_LETTERS), max_size=30))
+    def test_wide_letters_against_reference(self, ls):
+        w = Word(tuple(ls), Alphabet(max(WIDE_LETTERS)))
+        assert has_square(w) == reference_repetition(w, 2)
+        assert has_cube(w) == reference_repetition(w, 3)
+
+    def test_three_hundred_distinct_letters(self):
+        alphabet = Alphabet(300)
+        z = tuple(range(1, 301))
+        assert has_square(Word(z, alphabet)) is None
+        occ = has_square(Word((7,) + z * 2 + (7, 7), alphabet))
+        assert (occ.start, occ.root.letters) == (2, z)
+
+
 class TestClassicIterates:
     def test_thue_morse_prefixes_cube_free(self):
         w = thue_morse(9)
@@ -136,6 +185,14 @@ class TestClassicIterates:
             assert has_square(thue_ternary(k)) is None
         prefix = thue_ternary(4)[0:500]
         assert len(prefix) == 500
+        assert has_square(prefix) is None
+
+    def test_thue_morse_4096_cube_free(self):
+        assert has_cube(thue_morse(12)) is None
+
+    def test_ternary_prefix_4000_square_free(self):
+        prefix = thue_ternary(5)[0:4000]
+        assert len(prefix) == 4000
         assert has_square(prefix) is None
 
     def test_fibonacci_lengths(self):

@@ -8,7 +8,9 @@ from wordlab.words import (
     Cmp,
     Leaf,
     Pair,
+    PeriodOccurrence,
     Word,
+    _first_power,
     all_words,
     canonical_rotation,
     conjugate_classes,
@@ -98,6 +100,63 @@ class TestPeriodPower:
     def test_root_is_primitive(self):
         occ = find_period_power(word("abababab"), 2)
         assert is_primitive(occ.period)
+
+
+def reference_find_period_power(w, d):
+    """The slice-compare scanner the packed engine replaced: shortest root, then leftmost."""
+    ls = w.letters
+    n = len(ls)
+    for zlen in range(1, n // d + 1):
+        for start in range(0, n - zlen * d + 1):
+            z = ls[start : start + zlen]
+            if ls[start : start + zlen * d] == z * d and is_primitive(Word(z, w.alphabet)):
+                return PeriodOccurrence(Word(z, w.alphabet), start + 1, d)
+    return None
+
+
+# letters above 255 pack several bytes wide; these share and differ in single bytes
+WIDE_LETTERS = (1, 2, 255, 256, 257, 263, 512, 519, 521, 65536, 65537, 65792)
+
+
+class TestPeriodPowerEngine:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_exhaustive_against_reference(self, d):
+        for l, max_len in ((2, 12), (3, 8)):
+            alphabet = Alphabet(l)
+            for n in range(max_len + 1):
+                for ls in itertools.product(range(1, l + 1), repeat=n):
+                    w = Word(ls, alphabet)
+                    assert find_period_power(w, d) == reference_find_period_power(w, d), ls
+
+    @given(st.lists(st.integers(1, 3), max_size=60), st.integers(2, 5))
+    def test_long_words_against_reference(self, ls, d):
+        w = Word(tuple(ls), Alphabet(3))
+        assert find_period_power(w, d) == reference_find_period_power(w, d)
+
+    @given(st.lists(st.sampled_from(WIDE_LETTERS), max_size=30), st.integers(2, 4))
+    def test_wide_letters_against_reference(self, ls, d):
+        w = Word(tuple(ls), Alphabet(max(WIDE_LETTERS)))
+        assert find_period_power(w, d) == reference_find_period_power(w, d)
+
+    def test_zero_bytes_across_letters_are_not_a_hit(self):
+        # 263 = 01 07, 519 = 02 07, 521 = 02 09: at period 1 the low byte of
+        # the second letter and the high byte of the third repeat, a zero pair
+        # that straddles two letters
+        assert _first_power((263, 519, 521), 2, leftmost=True) is None
+        assert _first_power((263, 519, 521), 2, leftmost=False) is None
+
+    def test_three_hundred_distinct_letters(self):
+        alphabet = Alphabet(300)
+        z = tuple(range(1, 301))
+        assert find_period_power(Word(z, alphabet), 2) is None
+        occ = find_period_power(Word((7,) + z * 2, alphabet), 2)
+        assert (occ.period.letters, occ.start) == (z, 2)
+
+    def test_leftmost_order_prefers_earlier_start(self):
+        # the square of 'ab' starts before the square of 'b'
+        ls = word("ababb").letters
+        assert _first_power(ls, 2, leftmost=False) == (3, 1)
+        assert _first_power(ls, 2, leftmost=True) == (0, 2)
 
 
 class TestFactorCountPeriod:
