@@ -7,47 +7,27 @@ identical arguments and seed produce byte-identical output.
 
 Exit codes: 0 success, 1 unknown subcommand, 2 malformed input or
 domain error, 3 search budget exhausted.
+
+A process loads only what its subcommand runs: `build_parser` builds the
+named subcommand's parser alone, and each handler imports its own layer.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
-import random
 import sys
-from fractions import Fraction
 from math import factorial
 
-from . import bounds as bnd
-from . import divisibility as dv
-from . import growth as gr
-from . import morphisms as mo
-from . import posets as po
-from . import tableaux as tb
 from .words import Alphabet, Word, find_period_power, format_word, parse_word
-
-SUBCOMMANDS = (
-    "divide",
-    "reduce",
-    "oracle",
-    "bounds",
-    "height",
-    "selective",
-    "rsk",
-    "count",
-    "posets",
-    "morphism",
-    "growth",
-    "complexity",
-)
 
 
 def _emit(records: list[dict], fmt: str, out) -> None:
     if not records:
         return
     if fmt == "jsonl":
+        import json
+
         for rec in records:
             out.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
         return
@@ -58,6 +38,8 @@ def _emit(records: list[dict], fmt: str, out) -> None:
                 keys.append(k)
     rows = [[_cell(rec.get(k, "")) for k in keys] for rec in records]
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(keys)
         writer.writerows(rows)
@@ -71,8 +53,6 @@ def _emit(records: list[dict], fmt: str, out) -> None:
 def _cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     return str(v)
 
 
@@ -82,12 +62,38 @@ def _word_arg(text: str | None, l: int | None) -> Word:
     return parse_word(text, Alphabet(l) if l else None)
 
 
-def _read_input(path: str) -> str:
+def _read_input(path: str | None) -> str:
+    if path is None:
+        raise ValueError("--in is required")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
+def _common(p: argparse.ArgumentParser, *names: str) -> None:
+    if "n" in names:
+        p.add_argument("--n", type=int, default=2)
+    if "d" in names:
+        p.add_argument("--d", type=int, default=2)
+    if "l" in names:
+        p.add_argument("--l", type=int, default=None)
+    if "k" in names:
+        p.add_argument("--k", type=int, default=0)
+    if "word" in names:
+        p.add_argument("--word", type=str, default=None)
+    p.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
+    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _divide_args(p: argparse.ArgumentParser) -> None:
+    _common(p, "n", "d", "l", "word")
+    p.add_argument("--sense", choices=("ordinary", "tail", "strong"), default="ordinary")
+    p.add_argument("--z", type=str, default=None, help="comma list of periods for the strong sense")
+
+
 def _cmd_divide(args) -> list[dict]:
+    from . import divisibility as dv
+
     w = _word_arg(args.word, args.l)
     Z = None
     if args.z:
@@ -107,7 +113,13 @@ def _cmd_divide(args) -> list[dict]:
     return [rec]
 
 
+def _reduce_args(p: argparse.ArgumentParser) -> None:
+    _common(p, "n", "d", "l", "word")
+
+
 def _cmd_reduce(args) -> list[dict]:
+    from . import divisibility as dv
+
     w = _word_arg(args.word, args.l)
     hit = find_period_power(w, args.d)
     divisible = dv.is_n_divisible(w, args.n, dv.Sense.ORDINARY) is not None
@@ -125,7 +137,17 @@ def _cmd_reduce(args) -> list[dict]:
     return [rec]
 
 
+def _oracle_args(p: argparse.ArgumentParser) -> None:
+    _common(p, "n", "d", "l")
+    p.add_argument("--which", choices=("nonreducible", "process"), default="nonreducible")
+    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--k", type=int, default=2)
+    p.set_defaults(l=2)
+
+
 def _cmd_oracle(args) -> list[dict]:
+    from . import divisibility as dv
+
     if args.which == "process":
         res = dv.max_process_sequence_length(args.p, args.k, budget=args.budget)
         return [
@@ -139,6 +161,10 @@ def _cmd_oracle(args) -> list[dict]:
                 "nodes_explored": res.states,
             }
         ]
+    import json
+
+    from . import bounds as bnd
+
     res = dv.max_nonreducible_length(args.n, args.d, args.l, budget=args.budget)
     return [
         {
@@ -160,25 +186,34 @@ def _cmd_oracle(args) -> list[dict]:
     ]
 
 
-# --which choice -> bound value for the parsed arguments, in the order argparse lists them
+# --which choice -> bound value from the bounds module and the parsed
+# arguments, in the order argparse lists them
 _BOUNDS = {
-    "psi": lambda a: bnd.psi_bound(a.n, a.d, a.l),
-    "psi-log2": lambda a: bnd.psi_log2_bound(a.n, a.d, a.l),
-    "phi": lambda a: bnd.phi_bound(a.n, a.l),
-    "upsilon": lambda a: bnd.upsilon_bound(a.n, a.l),
-    "upsilon-coding": lambda a: bnd.upsilon_coding_bound(a.n, a.l),
-    "p-nd": lambda a: bnd.p_nd(a.n, a.d),
-    "q-n": lambda a: bnd.q_n(a.n),
-    "beth-2": lambda a: bnd.beth_bound("t2", a.l, a.n),
-    "beth-3": lambda a: bnd.beth_bound("t3", a.l, a.n),
-    "beth-large": lambda a: bnd.beth_bound("large", a.l, a.n),
-    "alpha": lambda a: bnd.alpha_lower(a.n, a.l),
+    "psi": lambda bnd, a: bnd.psi_bound(a.n, a.d, a.l),
+    "psi-log2": lambda bnd, a: bnd.psi_log2_bound(a.n, a.d, a.l),
+    "phi": lambda bnd, a: bnd.phi_bound(a.n, a.l),
+    "upsilon": lambda bnd, a: bnd.upsilon_bound(a.n, a.l),
+    "upsilon-coding": lambda bnd, a: bnd.upsilon_coding_bound(a.n, a.l),
+    "p-nd": lambda bnd, a: bnd.p_nd(a.n, a.d),
+    "q-n": lambda bnd, a: bnd.q_n(a.n),
+    "beth-2": lambda bnd, a: bnd.beth_bound("t2", a.l, a.n),
+    "beth-3": lambda bnd, a: bnd.beth_bound("t3", a.l, a.n),
+    "beth-large": lambda bnd, a: bnd.beth_bound("large", a.l, a.n),
+    "alpha": lambda bnd, a: bnd.alpha_lower(a.n, a.l),
 }
 
 
+def _bounds_args(p: argparse.ArgumentParser) -> None:
+    _common(p, "n", "d", "l")
+    p.add_argument("--which", choices=tuple(_BOUNDS), required=True)
+    p.set_defaults(l=1)
+
+
 def _cmd_bounds(args) -> list[dict]:
+    from . import bounds as bnd
+
     which = args.which
-    value = _BOUNDS[which](args)
+    value = _BOUNDS[which](bnd, args)
     rec = {"which": which, "n": args.n, "value": str(value)}
     if which in ("psi", "psi-log2", "p-nd"):
         rec["d"] = args.d
@@ -187,7 +222,17 @@ def _cmd_bounds(args) -> list[dict]:
     return [rec]
 
 
+def _height_args(p: argparse.ArgumentParser) -> None:
+    _common(p, "l", "word")
+    p.add_argument("--y", type=str, required=True, help="comma list of base words")
+    p.add_argument("--essential", action="store_true")
+    p.add_argument("--pad", type=int, default=2)
+    p.add_argument("--min-power", type=int, default=2, dest="min_power")
+
+
 def _cmd_height(args) -> list[dict]:
+    from . import divisibility as dv
+
     w = _word_arg(args.word, args.l)
     base = [parse_word(part, w.alphabet) for part in args.y.split(",")]
     rec = {"word": format_word(w), "y": args.y}
@@ -203,8 +248,24 @@ def _cmd_height(args) -> list[dict]:
     return [rec]
 
 
+def _selective_args(p: argparse.ArgumentParser) -> None:
+    _common(p, "n", "l", "k", "word")
+    p.add_argument("--period", type=int, default=2)
+    p.add_argument("--edges", action="store_true")
+    p.add_argument("--corpus", action="store_true")
+    p.add_argument("--coding", action="store_true")
+    p.add_argument("--max-len", type=int, default=10, dest="max_len")
+    p.add_argument("--bound", type=int, default=0)
+    p.add_argument("--t-max", type=int, default=4, dest="t_max")
+    p.set_defaults(l=2)
+
+
 def _cmd_selective(args) -> list[dict]:
+    from . import divisibility as dv
+
     if args.edges:
+        from . import bounds as bnd
+
         edges = dv.lower_bound_witness_edges(args.n, args.l)
         return [
             {
@@ -239,8 +300,14 @@ def _cmd_selective(args) -> list[dict]:
     ]
 
 
+def _rsk_args(p: argparse.ArgumentParser) -> None:
+    _common(p, "n", "word")
+
+
 def _cmd_rsk(args) -> list[dict]:
-    if args.word:
+    from . import tableaux as tb
+
+    if args.word is not None:
         pi = tuple(parse_word(args.word).letters)
         P, Q = tb.rsk(pi)
         return [
@@ -275,7 +342,21 @@ def _cmd_rsk(args) -> list[dict]:
     ]
 
 
+def _count_args(p: argparse.ArgumentParser) -> None:
+    _common(p, "n", "k", "l")
+    p.add_argument(
+        "--method",
+        choices=("enumerate", "tableaux", "closed3", "genfun", "multilinear", "all"),
+        default="enumerate",
+    )
+    p.add_argument("--sweep", action="store_true", help="emit rows for 1..n")
+    p.add_argument("--bound", action="store_true", help="add the census bound column")
+    p.set_defaults(k=2, l=4)
+
+
 def _cmd_count(args) -> list[dict]:
+    from . import tableaux as tb
+
     methods = (
         ["enumerate", "tableaux", "genfun"] if args.method == "all" else [args.method]
     )
@@ -302,7 +383,18 @@ def _square_factorial(k: int) -> int:
     return factorial(k) ** 2
 
 
+def _posets_args(p: argparse.ArgumentParser) -> None:
+    _common(p, "n")
+    p.add_argument("--in", dest="infile", type=str, default=None)
+    p.add_argument("--epsilon", action="store_true")
+    p.add_argument("--remark", action="store_true")
+    p.add_argument("--random", type=int, default=0)
+    p.add_argument("--size", type=int, default=10)
+
+
 def _cmd_posets(args) -> list[dict]:
+    from . import posets as po
+
     if args.epsilon:
         records = []
         table = po.epsilon_table(args.n)
@@ -331,6 +423,12 @@ def _cmd_posets(args) -> list[dict]:
             }
         ]
     if args.random:
+        if args.random < 0:
+            raise ValueError("--random must be >= 0")
+        if args.size < 1:
+            raise ValueError("--size must be >= 1")
+        import random
+
         rng = random.Random(args.seed)
         checked = 0
         ok = True
@@ -369,21 +467,32 @@ def _cmd_posets(args) -> list[dict]:
     ]
 
 
+# --builtin choice -> name of its constructor in the morphisms module
 _BUILTINS = {
-    "thue-morse": mo.thue_morse_morphism,
-    "thue-ternary": mo.thue_ternary_morphism,
-    "fibonacci": mo.fibonacci_morphism,
+    "thue-morse": "thue_morse_morphism",
+    "thue-ternary": "thue_ternary_morphism",
+    "fibonacci": "fibonacci_morphism",
 }
 
 
+def _morphism_args(p: argparse.ArgumentParser) -> None:
+    _common(p, "k", "word")
+    p.add_argument("--in", dest="infile", type=str, default=None)
+    p.add_argument("--builtin", choices=sorted(_BUILTINS), default=None)
+    p.add_argument("--iterate", type=str, default=None, help="starting letter")
+    p.add_argument("--check", choices=("square", "cube"), default=None)
+
+
 def _cmd_morphism(args) -> list[dict]:
+    from . import morphisms as mo
+
     if args.builtin:
-        m = _BUILTINS[args.builtin]()
+        m = getattr(mo, _BUILTINS[args.builtin])()
         name = args.builtin
     else:
         m = mo.parse_morphism(_read_input(args.infile))
         name = args.infile
-    if args.word:
+    if args.word is not None:
         w = parse_word(args.word, m.source)
         return [
             {"morphism": name, "word": args.word, "image": format_word(mo.apply(m, w))}
@@ -419,8 +528,18 @@ def _cmd_morphism(args) -> list[dict]:
     ]
 
 
+def _growth_args(p: argparse.ArgumentParser) -> None:
+    _common(p, "n", "l")
+    p.add_argument("--in", dest="infile", type=str, default=None)
+    p.add_argument("--forbidden", action="append", default=None)
+    p.add_argument("--estimate-at", type=int, default=0, dest="estimate_at")
+    p.set_defaults(l=2, n=10)
+
+
 def _cmd_growth(args) -> list[dict]:
-    if args.infile:
+    from . import growth as gr
+
+    if args.infile is not None:
         spec = gr.parse_algebra_spec(_read_input(args.infile))
     else:
         alphabet = Alphabet(args.l)
@@ -443,8 +562,18 @@ def _cmd_growth(args) -> list[dict]:
     return records
 
 
+def _complexity_args(p: argparse.ArgumentParser) -> None:
+    _common(p, "n", "l", "word")
+    p.add_argument("--mechanical", type=str, default=None, help="slope,intercept,length")
+    p.set_defaults(n=10)
+
+
 def _cmd_complexity(args) -> list[dict]:
-    if args.mechanical:
+    from . import growth as gr
+
+    if args.mechanical is not None:
+        from fractions import Fraction
+
         slope, rho, length = args.mechanical.split(",")
         try:
             alpha, intercept = Fraction(slope), Fraction(rho)
@@ -469,143 +598,62 @@ def _cmd_complexity(args) -> list[dict]:
     return records
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help line, argument adder, handler), in the order --help lists them
+COMMANDS = {
+    "divide": ("search for an n-division witness", _divide_args, _cmd_divide),
+    "reduce": ("(n,d)-reducibility of a word", _reduce_args, _cmd_reduce),
+    "oracle": ("exhaustive maxima: nonreducible length / process sequences", _oracle_args, _cmd_oracle),
+    "bounds": ("closed-form bound values", _bounds_args, _cmd_bounds),
+    "height": ("height and essential height over a base set", _height_args, _cmd_height),
+    "selective": ("selective heights, witness edges, corpora", _selective_args, _cmd_selective),
+    "rsk": ("Schensted pair of a permutation, or an S_n self-check", _rsk_args, _cmd_rsk),
+    "count": ("permutation censuses", _count_args, _cmd_count),
+    "posets": ("Dilworth analyses and the census of 2-dim posets", _posets_args, _cmd_posets),
+    "morphism": ("apply, iterate and test substitutions", _morphism_args, _cmd_morphism),
+    "growth": ("growth function and classification", _growth_args, _cmd_growth),
+    "complexity": ("factor complexity, balance, mechanical words", _complexity_args, _cmd_complexity),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only `command`'s subparser when `command` names a
+    subcommand, with every subparser otherwise."""
     parser = argparse.ArgumentParser(
         prog="wordlab", description="combinatorics-on-words toolkit"
     )
     sub = parser.add_subparsers(dest="command")
-
-    def common(p: argparse.ArgumentParser, *names: str) -> None:
-        if "n" in names:
-            p.add_argument("--n", type=int, default=2)
-        if "d" in names:
-            p.add_argument("--d", type=int, default=2)
-        if "l" in names:
-            p.add_argument("--l", type=int, default=None)
-        if "k" in names:
-            p.add_argument("--k", type=int, default=0)
-        if "word" in names:
-            p.add_argument("--word", type=str, default=None)
-        p.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
-        p.add_argument("--budget", type=int, default=2_000_000)
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("divide", help="search for an n-division witness")
-    common(p, "n", "d", "l", "word")
-    p.add_argument("--sense", choices=("ordinary", "tail", "strong"), default="ordinary")
-    p.add_argument("--z", type=str, default=None, help="comma list of periods for the strong sense")
-
-    p = sub.add_parser("reduce", help="(n,d)-reducibility of a word")
-    common(p, "n", "d", "l", "word")
-
-    p = sub.add_parser("oracle", help="exhaustive maxima: nonreducible length / process sequences")
-    common(p, "n", "d", "l")
-    p.add_argument("--which", choices=("nonreducible", "process"), default="nonreducible")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.set_defaults(l=2)
-
-    p = sub.add_parser("bounds", help="closed-form bound values")
-    common(p, "n", "d", "l")
-    p.add_argument("--which", choices=tuple(_BOUNDS), required=True)
-    p.set_defaults(l=1)
-
-    p = sub.add_parser("height", help="height and essential height over a base set")
-    common(p, "l", "word")
-    p.add_argument("--y", type=str, required=True, help="comma list of base words")
-    p.add_argument("--essential", action="store_true")
-    p.add_argument("--pad", type=int, default=2)
-    p.add_argument("--min-power", type=int, default=2, dest="min_power")
-
-    p = sub.add_parser("selective", help="selective heights, witness edges, corpora")
-    common(p, "n", "l", "k", "word")
-    p.add_argument("--period", type=int, default=2)
-    p.add_argument("--edges", action="store_true")
-    p.add_argument("--corpus", action="store_true")
-    p.add_argument("--coding", action="store_true")
-    p.add_argument("--max-len", type=int, default=10, dest="max_len")
-    p.add_argument("--bound", type=int, default=0)
-    p.add_argument("--t-max", type=int, default=4, dest="t_max")
-    p.set_defaults(l=2)
-
-    p = sub.add_parser("rsk", help="Schensted pair of a permutation, or an S_n self-check")
-    common(p, "n", "word")
-
-    p = sub.add_parser("count", help="permutation censuses")
-    common(p, "n", "k", "l")
-    p.add_argument(
-        "--method",
-        choices=("enumerate", "tableaux", "closed3", "genfun", "multilinear", "all"),
-        default="enumerate",
-    )
-    p.add_argument("--sweep", action="store_true", help="emit rows for 1..n")
-    p.add_argument("--bound", action="store_true", help="add the census bound column")
-    p.set_defaults(k=2, l=4)
-
-    p = sub.add_parser("posets", help="Dilworth analyses and the census of 2-dim posets")
-    common(p, "n")
-    p.add_argument("--in", dest="infile", type=str, default=None)
-    p.add_argument("--epsilon", action="store_true")
-    p.add_argument("--remark", action="store_true")
-    p.add_argument("--random", type=int, default=0)
-    p.add_argument("--size", type=int, default=10)
-
-    p = sub.add_parser("morphism", help="apply, iterate and test substitutions")
-    common(p, "k", "word")
-    p.add_argument("--in", dest="infile", type=str, default=None)
-    p.add_argument("--builtin", choices=sorted(_BUILTINS), default=None)
-    p.add_argument("--iterate", type=str, default=None, help="starting letter")
-    p.add_argument("--check", choices=("square", "cube"), default=None)
-
-    p = sub.add_parser("growth", help="growth function and classification")
-    common(p, "n", "l")
-    p.add_argument("--in", dest="infile", type=str, default=None)
-    p.add_argument("--forbidden", action="append", default=None)
-    p.add_argument("--estimate-at", type=int, default=0, dest="estimate_at")
-    p.set_defaults(l=2, n=10)
-
-    p = sub.add_parser("complexity", help="factor complexity, balance, mechanical words")
-    common(p, "n", "l", "word")
-    p.add_argument("--mechanical", type=str, default=None, help="slope,intercept,length")
-    p.set_defaults(n=10)
-
+    for name, (help_line, add_args, _) in COMMANDS.items():
+        if command not in COMMANDS or name == command:
+            add_args(sub.add_parser(name, help=help_line))
+    if command in COMMANDS:
+        # the metavar argparse derives from every choice, so that the usage
+        # line of a parse error reads the same as with all subparsers built
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
     return parser
-
-
-_HANDLERS = {
-    "divide": _cmd_divide,
-    "reduce": _cmd_reduce,
-    "oracle": _cmd_oracle,
-    "bounds": _cmd_bounds,
-    "height": _cmd_height,
-    "selective": _cmd_selective,
-    "rsk": _cmd_rsk,
-    "count": _cmd_count,
-    "posets": _cmd_posets,
-    "morphism": _cmd_morphism,
-    "growth": _cmd_growth,
-    "complexity": _cmd_complexity,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and not argv[0].startswith("-") and argv[0] not in SUBCOMMANDS:
+    if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
         print(f"unknown subcommand: {argv[0]}", file=sys.stderr)
         return 1
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 1
     try:
-        records = _HANDLERS[args.command](args)
-    except dv.BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
+        records = COMMANDS[args.command][2](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a budget error comes from divisibility, loaded by then
+        from .divisibility import BudgetExceededError
+
+        if not isinstance(exc, BudgetExceededError):
+            raise
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return 3
     buffer = io.StringIO()
     _emit(records, args.format, buffer)
     sys.stdout.write(buffer.getvalue())

@@ -824,6 +824,8 @@ def essential_height(
         raise ValueError("Y must contain a nonempty word")
     if pad < 0:
         raise ValueError("pad must be >= 0")
+    if min_power < 1:
+        raise ValueError("min_power must be >= 1")
     ls = w.letters
     L = len(ls)
     INF = L + 2

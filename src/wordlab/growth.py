@@ -289,6 +289,8 @@ def mechanical_word(alpha: Fraction, rho: Fraction, length: int) -> Word:
     """Letters floor(alpha*(i+1)+rho) - floor(alpha*i+rho), 0 -> a, 1 -> b."""
     if not 0 <= alpha <= 1:
         raise ValueError("slope must lie in [0, 1]")
+    if length < 0:
+        raise ValueError("length must be >= 0")
     a2 = Alphabet(2)
     letters = []
     for i in range(length):

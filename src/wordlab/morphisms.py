@@ -60,6 +60,8 @@ def apply(m: Morphism, w: Word) -> Word:
 
 def iterate(m: Morphism, letter: int | str, k: int, cap: int = ITERATE_CAP) -> Word:
     """k-fold application starting from a single letter."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if m.target.size > m.source.size:
         raise ValueError("iteration needs target letters inside the source alphabet")
     if isinstance(letter, str):

@@ -3,10 +3,13 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from wordlab.cli import main
+from wordlab.cli import build_parser, main
+
+LAYERS = ("divisibility", "growth", "morphisms", "posets", "tableaux", "bounds", "exactmath")
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -47,11 +50,33 @@ class TestExitCodes:
             ("growth", "--forbidden", "ba", "--n", "-1"),
             ("complexity", "--word", "abacaba", "--n", "0"),
             ("complexity", "--word", "abacaba", "--n", "-2"),
+            ("morphism", "--builtin", "thue-morse", "--iterate", "a", "--k", "-1"),
+            ("complexity", "--mechanical", "1/2,0,-5"),
+            ("height", "--word", "ab", "--y", "a", "--essential", "--min-power", "0"),
+            ("posets", "--random", "-1"),
+            ("posets",),
+            ("morphism",),
+            ("growth", "--in", ""),
+            ("complexity", "--mechanical", "", "--word", "ab"),
         ],
     )
     def test_domain_error(self, argv):
         code, out = run_cli(*argv)
         assert code == 2 and out == ""
+
+    def test_posets_size_message(self, capsys):
+        code, out = run_cli("posets", "--random", "3", "--size", "0")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: --size must be >= 1\n"
+
+    def test_empty_word_keeps_the_mode(self, capsys):
+        # an empty --word is a word, not an absent one
+        code, out = run_cli("rsk", "--word", "", "--n", "3")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: empty permutation\n"
+        code, out = run_cli("morphism", "--builtin", "thue-morse", "--word", "", "--format", "jsonl")
+        assert code == 0
+        assert json.loads(out) == {"morphism": "thue-morse", "word": "", "image": ""}
 
     def test_budget_exhaustion(self):
         code, _ = run_cli("oracle", "--n", "3", "--d", "3", "--l", "2", "--budget", "300")
@@ -213,3 +238,56 @@ class TestSubcommandSurfaces:
         code, out = run_cli("complexity", "--word", "ababab", "--n", "4", "--format", "jsonl")
         lines = [json.loads(line) for line in out.splitlines()]
         assert [r["p"] for r in lines[:-1]] == [2, 2, 2, 2]
+
+
+class TestStartup:
+    """Each process loads only its subcommand's layer and parser; the
+    parser reads as it did with every subparser built."""
+
+    @staticmethod
+    def loaded_layers(code: str) -> set[str]:
+        probe = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('wordlab.')))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        return {m.removeprefix("wordlab.") for m in proc.stdout.splitlines()[-1].split()} & set(LAYERS)
+
+    def test_import_loads_no_layer(self):
+        assert self.loaded_layers("import wordlab.cli") == set()
+
+    def test_command_loads_its_layer_only(self):
+        code = 'from wordlab.cli import main\nmain(["bounds", "--which", "q-n", "--n", "3"])'
+        assert self.loaded_layers(code) == {"bounds", "exactmath"}
+
+    def test_parser_holds_the_named_subcommand_only(self, capsys):
+        assert build_parser("divide").parse_args(["divide"]).command == "divide"
+        with pytest.raises(SystemExit) as exc:
+            build_parser("divide").parse_args(["reduce"])
+        assert exc.value.code == 2 and "invalid choice: 'reduce'" in capsys.readouterr().err
+        assert build_parser().parse_args(["reduce"]).command == "reduce"
+
+    # recorded with every subparser built (Python 3.11 argparse, 80 columns)
+    HELP = json.loads(Path(__file__).with_name("cli_help.json").read_text())
+
+    @pytest.mark.parametrize("argv", sorted(HELP))
+    def test_help_unchanged(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        buffer = io.StringIO()
+        with redirect_stdout(buffer), pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 0
+        assert buffer.getvalue() == self.HELP[argv]
+
+    def test_parse_error_names_the_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["divide", "--n", "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wordlab divide [-h] ")
+        assert err.endswith("wordlab divide: error: argument --n: invalid int value: 'x'\n")
+
+    def test_top_level_usage_lists_every_subcommand(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["divide", "--bogus"])
+        assert exc.value.code == 2
+        usage = self.HELP["--help"].split("\n\n")[0]
+        assert capsys.readouterr().err == usage + "\nwordlab: error: unrecognized arguments: --bogus\n"
