@@ -9,6 +9,27 @@ an integer comparison of m^(2^j) against a power of two), fractional
 powers of two from chains of integer square roots.  Brackets shrink as
 `prec` grows; callers refine until a floor or ceiling is pinned.
 
+Precision.  `refine_ceil` and `refine_floor` evaluate the bracket first
+at 48 bits.  When that does not pin the integer, the bracket's upper end
+tells how large the answer is, and the next evaluation runs at its bit
+length plus `_PIN_GUARD` bits.  The bound formulas then give brackets
+about 2**-25 wide, which almost always pin the integer.  Each further
+step doubles the precision.  A bracket that still straddles an integer
+at 3,072 bits and at four times the answer's size raises
+ArithmeticError: the value most likely sits on an integer that no
+exact path caught.
+
+Caches.  One refinement evaluates the same logarithms several times at
+one precision (log2 of the base in every exponent, and again for every
+letter count l), and every fractional power of two at one precision
+multiplies factors from the same chain of square roots 2**(2**-i).
+The interval functions keep the last 256 `log2_bounds` results, keyed
+by (x, prec); each holds two numbers of about prec bits.  A chain holds
+prec numbers of prec bits, so `_root_chain` keeps only the last 4,
+keyed by (prec, side): both sides at the 48-bit start and at the
+precision of the latest refinement.  Cached values are the ones a fresh
+computation returns, so no bracket depends on what ran before.
+
 An "interval" here is a pair (lo, hi) of Fractions with lo <= x <= hi;
 lo == hi marks an exact value.
 """
@@ -16,11 +37,13 @@ lo == hi marks an exact value.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 Interval = tuple[Fraction, Fraction]
 
 _GUARD = 64
+_PIN_GUARD = 32
 
 
 def exact_int_log(base: int, value: int) -> int | None:
@@ -106,6 +129,10 @@ def log2_bounds(x: Fraction, prec: int) -> Interval:
     return Fraction(e) + frac_lo * scale, Fraction(e) + frac_hi * scale
 
 
+# log2_bounds as the interval functions call it (see "Caches" above)
+_log2_bounds = lru_cache(maxsize=256)(log2_bounds)
+
+
 def _le_pow2(e: int, num: int, den: int) -> bool:
     # 2**e <= num/den, exactly.
     if e >= 0:
@@ -117,15 +144,17 @@ def pow2_bounds(x: Fraction, prec: int) -> Interval:
     """Bracket 2**x for x >= 0 within relative error about 2**-prec."""
     if x < 0:
         raise ValueError("pow2_bounds needs a nonnegative exponent")
+    return _pow2_side(x, prec, lower=True), _pow2_side(x, prec, lower=False)
+
+
+def _pow2_side(x: Fraction, prec: int, lower: bool) -> Fraction:
+    # The lower or the upper end of pow2_bounds(x, prec).
     k = _floor_fr(x)
     f = x - k
-    base = Fraction(1 << k)
     if f == 0:
-        return base, base
+        return Fraction(1 << k)
     c = (f.numerator << prec) // f.denominator
-    d_lo = _pow2_dyadic(c, prec, lower=True)
-    d_hi = _pow2_dyadic(c + 1, prec, lower=False)
-    return base * d_lo, base * d_hi
+    return (1 << k) * _pow2_dyadic(c if lower else c + 1, prec, lower)
 
 
 def _pow2_dyadic(c: int, prec: int, lower: bool) -> Fraction:
@@ -133,20 +162,27 @@ def _pow2_dyadic(c: int, prec: int, lower: bool) -> Fraction:
     s = prec + _GUARD
     if c >= 1 << prec:
         return Fraction(2)
-    # roots[i] brackets 2**(1 / 2**(i+1)) scaled by 2**s.
     acc = 1 << s
-    root = 2 << s
-    for i in range(1, prec + 1):
-        if lower:
-            root = isqrt(root << s)
-        else:
-            root = isqrt(root << s) + 1
-        if (c >> (prec - i)) & 1:
+    for root, bit in zip(_root_chain(prec, lower), format(c, f"0{prec}b")):
+        if bit == "1":
             if lower:
                 acc = (acc * root) >> s
             else:
                 acc = (-((-(acc * root)) >> s)) + 1
     return Fraction(acc, 1 << s)
+
+
+@lru_cache(maxsize=4)
+def _root_chain(prec: int, lower: bool) -> tuple[int, ...]:
+    # Entry i-1 bounds 2**(1 / 2**i) scaled by 2**s, i = 1..prec, from
+    # below or from above: each is the integer square root of the last.
+    s = prec + _GUARD
+    root = 2 << s
+    chain = []
+    for _ in range(prec):
+        root = isqrt(root << s) + (0 if lower else 1)
+        chain.append(root)
+    return tuple(chain)
 
 
 def iv_exact(x: Fraction | int) -> Interval:
@@ -165,19 +201,13 @@ def iv_scale(a: Interval, c: Fraction | int) -> Interval:
     return a[0] * c, a[1] * c
 
 
-def iv_mul(a: Interval, b: Interval) -> Interval:
-    if a[0] < 0 or b[0] < 0:
-        raise ValueError("interval product restricted to nonnegative operands")
-    return a[0] * b[0], a[1] * b[1]
-
-
 def iv_log2(a: Interval, prec: int) -> Interval:
     if a[0] == a[1]:
         k = exact_int_log(2, a[0].numerator)
         if k is not None and a[0].denominator == 1:
             return iv_exact(k)
-    lo = log2_bounds(a[0], prec)[0]
-    hi = log2_bounds(a[1], prec)[1]
+    lo = _log2_bounds(a[0], prec)[0]
+    hi = _log2_bounds(a[1], prec)[1]
     return lo, hi
 
 
@@ -190,7 +220,7 @@ def iv_log(base: int, a: Interval, prec: int) -> Interval:
         if k is not None:
             return iv_exact(k)
     num = iv_log2(a, prec)
-    den = log2_bounds(Fraction(base), prec)
+    den = _log2_bounds(Fraction(base), prec)
     if num[0] < 0:
         raise ValueError("logarithm argument below 1 is outside the domain used here")
     return num[0] / den[1], num[1] / den[0]
@@ -207,11 +237,11 @@ def iv_pow(base: int, expo: Interval, prec: int) -> Interval:
         root = _exact_root(base ** e.numerator, e.denominator)
         if root is not None:
             return iv_exact(Fraction(root))
-    lg = log2_bounds(Fraction(base), prec)
-    g = expo[0] * lg[0], expo[1] * lg[1]
-    lo = pow2_bounds(g[0], prec)[0]
-    hi = pow2_bounds(g[1], prec)[1]
-    return lo, hi
+    lg = _log2_bounds(Fraction(base), prec)
+    return (
+        _pow2_side(expo[0] * lg[0], prec, lower=True),
+        _pow2_side(expo[1] * lg[1], prec, lower=False),
+    )
 
 
 def integer_root(value: int, k: int) -> int:
@@ -235,28 +265,28 @@ def _exact_root(value: int, k: int) -> int | None:
     return r if r**k == value else None
 
 
-_PRECS = (48, 96, 192, 384, 768, 1536, 3072)
-
-
 def refine_ceil(make: "callable[[int], Interval]") -> int:
     """Smallest integer >= the bracketed value, refined until pinned."""
-    for prec in _PRECS:
-        lo, hi = make(prec)
-        if lo == hi:
-            return _ceil_fr(lo)
-        c_lo, c_hi = _ceil_fr(lo), _ceil_fr(hi)
-        if c_lo == c_hi:
-            return c_lo
-    raise ArithmeticError("bracket did not converge; value sits on an integer?")
+    return _refine(make, _ceil_fr)
 
 
 def refine_floor(make: "callable[[int], Interval]") -> int:
     """Largest integer <= the bracketed value, refined until pinned."""
-    for prec in _PRECS:
+    return _refine(make, _floor_fr)
+
+
+def _refine(make: "callable[[int], Interval]", rounding: "callable[[Fraction], int]") -> int:
+    # Precision schedule: see the module docstring.
+    prec, last = 48, 3072
+    while True:
         lo, hi = make(prec)
-        if lo == hi:
-            return _floor_fr(lo)
-        f_lo, f_hi = _floor_fr(lo), _floor_fr(hi)
-        if f_lo == f_hi:
-            return f_lo
-    raise ArithmeticError("bracket did not converge; value sits on an integer?")
+        r = rounding(lo)
+        if lo == hi or r == rounding(hi):
+            return r
+        if prec >= last:
+            raise ArithmeticError(
+                f"bracket still straddles an integer at {prec} bits; value sits on an integer?"
+            )
+        need = _ceil_fr(hi).bit_length() + _PIN_GUARD
+        last = max(last, 4 * need)
+        prec = max(2 * prec, need)

@@ -5,8 +5,8 @@ holds each of 1..n once, strictly increasing along rows and down
 columns.  xi_count(n, k) counts permutations with no decreasing
 subsequence of length k+1 by four independent routes that must agree:
 direct enumeration, hook-length summation, the exact closed form for
-k = 3, and coefficient extraction from the determinant generating
-function.
+k = 3, and coefficient extraction from Gessel's determinant generating
+function, computed on exponential series with integer coefficients.
 """
 
 from __future__ import annotations
@@ -262,35 +262,38 @@ def xi3_closed(n: int) -> int:
     return total.numerator
 
 
-# --- generating-function route: rational power series in x, truncated ---
+# --- generating-function route: exponential series in x, truncated ---
+#
+# A series f is held as the integers F[j] = j! [x^j] f.  Products are
+# then binomial convolutions and every coefficient stays an integer.
 
 
-def _series_mul(a: list[Fraction], b: list[Fraction], cap: int) -> list[Fraction]:
-    out = [Fraction(0)] * (cap + 1)
+def _series_mul(a: list[int], b: list[int], cap: int) -> list[int]:
+    out = [0] * (cap + 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
-        for j, bj in enumerate(b):
-            if i + j > cap:
-                break
-            out[i + j] += ai * bj
+        for j in range(cap + 1 - i):
+            if b[j]:
+                out[i + j] += comb(i + j, i) * ai * b[j]
     return out
 
 
-def _series_b(i: int, cap: int) -> list[Fraction]:
-    out = [Fraction(0)] * (cap + 1)
+def _series_b(i: int, cap: int) -> list[int]:
+    # I_i(2x) = sum_m x^(2m+i) / (m! (m+i)!), so F[2m+i] = C(2m+i, m).
+    out = [0] * (cap + 1)
     m = 0
     while 2 * m + i <= cap:
-        out[2 * m + i] = Fraction(1, factorial(m) * factorial(m + i))
+        out[2 * m + i] = comb(2 * m + i, m)
         m += 1
     return out
 
 
-def _series_det(mat: list[list[list[Fraction]]], cap: int) -> list[Fraction]:
+def _series_det(mat: list[list[list[int]]], cap: int) -> list[int]:
     k = len(mat)
     if k == 1:
         return mat[0][0]
-    out = [Fraction(0)] * (cap + 1)
+    out = [0] * (cap + 1)
     for j in range(k):
         minor = [[row[c] for c in range(k) if c != j] for row in mat[1:]]
         term = _series_mul(mat[0][j], _series_det(minor, cap), cap)
@@ -300,12 +303,13 @@ def _series_det(mat: list[list[list[Fraction]]], cap: int) -> list[Fraction]:
 
 
 def _xi_genfun(n: int, k: int) -> int:
-    cap = 2 * n + 2
+    # Gessel: sum_n xi_k(n) x^(2n) / (n!)^2 = det[I_|i-j|(2x)], i, j < k.
+    # Only x^(2n) is read, and (2n)! [x^(2n)] = xi_k(n) * C(2n, n).
+    cap = 2 * n
     mat = [[_series_b(abs(i - j), cap) for j in range(k)] for i in range(k)]
-    u = _series_det(mat, cap)
-    value = u[2 * n] * factorial(n) ** 2
-    assert value.denominator == 1
-    return value.numerator
+    value, rem = divmod(_series_det(mat, cap)[cap], comb(cap, n))
+    assert rem == 0
+    return value
 
 
 def xi_bound(n: int, k: int) -> int:
@@ -322,7 +326,7 @@ def multilinear_word_count(l: int, n: int, k: int) -> int:
     """Multilinear length-n words over l letters with no (k+1)-term decreasing run."""
     if n > l:
         raise ValueError("a multilinear word cannot be longer than the alphabet")
-    return comb(l, n) * xi_count(n, k, method="tableaux" if n <= 12 else "enumerate")
+    return comb(l, n) * xi_count(n, k, method="tableaux")
 
 
 def permutations_of(n: int) -> Iterator[tuple[int, ...]]:

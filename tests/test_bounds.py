@@ -3,15 +3,68 @@ import math
 import pytest
 from fractions import Fraction
 
-from wordlab import bounds
+from wordlab import bounds, exactmath
 from wordlab.exactmath import (
     ceil_log,
     exact_int_log,
     floor_log,
     integer_root,
+    iv_pow,
     log2_bounds,
     pow2_bounds,
+    refine_ceil,
 )
+
+# the census bound cells and every cell the acceptance criteria use
+GRID = (
+    [("psi_bound", (n, d, l)) for n in range(2, 7) for d in range(2, 5) for l in (1, 2, 3)]
+    + [("psi_log2_bound", (n, d, l)) for n in range(2, 7) for d in range(2, 5) for l in (1, 2, 3)]
+    + [("p_nd", (n, d)) for n in range(1, 7) for d in range(1, 5)]
+    + [("phi_bound", (n, l)) for n in range(3, 13) for l in (1, 2)]
+)
+
+
+def reference_refine(make, rounding):
+    """The fixed precision ladder, recomputing the whole bracket at every rung."""
+    for prec in (48, 96, 192, 384, 768, 1536, 3072):
+        lo, hi = make(prec)
+        if lo == hi or rounding(lo) == rounding(hi):
+            return rounding(lo)
+    raise ArithmeticError("bracket did not converge; value sits on an integer?")
+
+
+def reference_pow2_bounds(x, prec):
+    """2**x bracketed with a fresh square-root chain for each side."""
+    k = x.numerator // x.denominator
+    f = x - k
+    if f == 0:
+        return Fraction(1 << k), Fraction(1 << k)
+    c = (f.numerator << prec) // f.denominator
+
+    def dyadic(c, lower):
+        s = prec + 64
+        if c >= 1 << prec:
+            return Fraction(2)
+        acc, root = 1 << s, 2 << s
+        for i in range(1, prec + 1):
+            root = math.isqrt(root << s) + (0 if lower else 1)
+            if (c >> (prec - i)) & 1:
+                acc = (acc * root) >> s if lower else -((-(acc * root)) >> s) + 1
+        return Fraction(acc, 1 << s)
+
+    return (1 << k) * dyadic(c, True), (1 << k) * dyadic(c + 1, False)
+
+
+def grid_values(cells):
+    return {(fn, args): getattr(bounds, fn)(*args) for fn, args in cells}
+
+
+@pytest.fixture(scope="module")
+def reference_grid():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "refine_ceil", lambda make: reference_refine(make, math.ceil))
+        mp.setattr(bounds, "refine_floor", lambda make: reference_refine(make, math.floor))
+        return grid_values(GRID)
 
 
 class TestExactHelpers:
@@ -59,6 +112,61 @@ class TestExactHelpers:
         true = 2.0 ** float(x)
         assert float(lo) <= true * (1 + 1e-12)
         assert true <= float(hi) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("prec", [40, 48, 96, 131])
+    @pytest.mark.parametrize(
+        "x", [Fraction(0), Fraction(3), Fraction(1, 2), Fraction(41, 7), Fraction(10**9 + 1, 10**9)]
+    )
+    def test_pow2_matches_fresh_chains(self, x, prec):
+        assert pow2_bounds(x, prec) == reference_pow2_bounds(x, prec)
+
+    @pytest.mark.parametrize("base", [2, 3, 6, 10])
+    @pytest.mark.parametrize("prec", [48, 96, 200])
+    def test_iv_pow_sides_are_pow2_sides(self, base, prec):
+        lg = log2_bounds(Fraction(base), prec)
+        for expo in [(Fraction(5, 3), Fraction(7, 4)), (Fraction(9, 7), Fraction(9, 7) + Fraction(1, 2**prec))]:
+            lo, hi = iv_pow(base, expo, prec)
+            assert lo == pow2_bounds(expo[0] * lg[0], prec)[0]
+            assert hi == pow2_bounds(expo[1] * lg[1], prec)[1]
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("fn", ["psi_bound", "psi_log2_bound", "p_nd", "phi_bound"])
+    def test_sized_precision_matches_the_ladder(self, reference_grid, fn):
+        cells = [cell for cell in GRID if cell[0] == fn]
+        got = grid_values(cells)
+        assert {c: v for c, v in got.items() if v != reference_grid[c]} == {}
+
+    def test_cold_caches_in_reverse_order(self, reference_grid):
+        exactmath._log2_bounds.cache_clear()
+        exactmath._root_chain.cache_clear()
+        got = grid_values(reversed(GRID))
+        assert {c: v for c, v in got.items() if v != reference_grid[c]} == {}
+
+    def test_reaches_past_the_old_ladder(self):
+        # 2**4000 + 1/2, bracketed to relative width about 2**-prec
+        calls = []
+
+        def make(prec):
+            calls.append(prec)
+            mid, half = Fraction(2**4001 + 1, 2), Fraction(2**4000, 2**prec)
+            return mid - half, mid + half
+
+        assert refine_ceil(make) == 2**4000 + 1
+        assert calls == [48, 4001 + exactmath._PIN_GUARD]  # sized from the first bracket
+        with pytest.raises(ArithmeticError):
+            reference_refine(make, math.ceil)
+
+    def test_integer_value_raises(self):
+        calls = []
+
+        def make(prec):
+            calls.append(prec)
+            return Fraction(3) - Fraction(1, 2**prec), Fraction(3) + Fraction(1, 2**prec)
+
+        with pytest.raises(ArithmeticError):
+            refine_ceil(make)
+        assert calls[0] == 48 and calls[-1] >= 3072 and len(calls) < 10
 
 
 class TestBoundValues:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -58,6 +59,7 @@ class TestExitCodes:
             ("morphism",),
             ("growth", "--in", ""),
             ("complexity", "--mechanical", "", "--word", "ab"),
+            ("count", "--method", "multilinear", "--n", "13", "--k", "3", "--l", "20"),
         ],
     )
     def test_domain_error(self, argv):
@@ -68,6 +70,11 @@ class TestExitCodes:
         code, out = run_cli("posets", "--random", "3", "--size", "0")
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: --size must be >= 1\n"
+
+    def test_multilinear_names_its_own_route(self, capsys):
+        code, out = run_cli("count", "--method", "multilinear", "--n", "13", "--k", "3", "--l", "20")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: tableaux route capped at n = 12\n"
 
     def test_empty_word_keeps_the_mode(self, capsys):
         # an empty --word is a word, not an absent one
@@ -91,6 +98,15 @@ class TestSpecExamples:
     def test_count_catalan(self):
         code, out = run_cli("count", "--n", "4", "--k", "2", "--method", "enumerate")
         assert code == 0 and "14" in out
+
+    def test_bounds_phi_past_three_thousand_bits(self, capsys):
+        # a 3,183-bit value: the refinement must reach the precision it needs
+        code, out = run_cli("bounds", "--which", "phi", "--n", "5000", "--l", "2", "--format", "jsonl")
+        assert code == 0 and capsys.readouterr().err == ""
+        value = int(json.loads(out)["value"])
+        big = math.log(5000, 3)
+        est = 97 + math.log2(5000) * (12 * big + 36 * math.log(big, 3) + 91)
+        assert value.bit_length() == 3183 and abs(math.log2(value) - est) < 1e-9
 
     def test_bounds_upsilon(self):
         code, out = run_cli("bounds", "--n", "3", "--l", "2", "--which", "upsilon")

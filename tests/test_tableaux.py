@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -22,6 +23,45 @@ from wordlab.tableaux import (
 )
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
+
+
+def reference_xi_genfun(n, k):
+    """Gessel's determinant on ordinary power series with Fraction coefficients."""
+    cap = 2 * n + 2
+
+    def mul(a, b):
+        out = [Fraction(0)] * (cap + 1)
+        for i, ai in enumerate(a):
+            if ai == 0:
+                continue
+            for j, bj in enumerate(b):
+                if i + j > cap:
+                    break
+                out[i + j] += ai * bj
+        return out
+
+    def bessel(i):
+        out = [Fraction(0)] * (cap + 1)
+        m = 0
+        while 2 * m + i <= cap:
+            out[2 * m + i] = Fraction(1, factorial(m) * factorial(m + i))
+            m += 1
+        return out
+
+    def det(mat):
+        if len(mat) == 1:
+            return mat[0][0]
+        out = [Fraction(0)] * (cap + 1)
+        for j in range(len(mat)):
+            minor = [[row[c] for c in range(len(mat)) if c != j] for row in mat[1:]]
+            for idx, v in enumerate(mul(mat[0][j], det(minor))):
+                out[idx] += v if j % 2 == 0 else -v
+        return out
+
+    value = det([[bessel(abs(i - j)) for j in range(k)] for i in range(k)])[2 * n]
+    value *= factorial(n) ** 2
+    assert value.denominator == 1
+    return value.numerator
 
 
 class TestInsertion:
@@ -162,6 +202,11 @@ class TestXi:
         b = xi_count(n, k, "tableaux")
         c = xi_count(n, k, "genfun")
         assert a == b == c
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_genfun_matches_rational_reference(self, k):
+        for n in range(0, 9):
+            assert xi_count(n, k, "genfun") == reference_xi_genfun(n, k)
 
     def test_genfun_k4(self):
         for n in range(1, 9):
