@@ -214,7 +214,16 @@ def _cmd_bounds(args) -> list[dict]:
 
     which = args.which
     value = _BOUNDS[which](bnd, args)
-    rec = {"which": which, "n": args.n, "value": str(value)}
+    # the interpreter's int-to-str digit limit guards parsing untrusted
+    # text; a bound is a computed answer, so it is lifted for this one
+    # conversion and restored at once
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    rec = {"which": which, "n": args.n, "value": text}
     if which in ("psi", "psi-log2", "p-nd"):
         rec["d"] = args.d
     if which not in ("p-nd", "q-n"):

@@ -5,13 +5,23 @@ i < j.  One maximum bipartite matching on the split graph gives both
 the minimum chain cover and, through its vertex cover, a maximum
 antichain, so the Dilworth equality |min chain cover| = |max antichain|
 is asserted on every call.
+
+Every kernel reads whole rows of the relation instead of asking about
+one pair at a time.  The matching is Kuhn's augmenting-path method on
+Fulkerson's split graph: each augment walks the set bits of
+`above[i] & ~seen`, lowest first, with `seen` one int per top-level
+augment, so it visits the right vertices in index order and returns the
+same matching as a per-pair scan.  The alternating reachability that
+finds the vertex cover walks set bits the same way, and the antichain
+is checked with one mask test per element.  `less` and `comparable`
+remain for callers that do ask about single pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -29,12 +39,12 @@ class FinitePoset:
             if rel[i] & (1 << i):
                 raise ValueError("relation not irreflexive")
         for i in range(n):
-            for j in range(n):
-                if rel[i] & (1 << j):
-                    if rel[j] & (1 << i):
-                        raise ValueError("relation not antisymmetric")
-                    if rel[j] & ~rel[i]:
-                        raise ValueError("relation not transitive")
+            row = rel[i]
+            for j in _bits(row):
+                if rel[j] >> i & 1:
+                    raise ValueError("relation not antisymmetric")
+                if rel[j] & ~row:
+                    raise ValueError("relation not transitive")
 
     def less(self, i: int, j: int) -> bool:
         return bool(self.above[i] & (1 << j))
@@ -64,15 +74,32 @@ class FinitePoset:
         return FinitePoset(n, tuple(rel))
 
     def covering_pairs(self) -> tuple[tuple[int, int], ...]:
+        above = self.above
         out = []
-        for i in range(self.size):
-            for j in range(self.size):
-                if not self.less(i, j):
-                    continue
-                if any(self.less(i, k) and self.less(k, j) for k in range(self.size)):
-                    continue
-                out.append((i, j))
+        for i, row in enumerate(above):
+            beyond = 0  # elements above something above i
+            for k in _bits(row):
+                beyond |= above[k]
+            out.extend((i, j) for j in _bits(row & ~beyond))
         return tuple(out)
+
+
+def _bits(m: int) -> Iterator[int]:
+    """The set bits of a nonnegative mask, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _below(p: FinitePoset) -> list[int]:
+    """The transposed relation: bit i of `below[j]` set iff i < j."""
+    below = [0] * p.size
+    for i, row in enumerate(p.above):
+        bit = 1 << i
+        for j in _bits(row):
+            below[j] |= bit
+    return below
 
 
 def parse_poset(text: str) -> FinitePoset:
@@ -96,28 +123,36 @@ def format_poset(p: FinitePoset) -> str:
 
 def _max_matching(p: FinitePoset) -> tuple[int, list[int]]:
     """Kuhn's algorithm on the split graph; deterministic by index order."""
-    n = p.size
+    n, above = p.size, p.above
     match_right = [-1] * n  # right j -> left i
+    seen = 0  # right vertices visited by the current top-level augment
 
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in range(n):
-            if p.less(i, j) and not seen[j]:
-                seen[j] = True
-                if match_right[j] < 0 or augment(match_right[j], seen):
-                    match_right[j] = i
-                    return True
+    def augment(i: int) -> bool:
+        nonlocal seen
+        m = above[i] & ~seen
+        while m:
+            low = m & -m
+            seen |= low
+            j = low.bit_length() - 1
+            k = match_right[j]
+            if k < 0 or augment(k):
+                match_right[j] = i
+                return True
+            # every bit up to j is seen now, and the recursion may have seen more
+            m = above[i] & ~seen
         return False
 
     size = 0
     for i in range(n):
-        if augment(i, [False] * n):
+        seen = 0
+        if augment(i):
             size += 1
     return size, match_right
 
 
 def _dilworth(p: FinitePoset) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
     """A minimum chain cover and a maximum antichain from one maximum matching."""
-    n = p.size
+    n, above = p.size, p.above
     size, match_right = _max_matching(p)
     match_left = [-1] * n
     for j, i in enumerate(match_right):
@@ -133,27 +168,24 @@ def _dilworth(p: FinitePoset) -> tuple[tuple[tuple[int, ...], ...], frozenset[in
             chain.append(match_left[chain[-1]])
         chains.append(tuple(chain))
     # Alternating reachability from unmatched left vertices.
-    seen_left = [False] * n
-    seen_right = [False] * n
     stack = [i for i in range(n) if match_left[i] < 0]
-    for i in stack:
-        seen_left[i] = True
+    seen_left = sum(1 << i for i in stack)
+    seen_right = 0
     while stack:
         i = stack.pop()
-        for j in range(n):
-            if p.less(i, j) and not seen_right[j]:
-                seen_right[j] = True
-                k = match_right[j]
-                if k >= 0 and not seen_left[k]:
-                    seen_left[k] = True
-                    stack.append(k)
+        m = above[i] & ~seen_right
+        seen_right |= m
+        for j in _bits(m):
+            k = match_right[j]
+            if k >= 0 and not seen_left >> k & 1:
+                seen_left |= 1 << k
+                stack.append(k)
     # Cover = unreached left + reached right; antichain = fully uncovered elements.
-    antichain = frozenset(
-        x for x in range(n) if seen_left[x] and not seen_right[x]
-    )
+    mask = seen_left & ~seen_right
+    antichain = frozenset(_bits(mask))
     assert len(chains) == n - size == len(antichain), "Dilworth equality violated"
-    for a, b in itertools.combinations(sorted(antichain), 2):
-        assert not p.comparable(a, b)
+    for a in antichain:
+        assert not above[a] & mask, "antichain has comparable elements"
     return tuple(chains), antichain
 
 
@@ -171,11 +203,11 @@ def max_antichain(p: FinitePoset) -> tuple[int, frozenset[int]]:
 def max_antichain_bruteforce(p: FinitePoset) -> int:
     """Independent oracle: grow antichains element by element."""
     n = p.size
-    incomp = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and not p.comparable(i, j):
-                incomp[i] |= 1 << j
+    full = (1 << n) - 1
+    incomp = [
+        full & ~(up | down | 1 << i)
+        for i, (up, down) in enumerate(zip(p.above, _below(p)))
+    ]
     best = 0
 
     def grow(start: int, chosen: int, count: int, allowed: int) -> None:
@@ -209,9 +241,9 @@ def canonical_key(p: FinitePoset) -> tuple[int, ...]:
     bijections.
     """
     n = p.size
-    up = [bin(p.above[i]).count("1") for i in range(n)]
-    down = [sum(1 for j in range(n) if p.less(j, i)) for i in range(n)]
-    profile = [(down[i], up[i]) for i in range(n)]
+    profile = [
+        (down.bit_count(), up.bit_count()) for up, down in zip(p.above, _below(p))
+    ]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, prof in enumerate(profile):
         groups.setdefault(prof, []).append(i)

@@ -16,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import lt
 from typing import Iterator, Sequence
 
 
@@ -24,32 +25,30 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        widths = [len(r) for r in self.rows]
-        if any(w == 0 for w in widths) or any(
-            widths[i] < widths[i + 1] for i in range(len(widths) - 1)
-        ):
+        widths = list(map(len, self.rows))
+        if 0 in widths or any(map(lt, widths, widths[1:])):
             raise ValueError("rows must be nonempty with weakly decreasing lengths")
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
+        return tuple(map(len, self.rows))
 
     @property
     def order(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self.rows))
 
     def is_standard(self) -> bool:
-        entries = [x for row in self.rows for x in row]
-        if sorted(entries) != list(range(1, len(entries) + 1)):
+        rows = self.rows
+        entries = sorted(itertools.chain.from_iterable(rows))
+        if entries != list(range(1, len(entries) + 1)):
             return False
-        for row in self.rows:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+        for row in rows:
+            if not all(map(lt, row, row[1:])):
                 return False
-        for r in range(len(self.rows) - 1):
-            lower = self.rows[r + 1]
-            for c in range(len(lower)):
-                if self.rows[r][c] >= lower[c]:
-                    return False
+        # rows are weakly decreasing in length, so map stops at the lower row
+        for upper, lower in zip(rows, rows[1:]):
+            if not all(map(lt, upper, lower)):
+                return False
         return True
 
     def __str__(self) -> str:
@@ -103,15 +102,12 @@ def rsk_inverse(p: Tableau, q: Tableau) -> tuple[int, ...]:
     if not (p.is_standard() and q.is_standard()):
         raise ValueError("non-standard tableau")
     rows = [list(r) for r in p.rows]
-    order = p.order
-    positions = {}
-    for r, row in enumerate(q.rows):
-        for c, entry in enumerate(row):
-            positions[entry] = (r, c)
+    row_of = {entry: r for r, row in enumerate(q.rows) for entry in row}
     out = []
-    for step in range(order, 0, -1):
-        r, c = positions[step]
-        x = rows[r].pop(c)
+    for step in range(p.order, 0, -1):
+        # q is standard, so its largest entry ends its row: a corner of the shape
+        r = row_of[step]
+        x = rows[r].pop()
         if not rows[r]:
             rows.pop(r)
         for rr in range(r - 1, -1, -1):

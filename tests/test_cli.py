@@ -108,6 +108,20 @@ class TestSpecExamples:
         est = 97 + math.log2(5000) * (12 * big + 36 * math.log(big, 3) + 91)
         assert value.bit_length() == 3183 and abs(math.log2(value) - est) < 1e-9
 
+    def test_bounds_past_the_int_str_digit_limit(self, capsys):
+        from decimal import Decimal
+
+        from wordlab.bounds import upsilon_coding_bound
+
+        limit = sys.get_int_max_str_digits()
+        argv = ("bounds", "--which", "upsilon-coding", "--n", "5000", "--l", "9")
+        code, out = run_cli(*argv, "--format", "jsonl")
+        assert code == 0 and capsys.readouterr().err == ""
+        assert sys.get_int_max_str_digits() == limit
+        text = json.loads(out)["value"]
+        # Decimal parses past the limit that int() keeps
+        assert len(text) > limit and Decimal(text) == upsilon_coding_bound(5000, 9)
+
     def test_bounds_upsilon(self):
         code, out = run_cli("bounds", "--n", "3", "--l", "2", "--which", "upsilon")
         assert code == 0 and "8748" in out

@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wordlab.posets import (
     FinitePoset,
+    _dilworth,
+    _max_matching,
     count_permutation_posets,
     epsilon_bound,
     epsilon_table,
@@ -27,12 +30,87 @@ def antichain(n):
     return FinitePoset.from_relation(n, [])
 
 
-def random_poset(rng, max_size=12):
+def random_poset(rng, max_size=12, density=0.3):
     n = rng.randrange(1, max_size + 1)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
     perm = list(range(n))
     rng.shuffle(perm)
     return FinitePoset.from_relation(n, [(perm[i], perm[j]) for i, j in pairs])
+
+
+def reference_dilworth(p):
+    """Kuhn's matching and the alternating reachability, one pair at a time."""
+    n = p.size
+    match_right = [-1] * n
+
+    def augment(i, seen):
+        for j in range(n):
+            if p.less(i, j) and not seen[j]:
+                seen[j] = True
+                if match_right[j] < 0 or augment(match_right[j], seen):
+                    match_right[j] = i
+                    return True
+        return False
+
+    size = sum(augment(i, [False] * n) for i in range(n))
+    match_left = [-1] * n
+    for j, i in enumerate(match_right):
+        if i >= 0:
+            match_left[i] = j
+    chains = []
+    for start in range(n):
+        if match_right[start] >= 0:
+            continue
+        chain = [start]
+        while match_left[chain[-1]] >= 0:
+            chain.append(match_left[chain[-1]])
+        chains.append(tuple(chain))
+    seen_left = [False] * n
+    seen_right = [False] * n
+    stack = [i for i in range(n) if match_left[i] < 0]
+    for i in stack:
+        seen_left[i] = True
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if p.less(i, j) and not seen_right[j]:
+                seen_right[j] = True
+                k = match_right[j]
+                if k >= 0 and not seen_left[k]:
+                    seen_left[k] = True
+                    stack.append(k)
+    antichain = frozenset(x for x in range(n) if seen_left[x] and not seen_right[x])
+    assert len(chains) == n - size == len(antichain)
+    for a, b in itertools.combinations(antichain, 2):
+        assert not p.comparable(a, b)
+    return size, match_right, tuple(chains), antichain
+
+
+def reference_max_antichain_bruteforce(p):
+    """Grow antichains element by element, incomparability asked pair by pair."""
+    n = p.size
+    incomp = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and not p.comparable(i, j):
+                incomp[i] |= 1 << j
+    best = 0
+
+    def grow(start, count, allowed):
+        nonlocal best
+        best = max(best, count)
+        for j in range(start, n):
+            if allowed >> j & 1:
+                grow(j + 1, count + 1, allowed & incomp[j])
+
+    grow(0, 0, (1 << n) - 1)
+    return best
+
+
+def assert_matches_reference(p):
+    size, match_right, chains, antichain = reference_dilworth(p)
+    assert _max_matching(p) == (size, match_right)
+    assert _dilworth(p) == (chains, antichain)
 
 
 class TestConstruction:
@@ -45,6 +123,45 @@ class TestConstruction:
             FinitePoset(2, (0b10, 0b01))  # a cycle
         with pytest.raises(ValueError):
             FinitePoset(2, (0b01, 0b00))  # reflexive loop
+
+    @pytest.mark.parametrize(
+        "size, above, message",
+        [
+            (3, (0b010, 0b100), "relation size mismatch"),
+            (2, (0b110, 0b00), "relation bits outside range"),
+            (2, (0b01, 0b00), "relation not irreflexive"),
+            (2, (0b10, 0b01), "relation not antisymmetric"),
+            (3, (0b010, 0b100, 0b000), "relation not transitive"),
+        ],
+    )
+    def test_validation_messages(self, size, above, message):
+        with pytest.raises(ValueError) as info:
+            FinitePoset(size, above)
+        assert str(info.value) == message
+
+    def test_first_failing_check_is_reported(self):
+        # 0 < 1 < 2 without 0 < 2 comes before the 1 <-> 3 cycle in row order
+        with pytest.raises(ValueError, match="^relation not transitive$"):
+            FinitePoset(4, (0b0010, 0b1100, 0b0000, 0b0010))
+        # the 0 <-> 1 cycle comes before 0 < 2 < 3 without 0 < 3
+        with pytest.raises(ValueError, match="^relation not antisymmetric$"):
+            FinitePoset(4, (0b0110, 0b0001, 0b1000, 0b0000))
+        # an out-of-range bit in a later row outranks an earlier cycle
+        with pytest.raises(ValueError, match="^relation bits outside range$"):
+            FinitePoset(2, (0b10, 0b101))
+
+    def test_covering_pairs_against_pairwise_definition(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            p = random_poset(rng, max_size=16, density=rng.choice((0.1, 0.3)))
+            n = p.size
+            want = tuple(
+                (i, j)
+                for i in range(n)
+                for j in range(n)
+                if p.less(i, j) and not any(p.less(i, k) and p.less(k, j) for k in range(n))
+            )
+            assert p.covering_pairs() == want
 
 
 class TestDilworth:
@@ -70,6 +187,37 @@ class TestDilworth:
             for c in cover:
                 for a, b in zip(c, c[1:]):
                     assert p.less(a, b)
+
+
+class TestAgainstReference:
+    def test_seeded_posets_up_to_forty_points(self):
+        rng = random.Random(1950)
+        for _ in range(2000):
+            p = random_poset(rng, max_size=40, density=rng.choice((0.02, 0.08, 0.15, 0.3)))
+            assert_matches_reference(p)
+
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+                st.permutations(range(n)),
+            )
+        )
+    )
+    def test_small_posets(self, case):
+        n, pairs, perm = case
+        p = FinitePoset.from_relation(
+            n, [(perm[min(i, j)], perm[max(i, j)]) for i, j in pairs if i != j]
+        )
+        assert_matches_reference(p)
+        assert max_antichain_bruteforce(p) == reference_max_antichain_bruteforce(p)
+
+    def test_bruteforce_up_to_fourteen_points(self):
+        rng = random.Random(1973)
+        for _ in range(150):
+            p = random_poset(rng, max_size=14, density=rng.choice((0.05, 0.15, 0.3)))
+            assert max_antichain_bruteforce(p) == reference_max_antichain_bruteforce(p)
 
 
 class TestPermutationPosets:

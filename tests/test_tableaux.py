@@ -25,6 +25,45 @@ from wordlab.tableaux import (
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
 
 
+def reference_is_standard(t):
+    """Standardness checked cell by cell."""
+    entries = [x for row in t.rows for x in row]
+    if sorted(entries) != list(range(1, len(entries) + 1)):
+        return False
+    for row in t.rows:
+        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            return False
+    for r in range(len(t.rows) - 1):
+        lower = t.rows[r + 1]
+        for c in range(len(lower)):
+            if t.rows[r][c] >= lower[c]:
+                return False
+    return True
+
+
+def mutations(t):
+    """(kind, copy) pairs: copies of a standard tableau, each broken in one way."""
+    rows = t.rows
+    cells = {(r, c) for r, row in enumerate(rows) for c in range(len(row))}
+    last = (len(rows) - 1, len(rows[-1]) - 1)
+
+    def with_values(values):
+        return Tableau(
+            tuple(
+                tuple(values.get((r, c), x) for c, x in enumerate(row))
+                for r, row in enumerate(rows)
+            )
+        )
+
+    if len(cells) > 1:
+        yield "duplicate", with_values({last: rows[0][0]})
+    yield "gap", with_values({last: len(cells) + 1})
+    for r, c in sorted(cells):
+        for kind, (r2, c2) in (("row", (r, c + 1)), ("column", (r + 1, c))):
+            if (r2, c2) in cells:
+                yield kind, with_values({(r, c): rows[r2][c2], (r2, c2): rows[r][c]})
+
+
 def reference_xi_genfun(n, k):
     """Gessel's determinant on ordinary power series with Fraction coefficients."""
     cap = 2 * n + 2
@@ -113,7 +152,7 @@ class TestRSK:
         assert q.rows == ((1, 3), (2,))
         assert rsk_inverse(p, q) == (2, 1, 3)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_round_trip_and_laws(self, n):
         for pi in permutations_of(n):
             p, q = rsk(pi)
@@ -121,6 +160,17 @@ class TestRSK:
             assert rsk_inverse(p, q) == pi
             assert len(p.rows) == longest_decreasing(pi)
             assert p.shape[0] == longest_increasing(pi)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_is_standard_against_reference(self, n):
+        kinds = set()
+        for pi in permutations_of(n):
+            for t in rsk(pi):
+                assert t.is_standard() and reference_is_standard(t)
+                for kind, bad in mutations(t):
+                    kinds.add(kind)
+                    assert not bad.is_standard() and not reference_is_standard(bad)
+        assert kinds == ({"gap"} if n == 1 else {"duplicate", "gap", "row", "column"})
 
     def test_injectivity(self):
         images = {rsk(pi) for pi in permutations_of(5)}
