@@ -104,14 +104,18 @@ def _below(p: FinitePoset) -> list[int]:
 
 def parse_poset(text: str) -> FinitePoset:
     """Exchange format: first line n, then one covering pair 'i j' per line (1-based)."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty poset text")
-    n = int(lines[0])
+    n = int(lines[0][1])
     pairs = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         a, b = ln.split()
-        pairs.append((int(a) - 1, int(b) - 1))
+        pair = (int(a), int(b))
+        for label in pair:
+            if not 1 <= label <= n:
+                raise ValueError(f"line {no}: label {label} is outside 1..{n}")
+        pairs.append((pair[0] - 1, pair[1] - 1))
     return FinitePoset.from_relation(n, pairs)
 
 

@@ -4,9 +4,18 @@ Permutations are 1-based value tuples.  A standard tableau on n cells
 holds each of 1..n once, strictly increasing along rows and down
 columns.  xi_count(n, k) counts permutations with no decreasing
 subsequence of length k+1 by four independent routes that must agree:
-direct enumeration, hook-length summation, the exact closed form for
-k = 3, and coefficient extraction from Gessel's determinant generating
+enumeration, hook-length summation, the exact closed form for k = 3,
+and coefficient extraction from Gessel's determinant generating
 function, computed on exponential series with integer coefficients.
+The enumeration route walks the tree of permutation prefixes under
+Schensted's patience sorting, but counts the completions of prefixes
+once per merged state (the relative order of their unused values and
+pile tops), so it stays independent of the hook and determinant routes.
+
+A Tableau's rows are a tuple of tuples (list rows are converted), so it
+cannot change, and it keeps its shape and its is_standard() answer once
+computed: rsk's assertions compute the answer and rsk_inverse's
+validation reads it.
 """
 
 from __future__ import annotations
@@ -25,19 +34,31 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        widths = list(map(len, self.rows))
+        rows = self.rows
+        if type(rows) is not tuple or any(type(row) is not tuple for row in rows):
+            rows = tuple(map(tuple, rows))
+            object.__setattr__(self, "rows", rows)
+        widths = tuple(map(len, rows))
         if 0 in widths or any(map(lt, widths, widths[1:])):
             raise ValueError("rows must be nonempty with weakly decreasing lengths")
+        object.__setattr__(self, "_shape", widths)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(map(len, self.rows))
+        return self._shape
 
     @property
     def order(self) -> int:
-        return sum(map(len, self.rows))
+        return sum(self._shape)
 
     def is_standard(self) -> bool:
+        known = self.__dict__.get("_standard")
+        if known is None:
+            known = self._check_standard()
+            object.__setattr__(self, "_standard", known)
+        return known
+
+    def _check_standard(self) -> bool:
         rows = self.rows
         entries = sorted(itertools.chain.from_iterable(rows))
         if entries != list(range(1, len(entries) + 1)):
@@ -74,7 +95,7 @@ def schensted_insert(t: Tableau | None, x: int) -> tuple[Tableau, tuple[int, int
     if any(x in row for row in rows):
         raise ValueError(f"entry {x} already present")
     r = _bump(rows, x)
-    return Tableau(tuple(map(tuple, rows))), (r + 1, len(rows[r]))
+    return Tableau(rows), (r + 1, len(rows[r]))
 
 
 def rsk(pi: Sequence[int]) -> tuple[Tableau, Tableau]:
@@ -89,8 +110,7 @@ def rsk(pi: Sequence[int]) -> tuple[Tableau, Tableau]:
         if r == len(q_rows):
             q_rows.append([])
         q_rows[r].append(step)
-    p = Tableau(tuple(map(tuple, p_rows)))
-    q = Tableau(tuple(map(tuple, q_rows)))
+    p, q = Tableau(p_rows), Tableau(q_rows)
     assert p.shape == q.shape and p.is_standard() and q.is_standard()
     return p, q
 
@@ -210,38 +230,42 @@ def xi_count(n: int, k: int, method: str = "tableaux") -> int:
 
 
 def _xi_enumerate(n: int, k: int) -> int:
-    """Backtracking over permutation prefixes, pruning once piles exceed k."""
-    if n == 0:
-        return 1
-    count = 0
-    used = [False] * (n + 1)
+    """Patience sorting over permutation prefixes, pruning once piles exceed k.
 
-    def place(depth: int, tails: list[int]) -> None:
-        nonlocal count
-        if depth == n:
-            count += 1
-            return
-        for x in range(1, n + 1):
-            if used[x]:
-                continue
-            y = -x
-            lo = bisect_left(tails, y)
-            if lo == len(tails) and len(tails) == k:
-                continue
-            used[x] = True
-            if lo == len(tails):
-                tails.append(y)
-                place(depth + 1, tails)
-                tails.pop()
-            else:
-                old = tails[lo]
-                tails[lo] = y
-                place(depth + 1, tails)
-                tails[lo] = old
-            used[x] = False
+    A prefix's state is a string over u/t, one letter per value that is
+    unused (u) or a pile top (t), in increasing value order; used values
+    that are no longer tops are dropped.  An unused value x at index i
+    lands on the pile whose top is the last t left of it, at index j,
+    and replaces that top; with no t to its left it opens a new pile,
+    allowed only while there are fewer than k.  Whether and where each
+    later value lands depends only on how it compares with the tops at
+    that moment, and buried values are never compared again, so every
+    prefix with the same state has the same number of completions.
+    Merging those prefixes is therefore exact, and each state's count
+    is computed once.
+    """
+    memo: dict[str, int] = {}
 
-    place(0, [])
-    return count
+    def completions(s: str) -> int:
+        if "u" not in s:
+            return 1
+        total = memo.get(s)
+        if total is not None:
+            return total
+        total = 0
+        room = s.count("t") < k
+        j = -1  # index of the last top left of i
+        for i, c in enumerate(s):
+            if c == "t":
+                j = i
+            elif j >= 0:
+                total += completions(s[:j] + s[j + 1 : i] + "t" + s[i + 1 :])
+            elif room:
+                total += completions(s[:i] + "t" + s[i + 1 :])
+        memo[s] = total
+        return total
+
+    return completions("u" * n)
 
 
 def xi3_closed(n: int) -> int:

@@ -76,6 +76,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: tableaux route capped at n = 12\n"
 
+    @pytest.mark.parametrize("text, label", [("2\n1 3\n", 3), ("2\n0 1\n", 0)])
+    def test_posets_label_out_of_range(self, text, label, tmp_path, capsys):
+        path = tmp_path / "poset.txt"
+        path.write_text(text)
+        code, out = run_cli("posets", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: line 2: label {label} is outside 1..2\n"
+
+    def test_enumerate_cap(self, capsys):
+        code, out = run_cli("count", "--n", "10", "--k", "2", "--method", "enumerate")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: enumeration capped at n = 9\n"
+
     def test_empty_word_keeps_the_mode(self, capsys):
         # an empty --word is a word, not an absent one
         code, out = run_cli("rsk", "--word", "", "--n", "3")
@@ -98,6 +111,24 @@ class TestSpecExamples:
     def test_count_catalan(self):
         code, out = run_cli("count", "--n", "4", "--k", "2", "--method", "enumerate")
         assert code == 0 and "14" in out
+
+    def test_count_enumerate_at_the_cap(self):
+        code, out = run_cli("count", "--n", "9", "--k", "4", "--method", "enumerate")
+        assert (code, out) == (0, "n  k  method     value\n9  4  enumerate  261808\n")
+
+    def test_count_routes_agree(self):
+        code, out = run_cli(
+            "count", "--n", "8", "--k", "4", "--method", "all", "--sweep", "--format", "jsonl"
+        )
+        assert code == 0
+        values = {}
+        for r in map(json.loads, out.splitlines()):
+            values.setdefault(r["n"], {})[r["method"]] = r["value"]
+        assert sorted(values) == list(range(1, 9))
+        for n, by_method in values.items():
+            assert sorted(by_method) == ["enumerate", "genfun", "tableaux"]
+            assert len(set(by_method.values())) == 1
+        assert values[8]["enumerate"] == 33324
 
     def test_bounds_phi_past_three_thousand_bits(self, capsys):
         # a 3,183-bit value: the refinement must reach the precision it needs

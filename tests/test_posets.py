@@ -290,3 +290,19 @@ class TestExchangeFormat:
     def test_format_lists_covering_pairs_only(self):
         text = format_poset(chain(3))
         assert text.splitlines() == ["3", "1 2", "2 3"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\n1 3\n", "line 2: label 3 is outside 1..2"),
+            ("2\n0 1\n", "line 2: label 0 is outside 1..2"),
+            ("3\n\n1 2\n2 -1\n", "line 4: label -1 is outside 1..3"),
+        ],
+    )
+    def test_labels_out_of_range(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_poset(text)
+        assert str(info.value) == message
+
+    def test_labels_at_the_ends(self):
+        assert parse_poset("3\n1 3\n").above == FinitePoset.from_relation(3, [(0, 2)]).above

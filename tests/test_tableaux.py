@@ -1,8 +1,10 @@
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordlab.tableaux import (
     Tableau,
@@ -62,6 +64,60 @@ def mutations(t):
         for kind, (r2, c2) in (("row", (r, c + 1)), ("column", (r + 1, c))):
             if (r2, c2) in cells:
                 yield kind, with_values({(r, c): rows[r2][c2], (r2, c2): rows[r][c]})
+
+
+def reference_xi_enumerate(n, k):
+    """Backtracking over every permutation prefix, pruning once piles exceed k."""
+    if n == 0:
+        return 1
+    count = 0
+    used = [False] * (n + 1)
+
+    def place(depth, tails):
+        nonlocal count
+        if depth == n:
+            count += 1
+            return
+        for x in range(1, n + 1):
+            if used[x]:
+                continue
+            y = -x
+            lo = bisect_left(tails, y)
+            if lo == len(tails) and len(tails) == k:
+                continue
+            used[x] = True
+            if lo == len(tails):
+                tails.append(y)
+                place(depth + 1, tails)
+                tails.pop()
+            else:
+                old = tails[lo]
+                tails[lo] = y
+                place(depth + 1, tails)
+                tails[lo] = old
+            used[x] = False
+
+    place(0, [])
+    return count
+
+
+def pile_tops(prefix):
+    """Tops of the patience piles for decreasing subsequences, oldest pile first."""
+    tops = []
+    for x in prefix:
+        below = [i for i, t in enumerate(tops) if t < x]
+        if below:
+            tops[below[0]] = x
+        else:
+            tops.append(x)
+    return tops
+
+
+def completions(prefix, rest, k):
+    """Orderings of `rest` after `prefix` with no decreasing subsequence of length k+1."""
+    return sum(
+        longest_decreasing(tuple(prefix) + tail) <= k for tail in itertools.permutations(rest)
+    )
 
 
 def reference_xi_genfun(n, k):
@@ -172,6 +228,22 @@ class TestRSK:
                     assert not bad.is_standard() and not reference_is_standard(bad)
         assert kinds == ({"gap"} if n == 1 else {"duplicate", "gap", "row", "column"})
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_round_trip_checks_each_tableau_once(self, n, monkeypatch):
+        calls = []
+        check = Tableau._check_standard
+
+        def counted(t):
+            calls.append(id(t))
+            return check(t)
+
+        monkeypatch.setattr(Tableau, "_check_standard", counted)
+        for pi in permutations_of(n):
+            calls.clear()
+            p, q = rsk(pi)
+            assert rsk_inverse(p, q) == pi
+            assert sorted(calls) == sorted({id(p), id(q)})
+
     def test_injectivity(self):
         images = {rsk(pi) for pi in permutations_of(5)}
         assert len(images) == factorial(5)
@@ -179,10 +251,52 @@ class TestRSK:
     def test_inverse_rejects_bad_input(self):
         p, _ = rsk((2, 1, 3))
         q_other = Tableau(((1, 2, 3),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^shape mismatch$"):
             rsk_inverse(p, q_other)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^non-standard tableau$"):
             rsk_inverse(Tableau(((2, 1), (3,))), Tableau(((1, 2), (3,))))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_inverse_rejects_every_mutation(self, n):
+        for pi in permutations_of(n):
+            p, q = rsk(pi)
+            for _, bad in mutations(p):
+                assert Tableau([list(r) for r in bad.rows]) == bad
+                assert not bad.is_standard() and not bad.is_standard()
+                with pytest.raises(ValueError, match="^non-standard tableau$"):
+                    rsk_inverse(bad, q)
+                with pytest.raises(ValueError, match="^non-standard tableau$"):
+                    rsk_inverse(p, bad)
+
+
+class TestTableauRows:
+    def test_list_rows_become_tuples(self):
+        t = Tableau([[1, 3], [2]])
+        u = Tableau(((1, 3), (2,)))
+        assert t.rows == u.rows == ((1, 3), (2,))
+        assert type(t.rows) is tuple and all(type(r) is tuple for r in t.rows)
+        assert t == u and hash(t) == hash(u)
+        assert t.shape == u.shape == (2, 1) and t.order == 3
+        assert t.is_standard() and u.is_standard()
+
+    def test_tuple_of_lists_becomes_tuples(self):
+        row = [1, 2]
+        t = Tableau((row, [3]))
+        row[0] = 5
+        assert t.rows == ((1, 2), (3,)) and t.is_standard()
+
+    def test_tuple_rows_are_kept(self):
+        rows = ((1, 2), (3,))
+        assert Tableau(rows).rows is rows
+
+    @pytest.mark.parametrize("rows", [((1,), (2, 3)), ((),), ((1, 2), ()), ((1,), (), (2,))])
+    def test_same_bad_shapes_rejected(self, rows):
+        messages = []
+        for built in (rows, [list(r) for r in rows]):
+            with pytest.raises(ValueError) as info:
+                Tableau(built)
+            messages.append(str(info.value))
+        assert messages == ["rows must be nonempty with weakly decreasing lengths"] * 2
 
 
 class TestHooks:
@@ -273,8 +387,39 @@ class TestXi:
         for n in range(1, 7):
             assert xi_count(n, n, "tableaux") == factorial(n)
 
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_enumerate_matches_backtracking(self, n):
+        for k in range(1, 10):
+            assert xi_count(n, k, "enumerate") == reference_xi_enumerate(n, k)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_enumerate_matches_tableaux_at_nine(self, k):
+        assert xi_count(9, k, "enumerate") == xi_count(9, k, "tableaux")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 7).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        st.integers(0, 7),
+        st.integers(1, 8),
+    )
+    def test_prefixes_with_one_state_have_equal_completions(self, perm, cut, k):
+        # the enumeration's merged state: unused values (u) and pile tops
+        # (t) in increasing value order, buried values dropped
+        prefix, rest = perm[:cut], perm[cut:]
+        tops = pile_tops(prefix)
+        kept = sorted(tops + rest)
+        state = "".join("t" if x in tops else "u" for x in kept)
+        # the shortest prefix with that state: its tops, largest first
+        rank = {x: i + 1 for i, x in enumerate(kept)}
+        small = sorted((rank[x] for x in tops), reverse=True)
+        assert pile_tops(small) == small
+        assert "".join("t" if r in small else "u" for r in range(1, len(kept) + 1)) == state
+        assert completions(small, [rank[x] for x in rest], k) == completions(prefix, rest, k)
+        n = len(perm)
+        assert xi_count(n, k, "enumerate") == reference_xi_enumerate(n, k)
+
     def test_method_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^enumeration capped at n = 9$"):
             xi_count(10, 2, "enumerate")
         with pytest.raises(ValueError):
             xi_count(4, 2, "closed3")
