@@ -264,7 +264,7 @@ def _selective_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", action="store_true")
     p.add_argument("--coding", action="store_true")
     p.add_argument("--max-len", type=int, default=10, dest="max_len")
-    p.add_argument("--bound", type=int, default=0)
+    p.add_argument("--bound", type=int)
     p.add_argument("--t-max", type=int, default=4, dest="t_max")
     p.set_defaults(l=2)
 
@@ -288,6 +288,13 @@ def _cmd_selective(args) -> list[dict]:
         ]
     if args.corpus:
         period, bound = args.period, args.bound
+        if bound is None:
+            # the paper's ceilings exist for periods 2 and 3 only, from n = 3
+            if period not in (2, 3) or args.n < 3:
+                raise ValueError(f"no default bound for period {period} at n = {args.n}; give --bound")
+            from . import bounds as bnd
+
+            bound = bnd.beth_bound(f"t{period}", args.l, args.n)
         rep = dv.selective_corpus_check(args.l, args.n, args.max_len, period, bound)
         return [{"kind": "corpus", **rep}]
     if args.coding:

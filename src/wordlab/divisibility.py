@@ -894,6 +894,21 @@ def primitive_cycle_classes(t: int, alphabet: Alphabet) -> tuple[WordCycle, ...]
     )
 
 
+def _head_chain(
+    ls: tuple[int, ...], chains: tuple[tuple[int, int], ...], rank: dict, t: int
+) -> tuple[int, int]:
+    """The head-table entry of ls's last length-t window, given the
+    entries of all earlier windows: the window's rank among the heads
+    and the most blocks of a strong division whose last block opens
+    there; (-1, 0) when the window is not a head."""
+    r = rank.get(ls[-t:], -1)
+    if r < 0:
+        return (-1, 0)
+    # the block before opens with a larger head, at least t letters earlier
+    earlier = chains[: max(len(chains) - t + 1, 0)]
+    return (r, 1 + max((d for q, d in earlier if q > r), default=0))
+
+
 def selective_corpus_check(
     l: int, n: int, max_len: int, period_len: int, bound: int
 ) -> dict:
@@ -909,38 +924,65 @@ def selective_corpus_check(
     max_len and those whose one-letter extensions are all excluded.
     Each node carries its candidate runs, one new run at most per
     letter, and a word without runs has height 0.
+
+    Only the last block can be new.  Every head has the same length t,
+    so a block opens with its first t letters, two blocks with distinct
+    heads first differ inside them, and a block is larger than the next
+    exactly when its head is.  A strong n-division of a suffix is thus
+    a strictly decreasing chain of n head windows, each at least t
+    letters after the one before.  Suppose a child p + (x,) has a
+    division whose last block is longer than one head.  That block and
+    the one before it first differ ahead of x, so dropping x leaves a
+    division of p.  The walk never enters a divisible p, so a child is
+    divisible exactly when a division's last block is the one head that
+    x completes, and the search for it runs leftwards from there: each
+    earlier block opens with a larger head, hence an unused one.
+
+    One head table per node holds that search.  A node carries one
+    entry per window of length t, in order: the window's rank among
+    the heads, and the longest chain of heads that ends there, the most
+    blocks a division whose last block opens there can have.  A child
+    appends the entry of its last window (`_head_chain`) and is
+    excluded when that entry reaches n.  An entry depends only on
+    letters up to its window, so a node's table holds in its whole
+    subtree.  The table is carried only where some division is
+    possible: at least n heads, and n * t <= max_len.
     """
     if n < 1 or period_len < 1 or l < 1 or max_len < 1:
         raise ValueError("need n, period_len, l and max_len all >= 1")
+    t = period_len
     letters = range(1, l + 1)
-    heads = [
-        z for z in itertools.product(letters, repeat=period_len) if _root_length(z) == period_len
-    ]
+    # the heads in lexicographic order, so ranks compare as the heads do
+    heads = [z for z in itertools.product(letters, repeat=t) if _root_length(z) == t]
+    rank = {z: i for i, z in enumerate(heads)}
     boundary = 2 * n
     scanned = 0
     excluded = 0
     worst = 0
-    # n blocks need n distinct heads; with fewer periods nothing divides
-    min_span = n * period_len if len(heads) >= n else max_len + 1
-    # (word, its candidate runs); the empty root is not scanned
-    stack: list[tuple[tuple[int, ...], tuple]] = [((), ())]
+    # n blocks need n distinct heads and n * t letters; else nothing divides
+    strong = len(heads) >= n and n * t <= max_len
+    # (word, its candidate runs, its head table); the empty root is not scanned
+    stack: list[tuple[tuple[int, ...], tuple, tuple]] = [((), (), ())]
     while stack:
-        ls, runs = stack.pop()
+        ls, runs, chains = stack.pop()
         k = len(ls)
         maximal = True
         for x in letters:
             child = ls + (x,)
-            if k + 1 >= min_span and any(
-                _strong_blocks(child, n, heads, s) is not None for s in range(k + 2 - min_span)
-            ):
-                excluded += sum(l**j for j in range(max_len - k))  # child and subtree
-                continue
+            if strong and k + 1 >= t:
+                entry = _head_chain(child, chains, rank, t)
+                if entry[1] >= n:
+                    excluded += sum(l**j for j in range(max_len - k))  # child and subtree
+                    continue
+                child_chains = chains + (entry,)
+            else:
+                child_chains = chains
             scanned += 1
             maximal = False
-            run = _candidate_run(child, k + 1, period_len, boundary)
+            run = _candidate_run(child, k + 1, t, boundary)
             child_runs = runs + (run,) if run else runs
             if k + 1 < max_len:
-                stack.append((child, child_runs))
+                stack.append((child, child_runs, child_chains))
             elif child_runs:
                 worst = max(worst, _selection_height(child_runs))
         if maximal and runs:

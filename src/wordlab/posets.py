@@ -107,16 +107,30 @@ def parse_poset(text: str) -> FinitePoset:
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty poset text")
-    n = int(lines[0][1])
+    no, size = lines[0]
+    n = _integer(size, no, "size")
+    if n < 0:
+        raise ValueError(f"line {no}: size {n} is negative")
     pairs = []
     for no, ln in lines[1:]:
-        a, b = ln.split()
-        pair = (int(a), int(b))
+        fields = ln.split()
+        if len(fields) > 2:
+            raise ValueError(f"line {no}: extra field {fields[2]!r} after the pair")
+        if len(fields) < 2:
+            raise ValueError(f"line {no}: pair {ln!r} has no second label")
+        pair = (_integer(fields[0], no, "label"), _integer(fields[1], no, "label"))
         for label in pair:
             if not 1 <= label <= n:
                 raise ValueError(f"line {no}: label {label} is outside 1..{n}")
         pairs.append((pair[0] - 1, pair[1] - 1))
     return FinitePoset.from_relation(n, pairs)
+
+
+def _integer(field: str, no: int, what: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"line {no}: {what} {field!r} is not an integer") from None
 
 
 def format_poset(p: FinitePoset) -> str:

@@ -208,11 +208,18 @@ def test_criterion_11_growth():
 
 
 def _height_report(r: dict) -> str:
-    # disjoint z**(boundary+1) fragments of period period_len fit at most
-    # this many times into the longest swept word
+    # a height counts disjoint z**(boundary+1) fragments with pairwise
+    # distinct period classes: no more than there are primitive classes
+    # of length period_len, nor than fit into the longest swept word
+    classes = len(dv.primitive_cycle_classes(r["period_len"], Alphabet(r["l"])))
     reach = r["max_len"] // (r["period_len"] * (r["boundary"] + 1))
-    scope = "vacuous" if reach == 0 else f"length {r['max_len']} allows at most {reach}"
-    return f"period {r['period_len']} max {r['max_height']} <= {r['bound']} ({scope})"
+    cap = min(classes, reach)
+    scope = "vacuous, " if reach == 0 else ""
+    scope += "cannot fail" if cap <= r["bound"] else "can fail"
+    return (
+        f"period {r['period_len']} max {r['max_height']} <= {r['bound']} "
+        f"(cap {cap}: class count {classes}, length {r['max_len']} fits {reach}; {scope})"
+    )
 
 
 def test_criterion_12_selective_heights_and_edges():

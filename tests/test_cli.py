@@ -84,6 +84,34 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == f"error: line 2: label {label} is outside 1..2\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\n1 2 3\n", "line 2: extra field '3' after the pair"),
+            ("2\n1\n", "line 2: pair '1' has no second label"),
+            ("2\n1 x\n", "line 2: label 'x' is not an integer"),
+            ("x\n", "line 1: size 'x' is not an integer"),
+            ("-1\n", "line 1: size -1 is negative"),
+        ],
+    )
+    def test_posets_malformed_line(self, text, message, tmp_path, capsys):
+        path = tmp_path / "poset.txt"
+        path.write_text(text)
+        code, out = run_cli("posets", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("period, n", [(1, 3), (4, 3), (2, 2)])
+    def test_corpus_without_a_default_bound(self, period, n, capsys):
+        code, out = run_cli(
+            "selective", "--corpus", "--l", "2", "--n", str(n), "--max-len", "6",
+            "--period", str(period),
+        )
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: no default bound for period {period} at n = {n}; give --bound\n"
+        )
+
     def test_enumerate_cap(self, capsys):
         code, out = run_cli("count", "--n", "10", "--k", "2", "--method", "enumerate")
         assert (code, out) == (2, "")
@@ -260,6 +288,37 @@ class TestSubcommandSurfaces:
         code, out = run_cli("selective", "--edges", "--n", "4", "--l", "12", "--format", "jsonl")
         rec = json.loads(out)
         assert rec["count"] == rec["alpha"] == 4
+
+    def test_selective_corpus_readme_bytes(self):
+        code, out = run_cli(
+            "selective", "--corpus", "--l", "2", "--n", "3", "--max-len", "12",
+            "--period", "2", "--bound", "3",
+        )
+        assert (code, out) == (0, (
+            "kind    l  n  max_len  period_len  boundary  scanned  excluded  max_height  bound  ok\n"
+            "corpus  2  3  12       2           6         8190     0         0           3      true\n"
+        ))
+
+    @pytest.mark.parametrize(
+        "l, n, max_len, period, bound, scanned, excluded, height",
+        [
+            # the stated ceilings: (2l-1)(n-1)(n-2)/2 for period 2, twice that for 3
+            (2, 3, 14, 2, 3, 32766, 0, 1),
+            (2, 3, 10, 3, 6, 1902, 144, 0),
+            (3, 3, 6, 2, 5, 1072, 20, 0),
+            (2, 4, 8, 2, 9, 510, 0, 0),
+        ],
+    )
+    def test_selective_corpus_default_bound(
+        self, l, n, max_len, period, bound, scanned, excluded, height
+    ):
+        argv = ["selective", "--corpus", "--l", str(l), "--n", str(n),
+                "--max-len", str(max_len), "--period", str(period), "--format", "jsonl"]
+        code, out = run_cli(*argv)
+        rec = json.loads(out)
+        assert code == 0 and rec["bound"] == bound and rec["ok"] is True
+        assert (rec["scanned"], rec["excluded"], rec["max_height"]) == (scanned, excluded, height)
+        assert run_cli(*argv, "--bound", str(bound)) == (code, out)
 
     def test_posets_file(self, tmp_path):
         path = tmp_path / "poset.txt"

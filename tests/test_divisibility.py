@@ -622,12 +622,47 @@ class TestSelectiveHeights:
         report = selective_corpus_check(l, n, max_len, period_len, 1)
         assert report == reference_corpus_check(l, n, max_len, period_len, 1)
 
+    @pytest.mark.parametrize(
+        "l,n,max_len,period_len,report",
+        [
+            # criterion 12's period-3 cell and the l = 3 cell past the sweep ladder
+            (2, 3, 14, 3, (16475, 16291, 0)),
+            (3, 3, 9, 2, (21663, 7860, 0)),
+        ],
+    )
+    def test_corpus_walk_pinned_reports(self, l, n, max_len, period_len, report):
+        r = selective_corpus_check(l, n, max_len, period_len, 1)
+        assert (r["scanned"], r["excluded"], r["max_height"]) == report
+
+    def test_head_chain_against_strong_blocks_at_every_child(self, monkeypatch):
+        # every child the walk tests is excluded by the head table exactly
+        # when some suffix of it has a strong division by _strong_blocks
+        head_chain = divisibility._head_chain
+        checked = divisible = 0
+        for l, top in ((2, 10), (3, 7)):
+            for n, t, max_len in itertools.product(range(1, 5), range(1, 4), range(1, top + 1)):
+                heads = [z for z in itertools.product(range(1, l + 1), repeat=t) if is_primitive(z)]
+
+                def checked_chain(ls, chains, rank, t, n=n, heads=heads):
+                    nonlocal checked, divisible
+                    entry = head_chain(ls, chains, rank, t)
+                    starts = range(len(ls) - n * t + 1)
+                    old = any(divisibility._strong_blocks(ls, n, heads, s) is not None for s in starts)
+                    assert (entry[1] >= n) == old, (ls, n, t)
+                    checked += 1
+                    divisible += old
+                    return entry
+
+                monkeypatch.setattr(divisibility, "_head_chain", checked_chain)
+                selective_corpus_check(l, n, max_len, t, 1)
+        assert (checked, divisible) == (23283, 4797)
+
     def test_corpus_walk_measures_words_with_all_extensions_excluded(self, monkeypatch):
         # with every word of length >= 6 counted as divisible, the
         # maximal scanned words are the 32 words of length 5, and aaaaa
         # holds one z**5 fragment of period 1
         monkeypatch.setattr(
-            divisibility, "_strong_blocks", lambda ls, n, heads, start: [] if len(ls) >= 6 else None
+            divisibility, "_head_chain", lambda ls, chains, rank, t: (0, 9 if len(ls) >= 6 else 0)
         )
         report = selective_corpus_check(2, 2, 8, 1, 1)
         assert (report["scanned"], report["excluded"], report["max_height"]) == (62, 448, 1)

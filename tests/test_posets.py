@@ -304,5 +304,21 @@ class TestExchangeFormat:
             parse_poset(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\n1 2 3\n", "line 2: extra field '3' after the pair"),
+            ("2\n\n1\n", "line 3: pair '1' has no second label"),
+            ("2\n1 x\n", "line 2: label 'x' is not an integer"),
+            ("3\n1 2\n2.0 3\n", "line 3: label '2.0' is not an integer"),
+            ("x\n1 2\n", "line 1: size 'x' is not an integer"),
+            ("\n-1\n", "line 2: size -1 is negative"),
+        ],
+    )
+    def test_malformed_lines_are_named(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_poset(text)
+        assert str(info.value) == message
+
     def test_labels_at_the_ends(self):
         assert parse_poset("3\n1 3\n").above == FinitePoset.from_relation(3, [(0, 2)]).above
