@@ -584,19 +584,35 @@ def _complexity_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(n=10)
 
 
+def _mechanical_fields(text: str) -> tuple:
+    """(slope, intercept, length) of --mechanical SLOPE,INTERCEPT,LENGTH."""
+    from fractions import Fraction
+
+    fields = text.split(",")
+    if len(fields) != 3:
+        raise ValueError(
+            f"--mechanical {text!r} needs the 3 fields SLOPE,INTERCEPT,LENGTH, not {len(fields)}"
+        )
+    out = []
+    for name, field, kind in zip(("SLOPE", "INTERCEPT", "LENGTH"), fields, (Fraction, Fraction, int)):
+        try:
+            out.append(kind(field))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in --mechanical {text}") from None
+        except ValueError:
+            what = "an integer" if kind is int else "a fraction"
+            raise ValueError(
+                f"--mechanical SLOPE,INTERCEPT,LENGTH: {name} {field!r} is not {what}"
+            ) from None
+    return tuple(out)
+
+
 def _cmd_complexity(args) -> list[dict]:
     from . import growth as gr
 
     if args.mechanical is not None:
-        from fractions import Fraction
-
-        slope, rho, length = args.mechanical.split(",")
-        try:
-            alpha, intercept = Fraction(slope), Fraction(rho)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in --mechanical {args.mechanical}") from None
-        w = gr.mechanical_word(alpha, intercept, int(length))
-        source = f"mechanical({slope},{rho})"
+        w = gr.mechanical_word(*_mechanical_fields(args.mechanical))
+        source = f"mechanical({args.mechanical.rsplit(',', 1)[0]})"
     else:
         w = _word_arg(args.word, args.l)
         source = format_word(w)

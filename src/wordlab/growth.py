@@ -7,6 +7,11 @@ the longest forbidden word) and overlap edges whose (m+1)-letter merge
 is allowed; growth is exponential exactly when some vertex lies on two
 distinct cycles, and otherwise polynomial with degree equal to the
 most cycles any path through the cycle condensation can visit.
+
+Factor complexity sorts the word's windows once: the factors of length
+k are counted by how many sorted neighbours share a prefix of k
+letters.  Balance is decided on the palindromic tree: a binary word is
+unbalanced iff some palindrome u has both aua and bub as factors.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import iv_log2
-from .words import Alphabet, Word, format_word, parse_word
+from .words import Alphabet, Word, _pack, format_word, parse_word
 
 
 @dataclass(frozen=True)
@@ -265,23 +270,85 @@ def gk_dimension_estimate(spec: MonomialAlgebraSpec, n: int) -> Fraction:
 
 
 def complexity_function(w: Word, n: int) -> list[int]:
-    """p_w(1..n): distinct factors of each length."""
+    """p_w(1..n): distinct factors of each length.
+
+    With m = min(n, |w|), every start i gives one window of m letters,
+    padded past the end with zero letters, which sort below every real
+    letter.  Windows from different starts then share a prefix of at
+    most the shorter real length, so after one sort the factors of
+    length k <= m form runs of neighbours sharing at least k letters:
+
+        p(k) = (|w| - k + 1) - #{sorted neighbours sharing >= k letters},
+
+    and p(k) = 0 for k > |w|.  The windows are packed (`words._pack`) and
+    read as equal-length integers, whose order is the letter order, so
+    two neighbours a, b share m - ceil(bitlen(a ^ b) / (8 * width))
+    letters: O(|w| * m) byte work in C and one O(|w|) Python pass.
+    """
     ls = w.letters
-    out = []
-    for k in range(1, n + 1):
-        out.append(len({ls[i : i + k] for i in range(len(ls) - k + 1)}))
+    L = len(ls)
+    m = min(n, L)
+    if m < 1:
+        return [0] * max(n, 0)
+    packed, width = _pack(ls)
+    span = m * width
+    padded = packed + bytes(span)
+    keys = sorted(
+        int.from_bytes(padded[i : i + span], "big") for i in range(0, L * width, width)
+    )
+    bits = 8 * width
+    shared = [0] * (m + 1)  # shared[j]: sorted neighbours with exactly j letters in common
+    for a, b in itertools.pairwise(keys):
+        shared[m - -(-(a ^ b).bit_length() // bits)] += 1
+    out = [0] * n
+    at_least = 0
+    for k in range(m, 0, -1):
+        at_least += shared[k]
+        out[k - 1] = L - k + 1 - at_least
     return out
 
 
 def is_balanced(w: Word) -> bool:
-    """Any two equal-length factors carry 'b' counts differing by at most 1."""
+    """Any two equal-length factors carry 'b' counts differing by at most 1.
+
+    A binary word is unbalanced iff some palindrome u has both aua and
+    bub as factors (Lothaire, Algebraic Combinatorics on Words,
+    Prop. 2.1.3; the converse is immediate, as aua and bub have equal
+    length and 'b' counts two apart).  The palindromic tree (eertree)
+    has one node per distinct palindromic factor, and node u has the
+    child x exactly when xux is a factor.  It is built letter by letter,
+    in O(|w|) amortised steps, and the word is unbalanced as soon as a
+    node of length >= 0 gets its second child.
+    """
     if w.alphabet.size > 2:
         raise ValueError("balance is defined over a two-letter alphabet")
-    prefix = [0, *itertools.accumulate(x == 2 for x in w.letters)]
-    for k in range(1, len(w) + 1):
-        counts = [b - a for a, b in zip(prefix, prefix[k:])]
-        if max(counts) - min(counts) > 1:
+    ls = w.letters
+    # node 0 is the root of length -1, node 1 the empty palindrome
+    length = [-1, 0]
+    link = [0, 0]
+    child = [[0, 0, 0], [0, 0, 0]]  # child[v][x]: node of x v x, 0 if none
+    last = 1  # the longest palindromic suffix of the prefix read so far
+    for i, x in enumerate(ls):
+        v = last
+        while i - length[v] - 1 < 0 or ls[i - length[v] - 1] != x:
+            v = link[v]
+        kids = child[v]
+        if kids[x]:
+            last = kids[x]
+            continue
+        if length[v] < 0:
+            suffix = 1
+        elif kids[3 - x]:
             return False
+        else:
+            u = link[v]
+            while i - length[u] - 1 < 0 or ls[i - length[u] - 1] != x:
+                u = link[u]
+            suffix = child[u][x]
+        last = kids[x] = len(length)
+        length.append(length[v] + 2)
+        link.append(suffix)
+        child.append([0, 0, 0])
     return True
 
 

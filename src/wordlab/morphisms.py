@@ -99,7 +99,12 @@ def _repetition(w: Word, e: int) -> RepetitionOccurrence | None:
 
 
 def square_free_words(alphabet: Alphabet, max_len: int):
-    """All square-free words of length 1..max_len, by pruned extension."""
+    """All square-free words of length 1..max_len, by pruned extension.
+
+    A child is pruned when it ends with a square (`words._power_suffix`).
+    """
+    if max_len < 1:
+        return
     stack = [(x,) for x in reversed(list(alphabet.letters()))]
     while stack:
         ls = stack.pop()

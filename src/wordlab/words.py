@@ -181,6 +181,17 @@ def find_period_power(w: Word, d: int) -> PeriodOccurrence | None:
     return PeriodOccurrence(Word(w.letters[start : start + p], w.alphabet), start + 1, d)
 
 
+def _pack(ls: Sequence[int]) -> tuple[bytes, int]:
+    """(packed, width): the nonempty ls with each letter `width` bytes big-endian.
+
+    `width` is the fewest bytes that hold the largest letter, so byte
+    order on equal-length packings is the letter-wise lexicographic order.
+    """
+    width = (max(ls).bit_length() + 7) // 8
+    packed = bytes(ls) if width == 1 else b"".join(x.to_bytes(width, "big") for x in ls)
+    return packed, width
+
+
 def _first_power(ls: tuple[int, ...], e: int, leftmost: bool) -> tuple[int, int] | None:
     """(0-based start, root length) of an occurrence of z**e in ls, or None.
 
@@ -199,8 +210,7 @@ def _first_power(ls: tuple[int, ...], e: int, leftmost: bool) -> tuple[int, int]
     n = len(ls)
     if n < e:
         return None
-    width = (max(ls).bit_length() + 7) // 8
-    packed = bytes(ls) if width == 1 else b"".join(x.to_bytes(width, "big") for x in ls)
+    packed, width = _pack(ls)
     X = int.from_bytes(packed, "big")
     size = n * width
     best = None
@@ -257,10 +267,17 @@ def _root_length(ls: tuple[int, ...]) -> int:
 
 
 def _power_suffix(ls: tuple[int, ...], e: int) -> bool:
-    """True iff ls ends with some z**e, z nonempty."""
+    """True iff ls ends with some z**e, z nonempty, for e >= 2.
+
+    A suffix z**e with |z| = p repeats the last letter p places earlier,
+    so only the periods that pass that one-letter test compare slices.
+    """
     L = len(ls)
+    if L < e:
+        return False
+    last = ls[-1]
     for p in range(1, L // e + 1):
-        if ls[L - e * p : L - p] == ls[L - (e - 1) * p :]:
+        if ls[-1 - p] == last and ls[L - e * p : L - p] == ls[L - (e - 1) * p :]:
             return True
     return False
 

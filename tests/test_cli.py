@@ -66,6 +66,23 @@ class TestExitCodes:
         code, out = run_cli(*argv)
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1/2,0", "--mechanical '1/2,0' needs the 3 fields SLOPE,INTERCEPT,LENGTH, not 2"),
+            ("1/2,0,5,7", "--mechanical '1/2,0,5,7' needs the 3 fields SLOPE,INTERCEPT,LENGTH, not 4"),
+            ("x,0,5", "--mechanical SLOPE,INTERCEPT,LENGTH: SLOPE 'x' is not a fraction"),
+            ("1/2,,5", "--mechanical SLOPE,INTERCEPT,LENGTH: INTERCEPT '' is not a fraction"),
+            ("1/2,0,x", "--mechanical SLOPE,INTERCEPT,LENGTH: LENGTH 'x' is not an integer"),
+            ("1/0,0,10", "zero denominator in --mechanical 1/0,0,10"),
+            ("0,1/0,3", "zero denominator in --mechanical 0,1/0,3"),
+        ],
+    )
+    def test_mechanical_malformed(self, text, message, capsys):
+        code, out = run_cli("complexity", "--mechanical", text)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_posets_size_message(self, capsys):
         code, out = run_cli("posets", "--random", "3", "--size", "0")
         assert (code, out) == (2, "")
@@ -358,6 +375,14 @@ class TestSubcommandSurfaces:
         code, out = run_cli("complexity", "--word", "ababab", "--n", "4", "--format", "jsonl")
         lines = [json.loads(line) for line in out.splitlines()]
         assert [r["p"] for r in lines[:-1]] == [2, 2, 2, 2]
+
+    def test_complexity_long_mechanical_word(self):
+        # a 20,000-letter Sturmian prefix: p(n) = n + 1 and balanced
+        code, out = run_cli("complexity", "--mechanical", "89/144,0,20000", "--n", "200", "--format", "jsonl")
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and lines[0]["word"] == "mechanical(89/144,0)"
+        assert [r["p"] for r in lines[:-1]] == [min(k + 1, 144) for k in range(1, 201)]
+        assert lines[-1] == {"word": "mechanical(89/144,0)", "n": "balanced", "p": True}
 
 
 class TestStartup:

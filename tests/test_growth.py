@@ -1,7 +1,9 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wordlab.growth import (
     GrowthClass,
@@ -116,6 +118,29 @@ def reference_is_balanced(w):
     return True
 
 
+def prefix_sum_is_balanced(w):
+    """The O(n**2) check the palindromic tree replaced: one prefix-sum pass
+    per factor length, for inputs too long for `reference_is_balanced`."""
+    prefix = [0, *itertools.accumulate(x == 2 for x in w.letters)]
+    for k in range(1, len(w) + 1):
+        counts = [b - a for a, b in zip(prefix, prefix[k:])]
+        if max(counts) - min(counts) > 1:
+            return False
+    return True
+
+
+def reference_complexity_function(w, n):
+    """The set-of-slices count the window sort replaced."""
+    ls = w.letters
+    return [len({ls[i : i + k] for i in range(len(ls) - k + 1)}) for k in range(1, n + 1)]
+
+
+def _flip(w, i):
+    ls = list(w.letters)
+    ls[i] = 3 - ls[i]
+    return Word(tuple(ls), A2)
+
+
 class TestComplexity:
     def test_fibonacci_prefix(self):
         fib = iterate(fibonacci_morphism(), "a", 10)
@@ -141,6 +166,65 @@ class TestComplexity:
         for end in range(0, len(fib), 5):
             unbalanced = fib[0:end] + word("bb")
             assert is_balanced(unbalanced) == reference_is_balanced(unbalanced)
+
+    def test_balance_against_prefix_sums(self):
+        for n in range(15):
+            for ls in itertools.product((1, 2), repeat=n):
+                w = Word(ls, A2)
+                assert is_balanced(w) == prefix_sum_is_balanced(w), ls
+        assert is_balanced(Word((1,), Alphabet(1))) and is_balanced(Word((1, 1, 1), Alphabet(1)))
+        assert is_balanced(Word((1,), A2)) and is_balanced(Word((2,), A2))
+        rng = random.Random(13)
+        unbalanced = 0
+        for _ in range(400):
+            b = rng.randint(1, 60)
+            alpha = Fraction(rng.randint(0, b), b)
+            w = mechanical_word(alpha, Fraction(rng.randint(0, 7), 8), rng.randint(1, 300))
+            assert is_balanced(w) and prefix_sum_is_balanced(w)
+            flipped = _flip(w, rng.randrange(len(w)))
+            assert is_balanced(flipped) == prefix_sum_is_balanced(flipped), (w, flipped)
+            unbalanced += not is_balanced(flipped)
+        assert unbalanced > 200  # the flips do exercise the False answer
+
+    def test_balance_rejects_three_letters(self):
+        with pytest.raises(ValueError):
+            is_balanced(word("abc"))
+
+    def test_complexity_all_short_binary_words(self):
+        for length in range(13):
+            for ls in itertools.product((1, 2), repeat=length):
+                w = Word(ls, A2)
+                ref = reference_complexity_function(w, 14)
+                for n in range(15):
+                    assert complexity_function(w, n) == ref[:n], (ls, n)
+
+    def test_complexity_edge_lengths(self):
+        w = word("abaababaab")
+        assert complexity_function(w, 0) == [] == complexity_function(w, -3)
+        assert complexity_function(Word((), A2), 3) == [0, 0, 0]
+        assert complexity_function(w, 13) == reference_complexity_function(w, 13)
+        assert complexity_function(w, 13)[10:] == [0, 0, 0]
+        assert complexity_function(word("aaaa"), 6) == [1, 1, 1, 1, 0, 0]
+
+    @pytest.mark.parametrize("size", [255, 256, 300, 70_000])
+    def test_complexity_wide_letters(self, size):
+        # letters above 255 pack into two or three bytes
+        rng = random.Random(size)
+        alphabet = Alphabet(size)
+        pool = [1, 2, size - 1, size] + [rng.randint(1, size) for _ in range(4)]
+        w = Word(tuple(rng.choice(pool) for _ in range(120)), alphabet)
+        for n in (1, 2, 5, 40, 120, 123):
+            assert complexity_function(w, n) == reference_complexity_function(w, n)
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda l: st.lists(st.integers(1, l), max_size=60).map(lambda ls: (l, ls))
+        ),
+        st.integers(-2, 65),
+    )
+    def test_complexity_random_words(self, lw, n):
+        w = Word(tuple(lw[1]), Alphabet(lw[0]))
+        assert complexity_function(w, n) == reference_complexity_function(w, n)
 
     def test_mechanical_word_sturmian_shape(self):
         w = mechanical_word(Fraction(89, 144), Fraction(0), 120)

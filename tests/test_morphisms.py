@@ -56,6 +56,20 @@ class TestApplication:
             iterate(thue_morse_morphism(), "a", 25)
 
 
+def reference_square_free_words(l, max_len):
+    """The walk before the last-letter filter: every period's slices compared."""
+    stack = [(x,) for x in range(l, 0, -1)]
+    while stack:
+        ls = stack.pop()
+        yield ls
+        if len(ls) < max_len:
+            for x in range(l, 0, -1):
+                cand = ls + (x,)
+                n = len(cand)
+                if not any(cand[n - 2 * p : n - p] == cand[n - p :] for p in range(1, n // 2 + 1)):
+                    stack.append(cand)
+
+
 class TestRepetitions:
     def test_square_found(self):
         occ = has_square(word("abab"))
@@ -78,6 +92,16 @@ class TestRepetitions:
         for w in square_free_words(A3, 12):
             counts[len(w) - 1] += 1
         assert counts == [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264]
+
+    @pytest.mark.parametrize("l, max_len", [(1, 4), (2, 6), (3, 13), (4, 8)])
+    def test_square_free_walk_matches_reference(self, l, max_len):
+        alphabet = Alphabet(l)
+        got = [w.letters for w in square_free_words(alphabet, max_len)]
+        assert got == list(reference_square_free_words(l, max_len))
+
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_square_free_no_positive_length(self, max_len):
+        assert list(square_free_words(A3, max_len)) == []
 
     def test_square_free_binary_stops_at_three(self):
         got = sorted(format_word(w) for w in square_free_words(A2, 10))

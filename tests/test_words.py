@@ -11,6 +11,7 @@ from wordlab.words import (
     PeriodOccurrence,
     Word,
     _first_power,
+    _power_suffix as power_suffix,
     all_words,
     canonical_rotation,
     conjugate_classes,
@@ -398,3 +399,19 @@ def _power_suffix(ls, d):
         if ls[n - zlen * d :] == ls[n - zlen :] * d:
             return True
     return False
+
+
+class TestPowerSuffix:
+    """`words._power_suffix` against the reference `_power_suffix` above."""
+
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_all_short_words(self, e):
+        for l, max_len in ((2, 12), (3, 8)):
+            for n in range(max_len + 1):
+                for ls in itertools.product(range(1, l + 1), repeat=n):
+                    assert power_suffix(ls, e) == _power_suffix(ls, e), (ls, e)
+
+    @given(st.lists(st.integers(1, 2), max_size=60), st.integers(2, 4))
+    def test_random_words(self, lv, e):
+        ls = tuple(lv)
+        assert power_suffix(ls, e) == _power_suffix(ls, e)
