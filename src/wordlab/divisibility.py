@@ -7,17 +7,23 @@ order; tail-sense divisibility asks for n suffixes with increasing
 start positions and strictly decreasing order; the strong sense asks
 for blocks tiling a suffix, each opening with a power of a distinct
 declared period.
+
+The tail sense is one permutation, _suffix_ranks: with a sentinel
+letter above the alphabet closing each suffix, tail i > tail j for
+starts i < j exactly when rank(i) > rank(j), so a tail n-division is a
+decreasing subsequence of n ranks and the tail poset their permutation poset.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .bounds import alpha_lower
-from .posets import FinitePoset, max_antichain, min_chain_cover
+from .posets import FinitePoset, max_antichain, min_chain_cover, permutation_poset
 from .words import (
     THETA,
     Alphabet,
@@ -106,7 +112,9 @@ def is_n_divisible(
     d: int | None = None,
     min_power: int = 1,
 ) -> DivisibilityWitness | None:
-    """Search for an n-division of w in the requested sense."""
+    """Search for an n-division of w in the requested sense.  In the
+    tail sense with d given, only tails starting in the first
+    floor(|w|/d) positions count."""
     sense = Sense(sense) if not isinstance(sense, Sense) else sense
     if n < 1:
         raise ValueError("n must be positive")
@@ -175,31 +183,50 @@ def _ordinary_witness(ls: tuple[int, ...], n: int) -> DivisibilityWitness | None
     return DivisibilityWitness(Sense.ORDINARY, tuple((s + 1, e) for s, e in zip(starts, ends)))
 
 
+def _suffix_ranks(ls: tuple[int, ...], limit: int) -> list[int]:
+    """1-based ranks of the suffixes ls[i:], i < limit, sorted as
+    ls[i:] + (top,) with the sentinel top = max(ls) + 1.
+
+    For i < j, tail i is greater than tail j (comparable, and larger at
+    their first mismatch) exactly when rank(i) > rank(j).  A mismatch
+    orders both alike.  Else ls[j:] is a prefix of ls[i:]: the tails are
+    incomparable, and the sentinel ranks ls[j:] higher, so no descent."""
+    closed = ls + (max(ls, default=0) + 1,)
+    ranks = [0] * limit
+    for r, i in enumerate(sorted(range(limit), key=lambda i: closed[i:]), 1):
+        ranks[i] = r
+    return ranks
+
+
 def _tail_witness(w: Word, n: int, d: int | None) -> DivisibilityWitness | None:
+    """The least list of n starts whose tails strictly decrease, or None.
+
+    One right-to-left patience pass over _suffix_ranks gives reach[i],
+    the most starts in a decreasing chain opening at i.  The chain is
+    read back greedily: the first start whose reach is >= n, then each
+    time the first later start of lower rank whose reach covers the rest.
+    """
     ls = w.letters
     L = len(ls)
     limit = L // d if d else L
-    if limit < n:
+    ranks = _suffix_ranks(ls, limit)
+    reach = [0] * limit
+    piles = [limit + 1] * limit  # piles[k]: least rank opening a chain of k + 1 starts
+    for i in range(limit - 1, -1, -1):
+        k = bisect_left(piles, ranks[i])
+        piles[k] = ranks[i]
+        reach[i] = k + 1
+    if max(reach, default=0) < n:
         return None
-    suffixes = [ls[i:] for i in range(limit)]
     chain: list[int] = []
-
-    def grow(i: int) -> bool:
+    i, below = -1, limit + 1
+    for left in range(n, 0, -1):
+        i += 1
+        while ranks[i] > below or reach[i] < left:
+            i += 1
         chain.append(i)
-        if len(chain) == n:
-            return True
-        for j in range(i + 1, limit):
-            if lex_compare_letters(suffixes[i], suffixes[j]) is Cmp.GREATER:
-                if grow(j):
-                    return True
-        chain.pop()
-        return False
-
-    for i0 in range(limit):
-        chain.clear()
-        if grow(i0):
-            return DivisibilityWitness(Sense.TAIL, tuple((i + 1, L) for i in chain))
-    return None
+        below = ranks[i]
+    return DivisibilityWitness(Sense.TAIL, tuple((i + 1, L) for i in chain))
 
 
 def _strong_witness(
@@ -485,30 +512,32 @@ def dilworth_tail_coloring(
     """Minimum chain cover of the tail poset (lex order and left-to-right).
 
     With d given, only tails starting in the first floor(|w|/d)
-    positions are colored; they must be pairwise comparable.
+    positions are colored; they must be pairwise comparable.  The poset
+    is the permutation poset of _suffix_ranks, so the cover has as many
+    chains as the ranks' longest decreasing subsequence (Dilworth 1950,
+    Greene 1974): the largest n for which w is tail-n-divisible at d.
     """
     if d is not None and d < 1:
         raise ValueError("d must be positive")
-    L = len(w)
+    ls = w.letters
+    L = len(ls)
     limit = L // d if d else L
-    positions = tuple(range(1, limit + 1))
-    suffixes = {i: w.letters[i - 1 :] for i in positions}
-    pairs = []
-    for a, b in itertools.combinations(positions, 2):
-        cmp = lex_compare_letters(suffixes[a], suffixes[b])
-        if cmp is Cmp.INCOMPARABLE:
-            raise IncomparableTailsError(
-                f"tails at positions {a} and {b} are prefix-incomparable"
-            )
-        if cmp is Cmp.LESS:
-            pairs.append((a - 1, b - 1))
-    poset = FinitePoset.from_relation(limit, pairs)
-    chains = min_chain_cover(poset)
+    # tail a + p is a prefix of tail a from the first a where ls and ls
+    # shifted by p agree to the end; the least such pair clashes first
+    clashes = []
+    for p in range(1, limit):
+        a = L - p
+        while a and ls[a - 1] == ls[a - 1 + p]:
+            a -= 1
+        if a + p < limit:
+            clashes.append((a + 1, a + p + 1))
+    if clashes:
+        a, b = min(clashes)
+        raise IncomparableTailsError(f"tails at positions {a} and {b} are prefix-incomparable")
+    chains = min_chain_cover(permutation_poset(_suffix_ranks(ls, limit)))
     if len(chains) > n_colors_cap:
-        raise ChainCapExceededError(
-            f"{len(chains)} chains exceed the cap of {n_colors_cap}"
-        )
-    return TailColoring(w, positions, tuple(tuple(i + 1 for i in c) for c in chains))
+        raise ChainCapExceededError(f"{len(chains)} chains exceed the cap of {n_colors_cap}")
+    return TailColoring(w, tuple(range(1, limit + 1)), tuple(tuple(i + 1 for i in c) for c in chains))
 
 
 def snapshot_stability(tc: TailColoring, p: int) -> int:
@@ -624,20 +653,13 @@ def _candidate_run(
     return (start, end, min(z[r:] + z[:r] for r in range(t)))
 
 
-def _candidate_runs(
-    ls: tuple[int, ...], period_len: int, boundary: int
-) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Minimal z**(boundary+1) occurrences as (start, end, class key), 0-based."""
-    runs = (_candidate_run(ls, end, period_len, boundary) for end in range(len(ls) + 1))
-    return [run for run in runs if run is not None]
-
-
 def small_selective_height(w: Word, period_len: int, boundary: int) -> int:
     """Most disjoint z**m fragments, m > boundary, with pairwise distinct
     period conjugacy classes."""
     if period_len < 1 or boundary < 1:
         raise ValueError("need period_len >= 1 and boundary >= 1")
-    return _selection_height(_candidate_runs(w.letters, period_len, boundary))
+    runs = (_candidate_run(w.letters, end, period_len, boundary) for end in range(len(w) + 1))
+    return _selection_height([run for run in runs if run is not None])
 
 
 def _selection_height(cands: Sequence[tuple[int, int, tuple[int, ...]]]) -> int:
@@ -743,18 +765,10 @@ class CodingClass:
 
 
 def coding_poset(c: CodingClass) -> FinitePoset:
-    items = [
-        (i, j, c.word(i, j).letters)
-        for i in range(1, len(c.cycles) + 1)
-        for j in range(1, c.length + 1)
+    items = [(i, c.word(i, j).letters) for i in range(1, len(c.cycles) + 1) for j in range(1, c.length + 1)]
+    pairs = [
+        (a, b) for a, (ia, wa) in enumerate(items) for b, (ib, wb) in enumerate(items) if ia < ib and wa < wb
     ]
-    pairs = []
-    for a in range(len(items)):
-        for b in range(len(items)):
-            ia, _, wa = items[a]
-            ib, _, wb = items[b]
-            if ia < ib and wa < wb:
-                pairs.append((a, b))
     return FinitePoset.from_relation(len(items), pairs)
 
 
@@ -987,18 +1001,10 @@ def selective_corpus_check(
                 worst = max(worst, _selection_height(child_runs))
         if maximal and runs:
             worst = max(worst, _selection_height(runs))
-    return {
-        "l": l,
-        "n": n,
-        "max_len": max_len,
-        "period_len": period_len,
-        "boundary": boundary,
-        "scanned": scanned,
-        "excluded": excluded,
-        "max_height": worst,
-        "bound": bound,
-        "ok": worst <= bound,
-    }
+    return dict(
+        l=l, n=n, max_len=max_len, period_len=period_len, boundary=boundary,
+        scanned=scanned, excluded=excluded, max_height=worst, bound=bound, ok=worst <= bound,
+    )
 
 
 def coding_corpus_check(t_max: int, l: int, n_max: int) -> dict:
@@ -1036,13 +1042,7 @@ def coding_corpus_check(t_max: int, l: int, n_max: int) -> dict:
                 if light:
                     pad_light += 1
                     ok = ok and padded_width < (1 << s) * (n - 1) + 1
-    return {
-        "t_max": t_max,
-        "l": l,
-        "n_max": n_max,
-        "recode_checked": recode_checked,
-        "recode_light_cases": recode_light,
-        "pad_checked": pad_checked,
-        "pad_light_cases": pad_light,
-        "ok": ok,
-    }
+    return dict(
+        t_max=t_max, l=l, n_max=n_max, recode_checked=recode_checked, recode_light_cases=recode_light,
+        pad_checked=pad_checked, pad_light_cases=pad_light, ok=ok,
+    )

@@ -358,13 +358,12 @@ def mechanical_word(alpha: Fraction, rho: Fraction, length: int) -> Word:
         raise ValueError("slope must lie in [0, 1]")
     if length < 0:
         raise ValueError("length must be >= 0")
-    a2 = Alphabet(2)
-    letters = []
-    for i in range(length):
-        lo = (alpha * i + rho).__floor__()
-        hi = (alpha * (i + 1) + rho).__floor__()
-        letters.append(1 + hi - lo)
-    return Word(tuple(letters), a2)
+    # alpha*i + rho = (p*i + r) / D over one common denominator
+    alpha, rho = Fraction(alpha), Fraction(rho)
+    D = alpha.denominator * rho.denominator
+    p, r = alpha.numerator * rho.denominator, rho.numerator * alpha.denominator
+    floors = [(p * i + r) // D for i in range(length + 1)]
+    return Word(tuple(1 + hi - lo for lo, hi in zip(floors, floors[1:])), Alphabet(2))
 
 
 def parse_algebra_spec(text: str) -> MonomialAlgebraSpec:

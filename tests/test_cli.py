@@ -212,6 +212,12 @@ class TestSpecExamples:
         code, out = run_cli("divide", "--word", "cba", "--n", "3", "--sense", "ordinary")
         assert code == 0 and "c|b|a" in out
 
+    def test_divide_tail_long_alternating_word(self):
+        # (ba)^1500: a tail at an even distance is a prefix of the one before
+        argv = ("divide", "--word", "ba" * 1500, "--n", "1200", "--sense", "tail", "--format", "jsonl")
+        code, out = run_cli(*argv)
+        assert code == 0 and json.loads(out)["divisible"] is False
+
 
 class TestFormats:
     def test_jsonl_is_parseable(self):

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wordlab import divisibility
 from wordlab.bounds import alpha_lower, beth_bound, psi_bound, psi_log2_bound
@@ -12,6 +13,7 @@ from wordlab.divisibility import (
     DivisibilityWitness,
     IncomparableTailsError,
     Sense,
+    TailColoring,
     coding_corpus_check,
     dilworth_tail_coloring,
     essential_height,
@@ -34,6 +36,7 @@ from wordlab.divisibility import (
     word_height,
 )
 from wordlab.morphisms import thue_morse
+from wordlab.posets import FinitePoset, min_chain_cover
 from wordlab.words import (
     Alphabet,
     Cmp,
@@ -95,6 +98,72 @@ def naive_tail(ls, n):
         ):
             return True
     return False
+
+
+def reference_tail_witness(w, n, d):
+    """Reference tail search: depth first over chains of starts, each
+    later tail compared in full with the one before; the first chain of
+    n starts found is the witness."""
+    ls = w.letters
+    L = len(ls)
+    limit = L // d if d else L
+    if limit < n:
+        return None
+    suffixes = [ls[i:] for i in range(limit)]
+    chain = []
+
+    def grow(i):
+        chain.append(i)
+        if len(chain) == n:
+            return True
+        for j in range(i + 1, limit):
+            if lex_compare_letters(suffixes[i], suffixes[j]) is Cmp.GREATER:
+                if grow(j):
+                    return True
+        chain.pop()
+        return False
+
+    for i0 in range(limit):
+        chain.clear()
+        if grow(i0):
+            return DivisibilityWitness(Sense.TAIL, tuple((i + 1, L) for i in chain))
+    return None
+
+
+def reference_tail_coloring(w, n_colors_cap, d=None):
+    """Reference tail coloring: every pair of tails compared in
+    combinations order, the relation built from the LESS pairs and
+    covered with min_chain_cover."""
+    L = len(w)
+    limit = L // d if d else L
+    positions = tuple(range(1, limit + 1))
+    suffixes = {i: w.letters[i - 1 :] for i in positions}
+    pairs = []
+    for a, b in itertools.combinations(positions, 2):
+        cmp = lex_compare_letters(suffixes[a], suffixes[b])
+        if cmp is Cmp.INCOMPARABLE:
+            raise IncomparableTailsError(f"tails at positions {a} and {b} are prefix-incomparable")
+        if cmp is Cmp.LESS:
+            pairs.append((a - 1, b - 1))
+    chains = min_chain_cover(FinitePoset.from_relation(limit, pairs))
+    if len(chains) > n_colors_cap:
+        raise ChainCapExceededError(f"{len(chains)} chains exceed the cap of {n_colors_cap}")
+    return TailColoring(w, positions, tuple(tuple(i + 1 for i in c) for c in chains))
+
+
+def _coloring_or_error(coloring, w, d):
+    try:
+        return coloring(w, 10**6, d=d)
+    except IncomparableTailsError as e:
+        return str(e)
+
+
+def _exhaustive_words():
+    """Every binary word up to 10 letters and ternary word up to 7."""
+    for alphabet, max_len in ((A2, 10), (A3, 7)):
+        for length in range(max_len + 1):
+            for ls in itertools.product(alphabet.letters(), repeat=length):
+                yield Word(ls, alphabet)
 
 
 def is_primitive(ls):
@@ -337,6 +406,77 @@ class TestWitnesses:
             assert is_nd_reducible(w, n, len(w) + 1) == (witness is not None)
             if witness is not None:
                 validate_witness(w, witness)
+
+
+class TestTailSense:
+    """The suffix-rank tail witness and coloring against the pairwise
+    references, and the sentinel (prefix) case at scale."""
+
+    def test_witness_against_reference_exhaustive(self):
+        for w in _exhaustive_words():
+            for d in (None, 2, 3):
+                for n in range(1, 6):
+                    assert is_n_divisible(w, n, "tail", d=d) == reference_tail_witness(w, n, d), (w, n, d)
+
+    def test_witness_against_reference_seeded(self):
+        rng = random.Random(1950)
+        found = 0
+        for _ in range(300):
+            A = rng.choice((A2, A3))
+            w = Word(tuple(rng.randint(1, A.size) for _ in range(rng.randint(10, 40))), A)
+            for n in (2, 4, 8):
+                got = is_n_divisible(w, n, "tail")
+                assert got == reference_tail_witness(w, n, None), (w, n)
+                found += got is not None
+        assert 100 < found < 900  # both answers occur
+
+    @given(
+        st.lists(st.integers(1, 3), max_size=16),
+        st.integers(1, 6),
+        st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_witness_against_reference_hypothesis(self, letters, n, d):
+        w = Word(tuple(letters), A3)
+        assert is_n_divisible(w, n, "tail", d=d) == reference_tail_witness(w, n, d)
+
+    def test_coloring_against_reference_exhaustive(self):
+        for w in _exhaustive_words():
+            for d in (None, 2):
+                got = _coloring_or_error(dilworth_tail_coloring, w, d)
+                assert got == _coloring_or_error(reference_tail_coloring, w, d), (w, d)
+
+    def test_chain_count_is_longest_tail_division(self):
+        # Dilworth / Greene: the chains of the tail poset number the
+        # longest decreasing subsequence of the suffix ranks
+        rng = random.Random(1974)
+        checked = 0
+        while checked < 60:
+            d = rng.choice((None, 2))
+            body = tuple(rng.randint(1, 2) for _ in range(rng.randint(8, 30)))
+            w = Word(body + (3,) if d is None else body, A3)
+            try:
+                tc = dilworth_tail_coloring(w, 10**6, d=d)
+            except IncomparableTailsError:
+                continue
+            checked += 1
+            n = 0
+            while is_n_divisible(w, n + 1, "tail", d=d) is not None:
+                n += 1
+            assert len(tc.chains) == n, (w, d)
+
+    def test_prefix_tails_never_descend_at_scale(self):
+        # (ba)^400: every tail at an even distance is a prefix of the one
+        # before, so only "b..." over "a..." descends
+        w = Word((2, 1) * 400, A2)
+        assert is_n_divisible(w, 400, "tail") is None
+        assert is_n_divisible(w, 2, "tail").blocks == ((1, 800), (2, 800))
+
+    def test_long_ternary_word_witness(self):
+        rng = random.Random(3000)
+        w = Word(tuple(rng.randint(1, 3) for _ in range(3000)), A3)
+        witness = is_n_divisible(w, 30, "tail")
+        assert witness is not None and len(witness.blocks) == 30
+        validate_witness(w, witness)
 
 
 class TestReducibility:

@@ -249,6 +249,21 @@ class TestComplexity:
         with pytest.raises(ValueError):
             mechanical_word(Fraction(3, 2), Fraction(0), 5)
 
+    def test_mechanical_word_against_fraction_floors(self):
+        def reference(alpha, rho, length):
+            floors = [(alpha * i + rho).__floor__() for i in range(length + 1)]
+            return tuple(1 + hi - lo for lo, hi in zip(floors, floors[1:]))
+
+        rng = random.Random(144)
+        for _ in range(2000):
+            b = rng.randint(1, 60)
+            alpha = Fraction(rng.randint(0, b), b)
+            rho = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+            length = rng.randint(0, 60)
+            assert mechanical_word(alpha, rho, length).letters == reference(alpha, rho, length)
+        w = mechanical_word(Fraction(89, 144), Fraction(0), 20000)
+        assert w.letters == reference(Fraction(89, 144), Fraction(0), 20000)
+
 
 class TestSpecFile:
     def test_round_trip(self):
