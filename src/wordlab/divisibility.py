@@ -17,7 +17,7 @@ decreasing subsequence of n ranks and the tail poset their permutation poset.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -32,7 +32,7 @@ from .words import (
     Word,
     WordCycle,
     _first_power,
-    _power_suffix,
+    _power_blockers,
     _root_length,
     find_period_power,
     format_word,
@@ -349,10 +349,12 @@ def max_nonreducible_length(
     under extension, so pruning at reducible nodes is complete.  Each
     node tests for a d-th power ending at its last letter, and for
     ordinary n-divisibility with the witness search behind
-    is_n_divisible.  Two loud guards instead of silent truncation: a
-    node budget, and a length ceiling that catches configurations whose
-    non-reducible language is infinite (they raise BudgetExceededError
-    quickly).
+    is_n_divisible.  The power test is one lookup: each stack entry
+    carries its word's blocked letters (`words._power_blockers` at d),
+    the last letters that close a d-th power, found once per parent.
+    Two loud guards instead of silent truncation: a node budget, and a
+    length ceiling that catches configurations whose non-reducible
+    language is infinite (they raise BudgetExceededError quickly).
     """
     if l < 1:
         raise ValueError("need at least one letter")
@@ -364,12 +366,12 @@ def max_nonreducible_length(
     nodes = 0
     best_len = 0
     best_word: tuple[int, ...] = ()
-    stack: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    stack: list[tuple[tuple[int, ...], int, set[int]]] = [((), 1, set())]
     while stack:
-        ls, next_letter = stack.pop()
+        ls, next_letter, blocked = stack.pop()
         if next_letter > l:
             continue
-        stack.append((ls, next_letter + 1))
+        stack.append((ls, next_letter + 1, blocked))
         cand = ls + (next_letter,)
         nodes += 1
         if nodes > budget:
@@ -377,7 +379,7 @@ def max_nonreducible_length(
                 f"oracle budget of {budget} nodes exhausted at depth {len(cand)}",
                 nodes,
             )
-        if _power_suffix(cand, d) or _ordinary_witness(cand, n) is not None:
+        if next_letter in blocked or _ordinary_witness(cand, n) is not None:
             continue
         if len(cand) > best_len:
             best_len, best_word = len(cand), cand
@@ -387,7 +389,7 @@ def max_nonreducible_length(
                 " the language looks infinite",
                 nodes,
             )
-        stack.append((cand, 1))
+        stack.append((cand, 1, _power_blockers(cand, d)))
     return OracleResult(n, d, l, best_len, Word(best_word, alphabet), nodes)
 
 
@@ -544,14 +546,27 @@ def snapshot_stability(tc: TailColoring, p: int) -> int:
     """Longest run of positions sharing one snapshot tuple.
 
     Larger p refines the snapshots, so runs can only shorten: the
-    stability is nonincreasing in p.
+    stability is nonincreasing in p.  One pass over the positions keys
+    each by the letters of its snapshot, the same slices that
+    `TailColoring.snapshot` takes, found by bisection on the sorted
+    chains, with None for THETA.
     """
     if not tc.positions:
         return 0
+    ls = tc.host.letters
+    chains = [sorted(chain) for chain in tc.chains]
+
+    def key(i: int) -> tuple:
+        out = []
+        for chain in chains:
+            k = bisect_right(chain, i)
+            out.append(ls[chain[k - 1] - 1 : chain[k - 1] - 1 + p] if k else None)
+        return tuple(out)
+
     best, run = 1, 1
-    prev = tc.snapshot(p, tc.positions[0])
+    prev = key(tc.positions[0])
     for i in tc.positions[1:]:
-        cur = tc.snapshot(p, i)
+        cur = key(i)
         run = run + 1 if cur == prev else 1
         best = max(best, run)
         prev = cur
@@ -898,14 +913,26 @@ def primitive_cycle_classes(t: int, alphabet: Alphabet) -> tuple[WordCycle, ...]
     """All conjugacy classes of primitive length-t words, canonical order.
 
     A primitive word is the representative of its class exactly when it
-    is strictly below each of its proper rotations, so the classes come
-    out in the lexicographic order of their representatives.
+    is strictly below each of its proper rotations: a Lyndon word.
+    Duval's generator (1988; Fredricksen, Kessler and Maiorana) lists
+    the Lyndon words of length at most t in lexicographic order: repeat
+    the current word up to length t, drop its trailing largest letters,
+    and raise the last letter left.
     """
-    return tuple(
-        WordCycle(Word(ls, alphabet), t)
-        for ls in itertools.product(alphabet.letters(), repeat=t)
-        if all(ls < ls[i:] + ls[:i] for i in range(1, t))
-    )
+    if t < 1:
+        raise ValueError("cycle length must be positive")
+    l = alphabet.size
+    out = []
+    w = [1]
+    while w:
+        if len(w) == t:
+            out.append(WordCycle(Word(tuple(w), alphabet), t))
+        w = (w * (t // len(w) + 1))[:t]
+        while w and w[-1] == l:
+            w.pop()
+        if w:
+            w[-1] += 1
+    return tuple(out)
 
 
 def _head_chain(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Alphabet, Word, _first_power, _power_suffix, format_word, parse_word
+from .words import Alphabet, Word, _first_power, _power_blockers, format_word, parse_word
 
 ITERATE_CAP = 10**6
 
@@ -101,20 +101,23 @@ def _repetition(w: Word, e: int) -> RepetitionOccurrence | None:
 def square_free_words(alphabet: Alphabet, max_len: int):
     """All square-free words of length 1..max_len, by pruned extension.
 
-    A child is pruned when it ends with a square (`words._power_suffix`).
+    Depth first, children in letter order.  A square-free word's child
+    ends with a square exactly when its last letter is one that
+    `words._power_blockers` names for the parent, so each parent is
+    scanned once for all of its children, and only the others are pushed.
     """
     if max_len < 1:
         return
-    stack = [(x,) for x in reversed(list(alphabet.letters()))]
+    letters = tuple(reversed(alphabet.letters()))
+    stack = [(x,) for x in letters]
     while stack:
         ls = stack.pop()
-        w = Word(ls, alphabet)
-        yield w
+        yield Word(ls, alphabet)
         if len(ls) < max_len:
-            for x in reversed(list(alphabet.letters())):
-                cand = ls + (x,)
-                if not _power_suffix(cand, 2):
-                    stack.append(cand)
+            blocked = _power_blockers(ls, 2)
+            for x in letters:
+                if x not in blocked:
+                    stack.append(ls + (x,))
 
 
 @dataclass(frozen=True)

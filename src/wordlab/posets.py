@@ -243,12 +243,25 @@ def max_antichain_bruteforce(p: FinitePoset) -> int:
 
 
 def permutation_poset(pi: Sequence[int]) -> FinitePoset:
-    """Intersection of the natural order with the order induced by pi (1-based values)."""
+    """Intersection of the natural order with the order induced by pi (1-based values).
+
+    i < j exactly when i < j as positions and pi[i] < pi[j].  That
+    relation is transitive already, so the rows are built directly:
+    taking the values from the largest down, row i is the set of
+    positions after i that hold a larger value.
+    """
     n = len(pi)
     if sorted(pi) != list(range(1, n + 1)):
         raise ValueError("not a permutation of 1..n")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if pi[i] < pi[j]]
-    return FinitePoset.from_relation(n, pairs)
+    position = [0] * n
+    for i, v in enumerate(pi):
+        position[v - 1] = i
+    above = [0] * n
+    larger = 0  # positions holding a value above the current one
+    for i in reversed(position):
+        above[i] = larger >> (i + 1) << (i + 1)
+        larger |= 1 << i
+    return FinitePoset(n, tuple(above))
 
 
 def canonical_key(p: FinitePoset) -> tuple[int, ...]:

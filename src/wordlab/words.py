@@ -9,6 +9,15 @@ Every "is there a z**e here, and where" query (find_period_power here,
 the square and cube scans of `morphisms`, fragment extraction in
 `divisibility`) goes through one letter-level engine, `_first_power`,
 which checks each period for all starts at once on a packed integer.
+Walks that grow words one letter at a time ask instead which letters
+would close a z**e at the end (`_power_blockers`), once per parent for
+all of its children.
+
+A word is regular when it is strictly greater than each of its proper
+rotations: the Lyndon words of the reversed letter order (Chen, Fox and
+Lyndon 1958).  So regularity is Duval's one-pass Lyndon test (1983) with
+the order reversed, and the Shirshov bracketing is one right-to-left
+stack pass that merges regular factors, with no regularity retest.
 """
 
 from __future__ import annotations
@@ -266,20 +275,26 @@ def _root_length(ls: tuple[int, ...]) -> int:
     return n
 
 
-def _power_suffix(ls: tuple[int, ...], e: int) -> bool:
-    """True iff ls ends with some z**e, z nonempty, for e >= 2.
+def _power_blockers(ls: tuple[int, ...], e: int) -> set[int]:
+    """The letters x for which ls + (x,) ends with some z**e, z nonempty, e >= 2.
 
-    A suffix z**e with |z| = p repeats the last letter p places earlier,
-    so only the periods that pass that one-letter test compare slices.
+    With L = |ls|, a suffix z**e of ls + (x,) with |z| = p repeats every
+    one of its last (e-1)*p letters p places earlier.  So the period p
+    blocks exactly the letter x = ls[L-p], and only when
+    ls[L+1-e*p : L-p] == ls[L+1-(e-1)*p : L], for p = 1 .. (L+1)//e.
+    Where those slices are nonempty their last letters must agree,
+    ls[L-p-1] == ls[L-1], and only the periods that pass that one-letter
+    test compare slices.  One call answers the test for every child of ls.
     """
     L = len(ls)
-    if L < e:
-        return False
-    last = ls[-1]
-    for p in range(1, L // e + 1):
-        if ls[-1 - p] == last and ls[L - e * p : L - p] == ls[L - (e - 1) * p :]:
-            return True
-    return False
+    blocked: set[int] = set()
+    for p in range(1, (L + 1) // e + 1):
+        x = ls[L - p]
+        if x in blocked or (e - 1) * p > 1 and ls[L - p - 1] != ls[L - 1]:
+            continue
+        if ls[L + 1 - e * p : L - p] == ls[L + 1 - (e - 1) * p : L]:
+            blocked.add(x)
+    return blocked
 
 
 def rotations(w: Word) -> tuple[Word, ...]:
@@ -395,7 +410,10 @@ def shirshov_bracketing(w: Word) -> BracketedWord:
 
     Split recursively at the longest proper regular suffix (the
     Chen-Fox-Lyndon factorization step, mirrored for the greater-than-
-    rotations convention).
+    rotations convention).  One right-to-left stack pass finds every
+    split: after reading a suffix, the stack holds that suffix's
+    factorization into nonincreasing regular words, and the last factor
+    a letter absorbs is the longest regular suffix of what follows it.
     """
     if not is_regular(w):
         raise ValueError(f"word {format_word(w)!r} is not regular")
@@ -403,20 +421,29 @@ def shirshov_bracketing(w: Word) -> BracketedWord:
 
 
 def _bracket(ls: tuple[int, ...]) -> Leaf | Pair:
-    if len(ls) == 1:
-        return Leaf(ls[0])
-    for cut in range(1, len(ls)):
-        suffix = ls[cut:]
-        if _is_regular_letters(suffix):
-            return Pair(_bracket(ls[:cut]), _bracket(suffix))
-    raise AssertionError("a regular word always has a regular proper suffix")
+    # right to left, the stack holds the factorization of the suffix read
+    # so far into nonincreasing regular words, each with its bracketing;
+    # for regular u and v, uv is regular exactly when uv > vu, so a new
+    # letter absorbs the factors on top while that holds
+    stack: list[tuple[Leaf | Pair, tuple[int, ...]]] = []
+    for x in reversed(ls):
+        cur, cur_ls = Leaf(x), (x,)
+        while stack and cur_ls + stack[-1][1] > stack[-1][1] + cur_ls:
+            top, top_ls = stack.pop()
+            cur, cur_ls = Pair(cur, top), cur_ls + top_ls
+        stack.append((cur, cur_ls))
+    assert len(stack) == 1, "a regular word is a single regular factor"
+    return stack[0][0]
 
 
 def _is_regular_letters(ls: tuple[int, ...]) -> bool:
-    for i in range(1, len(ls)):
-        if not ls[i:] + ls[:i] < ls:  # same length: plain tuple order is the lex order
-            return False
-    return True
+    # Duval's Lyndon test with the letter order reversed: ls[:j] stays a
+    # power of its regular prefix of length j - k, possibly cut short
+    k, j = 0, 1
+    while j < len(ls) and ls[k] >= ls[j]:
+        k = k + 1 if ls[k] == ls[j] else 0
+        j += 1
+    return j >= len(ls) and k == 0
 
 
 def zimin_word(n: int, alphabet: Alphabet | None = None) -> Word:

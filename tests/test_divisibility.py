@@ -41,6 +41,7 @@ from wordlab.words import (
     Alphabet,
     Cmp,
     Word,
+    WordCycle,
     canonical_rotation,
     lex_compare_letters,
     parse_word,
@@ -507,6 +508,30 @@ class TestOracle:
         with pytest.raises(BudgetExceededError):
             max_nonreducible_length(3, 3, 2, budget=200)
 
+    # the criterion-08 cells at budget 30,000: (length, witness, nodes), or
+    # the node count at which the length guard of 50 letters raised
+    CRITERION_08 = {
+        (2, 2, 1): (1, "a", 2),
+        (2, 2, 2): (3, "aba", 10),
+        (2, 3, 1): (2, "aa", 3),
+        (2, 3, 2): 80,
+        (3, 2, 1): (1, "a", 2),
+        (3, 2, 2): (3, "aba", 14),
+        (3, 3, 1): (2, "aa", 3),
+        (3, 3, 2): 80,
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CRITERION_08))
+    def test_criterion_08_cells_pinned(self, cell):
+        expected = self.CRITERION_08[cell]
+        if isinstance(expected, int):
+            with pytest.raises(BudgetExceededError, match="length guard of 50") as info:
+                max_nonreducible_length(*cell, budget=30_000)
+            assert info.value.nodes == expected
+        else:
+            res = max_nonreducible_length(*cell, budget=30_000)
+            assert (res.length, str(res.witness), res.nodes) == expected
+
 
 class TestProcessSequences:
     @pytest.mark.parametrize(
@@ -661,6 +686,46 @@ class TestSnapshotStability:
             colors = len(tc.chains)
             for a, k in [(1, 2), (1, 3), (2, 2), (3, 3)]:
                 assert stab[a] <= colors**k * snapshot_stability(tc, k * a) + k * a
+
+
+def reference_snapshot_stability(tc, p):
+    """The longest run of equal `TailColoring.snapshot` tuples."""
+    if not tc.positions:
+        return 0
+    best, run = 1, 1
+    prev = tc.snapshot(p, tc.positions[0])
+    for i in tc.positions[1:]:
+        cur = tc.snapshot(p, i)
+        run = run + 1 if cur == prev else 1
+        best = max(best, run)
+        prev = cur
+    return best
+
+
+@st.composite
+def hand_built_colorings(draw):
+    # any positions and chains, not only Dilworth covers: unsorted chains,
+    # repeats, starts past the word and positions no chain has reached
+    ls = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=15)))
+    starts = st.integers(1, len(ls) + 2)
+    positions = tuple(draw(st.lists(starts, max_size=12)))
+    chains = tuple(tuple(c) for c in draw(st.lists(st.lists(starts, max_size=6), max_size=4)))
+    return TailColoring(Word(ls, A3), positions, chains)
+
+
+class TestSnapshotStabilityReference:
+    @given(hand_built_colorings(), st.integers(-2, 6))
+    def test_hand_built_colorings(self, tc, p):
+        assert snapshot_stability(tc, p) == reference_snapshot_stability(tc, p)
+
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=30), st.sampled_from([None, 2]))
+    def test_dilworth_colorings(self, lv, d):
+        try:
+            tc = dilworth_tail_coloring(Word(tuple(lv), A3), 100, d=d)
+        except IncomparableTailsError:
+            return
+        for p in range(-1, 6):
+            assert snapshot_stability(tc, p) == reference_snapshot_stability(tc, p)
 
 
 class TestFragmentExtraction:
@@ -979,6 +1044,23 @@ class TestCycleClasses:
         assert [str(c.representative) for c in primitive_cycle_classes(2, A2)] == ["ab"]
         assert len(primitive_cycle_classes(4, A2)) == 3
         assert len(primitive_cycle_classes(3, A3)) == 8
+
+    def test_against_rotation_filter(self):
+        # the enumeration that Duval's generator replaced
+        for t in range(1, 9):
+            for l in range(1, 4):
+                alphabet = Alphabet(l)
+                expected = tuple(
+                    WordCycle(Word(ls, alphabet), t)
+                    for ls in itertools.product(alphabet.letters(), repeat=t)
+                    if all(ls < ls[i:] + ls[:i] for i in range(1, t))
+                )
+                assert primitive_cycle_classes(t, alphabet) == expected, (t, l)
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_positive_length_only(self, t):
+        with pytest.raises(ValueError):
+            primitive_cycle_classes(t, A2)
 
     @pytest.mark.parametrize("l,t", [(1, 1), (1, 3), (2, 6), (3, 4), (4, 3)])
     def test_one_class_per_primitive_rotation_set(self, l, t):

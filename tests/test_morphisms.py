@@ -87,11 +87,11 @@ class TestRepetitions:
         assert (occ.start, format_word(occ.root)) == (2, "a")
 
     def test_square_free_ternary_counts(self):
-        # OEIS A006156, lengths 1..12
-        counts = [0] * 12
-        for w in square_free_words(A3, 12):
+        # OEIS A006156, lengths 1..16
+        counts = [0] * 16
+        for w in square_free_words(A3, 16):
             counts[len(w) - 1] += 1
-        assert counts == [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264]
+        assert counts == [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 204, 264, 342, 456, 618, 798]
 
     @pytest.mark.parametrize("l, max_len", [(1, 4), (2, 6), (3, 13), (4, 8)])
     def test_square_free_walk_matches_reference(self, l, max_len):

@@ -234,6 +234,13 @@ class TestPermutationPosets:
             for pi in itertools.permutations(range(1, n + 1)):
                 assert max_antichain(permutation_poset(pi))[0] == lds(pi)
 
+    def test_permutation_poset_rows_against_closure(self):
+        # the direct rows against the pair list closed by from_relation
+        for n in range(1, 8):
+            for pi in itertools.permutations(range(1, n + 1)):
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if pi[i] < pi[j]]
+                assert permutation_poset(pi) == FinitePoset.from_relation(n, pairs), pi
+
     def test_epsilon_small_values(self):
         assert epsilon_table(2) == {1: 1, 2: 1}
         assert epsilon_table(3) == {1: 1, 2: 3, 3: 1}

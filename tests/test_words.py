@@ -10,8 +10,10 @@ from wordlab.words import (
     Pair,
     PeriodOccurrence,
     Word,
+    _bracket,
     _first_power,
-    _power_suffix as power_suffix,
+    _is_regular_letters,
+    _power_blockers,
     all_words,
     canonical_rotation,
     conjugate_classes,
@@ -261,14 +263,29 @@ def _le_anti_lyndon(a, b):
     return len(a) >= len(b)
 
 
-def _regular_letters(ls):
-    return all(ls[i:] + ls[:i] < ls for i in range(1, len(ls)))
+def reference_is_regular(ls):
+    """Regularity by building every proper rotation."""
+    for i in range(1, len(ls)):
+        if not ls[i:] + ls[:i] < ls:
+            return False
+    return True
+
+
+def reference_bracket(ls):
+    """The bracketing by trying each cut and retesting the suffix's regularity."""
+    if len(ls) == 1:
+        return Leaf(ls[0])
+    for cut in range(1, len(ls)):
+        suffix = ls[cut:]
+        if reference_is_regular(suffix):
+            return Pair(reference_bracket(ls[:cut]), reference_bracket(suffix))
+    raise AssertionError("a regular word always has a regular proper suffix")
 
 
 def _regular_nonassoc(tree):
     if isinstance(tree, Leaf):
         return True
-    if not _regular_letters(tree.frontier()):
+    if not reference_is_regular(tree.frontier()):
         return False
     if not (_regular_nonassoc(tree.left) and _regular_nonassoc(tree.right)):
         return False
@@ -296,13 +313,49 @@ class TestRegularAndBracketing:
         alphabet = Alphabet(l)
         for n in range(1, 8):
             for ls in itertools.product(range(1, l + 1), repeat=n):
-                if not _regular_letters(ls):
+                if not reference_is_regular(ls):
                     continue
                 valid = [
                     b for b in _brute_force_bracketings(ls) if _regular_nonassoc(b)
                 ]
                 assert len(valid) == 1
                 assert shirshov_bracketing(Word(ls, alphabet)).tree == valid[0]
+
+
+class TestRegularKernels:
+    """Duval's test and the stack bracketing against the rotation and cut references."""
+
+    @pytest.mark.parametrize("l,max_len", [(2, 12), (3, 8)])
+    def test_every_short_word(self, l, max_len):
+        regular = 0
+        for n in range(1, max_len + 1):
+            for ls in itertools.product(range(1, l + 1), repeat=n):
+                expected = reference_is_regular(ls)
+                assert _is_regular_letters(ls) is expected, ls
+                if expected:
+                    regular += 1
+                    assert _bracket(ls) == reference_bracket(ls), ls
+        # regular words are the Lyndon words of the reversed order, so the
+        # counts per length are OEIS A001037 (l = 2) and A027376 (l = 3)
+        assert regular == {2: 747, 3: 1318}[l]
+
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=80))
+    def test_long_words(self, lv):
+        ls = tuple(lv)
+        assert _is_regular_letters(ls) is reference_is_regular(ls)
+        top = max(ls[i:] + ls[:i] for i in range(len(ls)))
+        if reference_is_regular(top):
+            assert _is_regular_letters(top)
+            assert _bracket(top) == reference_bracket(top)
+
+    def test_long_regular_word(self):
+        # b a^k: the stack merges one letter at a time into a left comb
+        ls = (2,) + (1,) * 500
+        tree = shirshov_bracketing(Word(ls, A2)).tree
+        for _ in range(500):
+            assert tree.right == Leaf(1)
+            tree = tree.left
+        assert tree == Leaf(2)
 
 
 # Avoidability of every pattern on <= 3 letters up to length 4, decided by
@@ -389,11 +442,12 @@ class TestTailComparability:
                 continue
             for x in range(1, l + 1):
                 cand = ls + (x,)
-                if not _power_suffix(cand, d):
+                if not reference_power_suffix(cand, d):
                     stack.append(cand)
 
 
-def _power_suffix(ls, d):
+def reference_power_suffix(ls, d):
+    """True iff ls ends with some z**d, z nonempty: every period compared."""
     n = len(ls)
     for zlen in range(1, n // d + 1):
         if ls[n - zlen * d :] == ls[n - zlen :] * d:
@@ -402,16 +456,20 @@ def _power_suffix(ls, d):
 
 
 class TestPowerSuffix:
-    """`words._power_suffix` against the reference `_power_suffix` above."""
+    """`words._power_blockers` against `reference_power_suffix` on every child."""
+
+    @staticmethod
+    def blocked(ls, e, l):
+        return {x for x in range(1, l + 1) if reference_power_suffix(ls + (x,), e)}
 
     @pytest.mark.parametrize("e", [2, 3, 4])
     def test_all_short_words(self, e):
         for l, max_len in ((2, 12), (3, 8)):
             for n in range(max_len + 1):
                 for ls in itertools.product(range(1, l + 1), repeat=n):
-                    assert power_suffix(ls, e) == _power_suffix(ls, e), (ls, e)
+                    assert _power_blockers(ls, e) == self.blocked(ls, e, l), (ls, e)
 
     @given(st.lists(st.integers(1, 2), max_size=60), st.integers(2, 4))
     def test_random_words(self, lv, e):
         ls = tuple(lv)
-        assert power_suffix(ls, e) == _power_suffix(ls, e)
+        assert _power_blockers(ls, e) == self.blocked(ls, e, 2)
