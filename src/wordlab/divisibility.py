@@ -8,6 +8,15 @@ start positions and strictly decreasing order; the strong sense asks
 for blocks tiling a suffix, each opening with a power of a distinct
 declared period.
 
+The ordinary and strong senses share one block search,
+_block_division: depth-first on an explicit stack, so a division may
+have any number of blocks.  It tries the shortest block first and the
+heads in order, so the witness is the first division in that order
+(for the strong sense, at the shortest free prefix).  Its failure memo
+is keyed by (previous block start, block start, depth, bitmask of used
+heads); the ordinary sense opens every block with one pseudo-head, so
+its mask stays 0.
+
 The tail sense is one permutation, _suffix_ranks: with a sentinel
 letter above the alphabet closing each suffix, tail i > tail j for
 starts i < j exactly when rank(i) > rank(j), so a tail n-division is a
@@ -127,60 +136,13 @@ def is_n_divisible(
     elif sense is Sense.TAIL:
         witness = _tail_witness(w, n, d)
     else:
-        witness = _ordinary_witness(w.letters, n)
+        blocks = _block_division(w.letters, n, 0)
+        witness = None if blocks is None else DivisibilityWitness(
+            Sense.ORDINARY, tuple((s + 1, e) for s, e, _ in blocks)
+        )
     if witness is not None:
         validate_witness(w, witness, min_power)
     return witness
-
-
-def _ordinary_witness(ls: tuple[int, ...], n: int) -> DivisibilityWitness | None:
-    """First n-division of ls into strictly decreasing blocks, or None.
-
-    Depth-first over block ends, shortest block first.  Three cuts
-    keep it fast, and each only drops branches that cannot succeed, so
-    the witness is the one the plain search finds: the last block is
-    pinned to end at |ls|; ends that would leave a block not smaller
-    than the previous one are skipped after one mismatch scan; and a
-    failed state (previous block start, current start, depth) is never
-    searched twice.  The depth belongs in that key: the same two starts
-    with a different number of blocks left are a different question.
-    """
-    L = len(ls)
-    if L < n:
-        return None
-    failed: set[tuple[int, int, int]] = set()
-    ends: list[int] = []  # block ends of the witness, filled last block first
-
-    def extend(prev: int, start: int, depth: int) -> bool:
-        # place block `depth` at `start`; ls[prev:start] is block depth - 1
-        first = start + 1
-        if depth:
-            # the new block is smaller than the previous one iff it runs
-            # past their first mismatch and is smaller there
-            m = 0
-            while start + m < L and prev + m < start and ls[prev + m] == ls[start + m]:
-                m += 1
-            if start + m == L or prev + m == start or ls[prev + m] < ls[start + m]:
-                return False
-            first = start + m + 1
-        if depth == n - 1:
-            ends.append(L)
-            return True
-        key = (prev, start, depth)
-        if key in failed:
-            return False
-        for end in range(first, L - (n - depth - 1) + 1):
-            if extend(start, end, depth + 1):
-                ends.append(end)
-                return True
-        failed.add(key)
-        return False
-
-    if not extend(0, 0, 0):
-        return None
-    ends.reverse()
-    starts = [0] + ends[:-1]
-    return DivisibilityWitness(Sense.ORDINARY, tuple((s + 1, e) for s, e in zip(starts, ends)))
 
 
 def _suffix_ranks(ls: tuple[int, ...], limit: int) -> list[int]:
@@ -235,8 +197,8 @@ def _strong_witness(
     """First strong n-division of w, shortest free prefix first, or None.
 
     Each free-prefix length short enough to leave room for n distinct
-    heads is handed to _strong_blocks, the one strong-sense search, in
-    increasing order; the first division found is the witness.
+    heads is handed to _block_division in increasing order, with one
+    failure memo for them all; the first division found is the witness.
     """
     if any(len(z) == 0 for z in Z):
         raise ValueError("periods in Z must be nonempty")
@@ -247,8 +209,9 @@ def _strong_witness(
     heads = [z.letters * min_power for z in Z]
     # the n blocks hold n distinct heads, so they span at least this much
     span = sum(sorted(map(len, heads))[:n])
+    failed: set[tuple[int, int, int, int]] = set()
     for start in range(len(ls) - span + 1):
-        blocks = _strong_blocks(ls, n, heads, start)
+        blocks = _block_division(ls, n, start, heads, failed)
         if blocks is not None:
             return DivisibilityWitness(
                 Sense.STRONG,
@@ -258,64 +221,96 @@ def _strong_witness(
     return None
 
 
-def _strong_blocks(
-    ls: tuple[int, ...], n: int, heads: Sequence[tuple[int, ...]], start: int
+def _block_division(
+    ls: tuple[int, ...],
+    n: int,
+    start: int,
+    heads: Sequence[tuple[int, ...]] | None = None,
+    failed: set[tuple[int, int, int, int]] | None = None,
 ) -> list[tuple[int, int, int]] | None:
     """First division of ls[start:] into n strictly decreasing blocks,
-    each opening with a head not used by an earlier block, as 0-based
-    (start, end, head index) triples; or None.
+    as 0-based (start, end, head) triples; or None.
 
-    Depth-first over block ends, shortest block first, heads in order.
-    The cuts drop only branches that cannot succeed, so the division is
-    the one the plain search finds: the last block is pinned to end at
-    |ls|; ends that would leave a block not smaller than the previous
-    one are skipped after one mismatch scan; ends that leave too little
-    room for the shortest heads of the blocks still to come are not
-    tried; and the heads that open a block are found once per block
-    start, not once per candidate end.
+    With heads, each block opens with a head that no earlier block used
+    and `head` is its index: the strong sense.  Without, every block
+    opens with one pseudo-head of length 1 and `head` is 0: the
+    ordinary sense, at start 0.  Depth-first over block ends, shortest
+    block first, heads in order, on an explicit stack.  The cuts drop
+    only branches that cannot succeed, so the division is the first one
+    the plain search finds: the last block is pinned to end at |ls|;
+    ends that would leave a block not smaller than the previous one are
+    skipped after one mismatch scan; ends that leave less room than the
+    shortest heads of the blocks still to come are not tried; and a
+    state that failed, (previous block start, block start, depth,
+    bitmask of used heads), is not searched twice.  The depth belongs
+    in that key: the same two starts with a different number of blocks
+    left are a different question.  No state depends on where the first
+    block opened, so one `failed` set may serve several starts.
     """
     L = len(ls)
-    used: list[int] = []
-    blocks: list[tuple[int, int, int]] = []  # filled last block first
-    # reserve[j]: the least room j more blocks need, one distinct head each
-    shortest = sorted(map(len, heads))
-    reserve = [sum(shortest[:j]) for j in range(n)]
-
-    def place(prev: int, begin: int, depth: int) -> bool:
-        # place block `depth` at `begin`; ls[prev:begin] is block depth - 1
-        first = begin + 1
-        if depth:
-            m = 0
-            while begin + m < L and prev + m < begin and ls[prev + m] == ls[begin + m]:
-                m += 1
-            if begin + m == L or prev + m == begin or ls[prev + m] < ls[begin + m]:
-                return False
-            first = begin + m + 1
-        opening = [
-            (zi, len(h))
-            for zi, h in enumerate(heads)
-            if zi not in used and ls[begin : begin + len(h)] == h
-        ]
-        if not opening:
-            return False
-        if depth == n - 1:
-            blocks.append((begin, L, opening[0][0]))
-            return True
-        for end in range(first, L - reserve[n - depth - 1] + 1):
-            for zi, size in opening:
-                if size > end - begin:
-                    continue
-                used.append(zi)
-                if place(begin, end, depth + 1):
-                    blocks.append((begin, end, zi))
-                    return True
-                used.pop()
-        return False
-
-    if not place(start, start, 0):
+    if L - start < n:
         return None
-    blocks.reverse()
-    return blocks
+    if failed is None:
+        failed = set()
+    if heads is None:
+        pseudo = ((0, 1, 0),)
+        reserve: Sequence[int] = range(n)  # one letter per block still to come
+    else:
+        table = [(zi, h, len(h), 1 << zi) for zi, h in enumerate(heads)]
+        # reserve[j]: the least room j more blocks need, one distinct head each
+        shortest = sorted(map(len, heads))
+        reserve = [sum(shortest[:j]) for j in range(n)]
+    # one frame per open block: [start, used heads, memo key, candidate
+    # (end, head) pairs, chosen end, chosen head]
+    stack: list[list] = []
+    prev = begin = start
+    mask = 0
+    first = start + 1  # the least end of the block at `begin`
+    while True:
+        # open block len(stack) at `begin`; ls[prev:begin] is the block before
+        depth = len(stack)
+        if heads is None:
+            opening = pseudo
+        else:
+            opening = [
+                (zi, size, bit)
+                for zi, h, size, bit in table
+                if not mask & bit and ls[begin : begin + size] == h
+            ]
+        if opening:
+            if depth == n - 1:
+                return [(f[0], f[4], f[5]) for f in stack] + [(begin, L, opening[0][0])]
+            key = (prev, begin, depth, mask)
+            if key not in failed:
+                ends = range(first, L - reserve[n - depth - 1] + 1)
+                stack.append([begin, mask, key, itertools.product(ends, opening), 0, 0])
+        # the next end of the deepest open block after which a smaller
+        # block can open: it must run past their first mismatch
+        while stack:
+            frame = stack[-1]
+            prev = frame[0]
+            for begin, (zi, size, bit) in frame[3]:
+                if size > begin - prev:
+                    continue
+                x, y, m = ls[prev], ls[begin], 0
+                while x == y:
+                    m += 1
+                    if prev + m == begin or begin + m == L:
+                        break  # one block is a prefix of the other
+                    x, y = ls[prev + m], ls[begin + m]
+                if x > y:
+                    break
+            else:
+                failed.add(frame[2])
+                stack.pop()
+                continue
+            break
+        else:
+            return None
+        frame[4] = begin
+        frame[5] = zi
+        mask = frame[1] | bit
+        first = begin + m + 1
 
 
 def is_nd_reducible(w: Word, n: int, d: int) -> bool:
@@ -327,7 +322,7 @@ def is_nd_reducible(w: Word, n: int, d: int) -> bool:
         raise ValueError("need n >= 1 and d >= 2")
     if find_period_power(w, d) is not None:
         return True
-    return _ordinary_witness(w.letters, n) is not None
+    return _block_division(w.letters, n, 0) is not None
 
 
 @dataclass(frozen=True)
@@ -379,7 +374,7 @@ def max_nonreducible_length(
                 f"oracle budget of {budget} nodes exhausted at depth {len(cand)}",
                 nodes,
             )
-        if next_letter in blocked or _ordinary_witness(cand, n) is not None:
+        if next_letter in blocked or _block_division(cand, n, 0) is not None:
             continue
         if len(cand) > best_len:
             best_len, best_word = len(cand), cand
@@ -429,46 +424,50 @@ def is_valid_process_sequence(seq: Sequence[str], p: int) -> bool:
 
 
 def max_process_sequence_length(p: int, k: int, budget: int = 2_000_000) -> ProcessResult:
-    """Exact maximum sequence length, exhaustive over counter states."""
+    """Exact maximum sequence length, exhaustive over counter states.
+
+    A state is the counter vector (c_1, ..., c_{k-1}), each below p, read
+    as a base-p number.  A word with its 1 at s adds one to c_s and
+    clears the counters right of s, so every move leads to a larger
+    number, and every vector is reached from zero.  One pass from the
+    largest number down is therefore a longest-path DP over all states.
+    Each state keeps the best move, the rightmost position among those
+    with the longest continuation; the witness follows these moves from
+    zero.
+    """
     if p < 2 or k < 2:
         raise ValueError("need p >= 2 and k >= 2")
     if budget < 0:
         raise ValueError("budget must be non-negative")
     width = k - 1
-    states = 0
-    memo: dict[tuple[int, ...], tuple[int, int | None]] = {}
-
-    def longest(state: tuple[int, ...]) -> tuple[int, int | None]:
-        nonlocal states
-        if state in memo:
-            return memo[state]
-        states += 1
-        if states > budget:
-            raise BudgetExceededError(f"process budget of {budget} states exhausted", states)
-        best, move = 0, None
+    top = p**width - 1
+    if top >= budget:
+        # a search state by state runs out at state budget + 1
+        raise BudgetExceededError(f"process budget of {budget} states exhausted", budget + 1)
+    # longest[top - c] and move[top - c]: the answer from state number c
+    longest: list[int] = []
+    move: list[int | None] = []
+    for c in range(top, -1, -1):
+        best, best_s = 0, None
+        q = 1  # p**(width - s), the weight of counter s
         for s in range(width, 0, -1):  # prefer the rightmost admissible position
-            if state[s - 1] >= p - 1:
-                continue
-            nxt = state[: s - 1] + (state[s - 1] + 1,) + (0,) * (width - s)
-            sub, _ = longest(nxt)
-            if sub + 1 > best:
-                best, move = sub + 1, s
-        memo[state] = (best, move)
-        return best, move
-
-    start = (0,) * width
-    length, _ = longest(start)
+            if c // q % p < p - 1:
+                sub = longest[top - (c // q + 1) * q]
+                if sub + 1 > best:
+                    best, best_s = sub + 1, s
+            q *= p
+        longest.append(best)
+        move.append(best_s)
     witness = []
-    state = start
-    while True:
-        _, move = memo[state]
-        if move is None:
-            break
-        witness.append("0" * (move - 1) + "1" + "0" * (width - move))
-        state = state[: move - 1] + (state[move - 1] + 1,) + (0,) * (width - move)
-    assert len(witness) == length
+    c = 0
+    while move[top - c] is not None:
+        s = move[top - c]
+        witness.append("0" * (s - 1) + "1" + "0" * (width - s))
+        q = p ** (width - s)
+        c = (c // q + 1) * q
+    assert len(witness) == longest[top]
     assert is_valid_process_sequence(witness, p)
-    return ProcessResult(p, k, length, tuple(witness), states)
+    return ProcessResult(p, k, longest[top], tuple(witness), top + 1)
 
 
 # --- Dilworth coloring of tails and snapshot stability ---
@@ -719,31 +718,28 @@ def large_selective_height(
 ) -> int:
     """Most disjoint maximal z**m fragments, m > boundary, where each
     consecutive pair is separated by a gap longer than gap_len that is
-    comparable with the earlier fragment's period."""
+    comparable with the earlier fragment's period.
+
+    Whether one run may follow another depends on that pair alone, and
+    a follower starts after its predecessor ends.  So the answer is a
+    longest path over the runs sorted by start: chain[j], the most runs
+    in a selection ending with run j, is one more than the best chain[i]
+    over the runs i that run j may follow.
+    """
     if gap_len is None:
         gap_len = boundary // 2
-    runs = _maximal_runs(w, period_len, boundary)
-    runs.sort()
+    runs = sorted(_maximal_runs(w, period_len, boundary))
     ls = w.letters
-    best = 0
-
-    def grow(idx: int, last_end: int, last_z: tuple[int, ...] | None, count: int) -> None:
-        nonlocal best
-        best = max(best, count)
-        for j in range(idx, len(runs)):
-            s, e, z = runs[j]
-            if s < last_end:
-                continue
-            if last_z is not None:
-                gap = ls[last_end:s]
-                if len(gap) <= gap_len:
-                    continue
-                if lex_compare_letters(gap, last_z) is Cmp.INCOMPARABLE:
-                    continue
-            grow(j + 1, e, z, count + 1)
-
-    grow(0, 0, None, 0)
-    return best
+    chain: list[int] = []
+    for s, _, _ in runs:
+        best = 0
+        for (_, e, z), c in zip(runs, chain):
+            # the gap ls[e:s] and z are comparable unless one is a prefix of the other
+            k = min(s - e, len(z))
+            if c > best and s - e > gap_len and k > 0 and ls[e : e + k] != z[:k]:
+                best = c
+        chain.append(best + 1)
+    return max(chain, default=0)
 
 
 # --- coding classes (word-cycles with the two-coordinate order) ---

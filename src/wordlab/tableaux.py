@@ -332,11 +332,6 @@ def _xi_genfun(n: int, k: int) -> int:
     return value
 
 
-def xi_bound(n: int, k: int) -> int:
-    """k**(2n) / ((k-1)!)**2, floored."""
-    return k ** (2 * n) // factorial(k - 1) ** 2
-
-
 def delta_bound(n: int, k: int) -> int:
     """k**n / (k-1)!, floored."""
     return k**n // factorial(k - 1)

@@ -219,6 +219,55 @@ class TestSpecExamples:
         assert code == 0 and json.loads(out)["divisible"] is False
 
 
+def run_process(*argv: str) -> subprocess.CompletedProcess:
+    # the time limit is generous: it only turns a hang into a failure
+    cmd = [sys.executable, "-m", "wordlab.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+
+
+class TestDeepSearches:
+    """Inputs one block or one move deeper than Python's recursion limit
+    exit 0 with a checked answer and no traceback."""
+
+    DESCENDING = range(1200, 0, -1)
+
+    @pytest.mark.parametrize("sense", ["ordinary", "strong"])
+    def test_divide_into_1200_blocks(self, sense):
+        from wordlab.divisibility import DivisibilityWitness, Sense, validate_witness
+        from wordlab.words import parse_word
+
+        argv = ["divide", "--word", "i:" + ",".join(map(str, self.DESCENDING)), "--n", "1200"]
+        if sense == "strong":
+            argv += ["--sense", "strong", "--z", ",".join(f"i:{x}" for x in self.DESCENDING)]
+        proc = run_process(*argv, "--format", "jsonl")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        rec = json.loads(proc.stdout)
+        w = parse_word(rec["word"])
+        blocks = tuple(tuple(int(x) for x in b.split("-")) for b in rec["blocks"].split(";"))
+        periods = None
+        if sense == "strong":
+            periods = tuple(parse_word(z, w.alphabet) for z in rec["periods"].split(","))
+        validate_witness(w, DivisibilityWitness(Sense(rec["sense"]), blocks, periods))
+        assert blocks == tuple((i, i) for i in range(1, 1201))
+
+    @pytest.mark.parametrize("k", [11, 16])
+    def test_process_oracle_past_1024_states(self, k):
+        from wordlab.divisibility import is_valid_process_sequence
+
+        proc = run_process("oracle", "--which", "process", "--p", "2", "--k", str(k), "--format", "jsonl")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        rec = json.loads(proc.stdout)
+        assert rec["oracle_value"] == rec["bound_value"] == 2 ** (k - 1) - 1
+        assert rec["nodes_explored"] == 2 ** (k - 1)
+        assert is_valid_process_sequence(rec["witness"].split(","), 2)
+
+    def test_selective_on_400_runs(self):
+        proc = run_process("selective", "--word", "aabb" * 200, "--period", "1", "--k", "1", "--n", "3",
+                           "--format", "jsonl")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["large"] == 200
+
+
 class TestFormats:
     def test_jsonl_is_parseable(self):
         code, out = run_cli(

@@ -1,5 +1,6 @@
 import itertools
 import random
+from typing import Sequence
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from wordlab.divisibility import (
     CodingClass,
     DivisibilityWitness,
     IncomparableTailsError,
+    ProcessResult,
     Sense,
     TailColoring,
     coding_corpus_check,
@@ -88,6 +90,140 @@ def _divisible_whole(ls, n):
             if lex_compare_letters(ls[s:e], ls[e:]) is Cmp.GREATER:
                 return True
     return False
+
+
+# The two recursive searches that divisibility._block_division replaced,
+# one Python frame per block, kept as references for its witnesses.
+
+
+def reference_ordinary_witness(ls: tuple[int, ...], n: int) -> DivisibilityWitness | None:
+    """First n-division of ls into strictly decreasing blocks, or None.
+
+    Depth-first over block ends, shortest block first.  Three cuts
+    keep it fast, and each only drops branches that cannot succeed, so
+    the witness is the one the plain search finds: the last block is
+    pinned to end at |ls|; ends that would leave a block not smaller
+    than the previous one are skipped after one mismatch scan; and a
+    failed state (previous block start, current start, depth) is never
+    searched twice.  The depth belongs in that key: the same two starts
+    with a different number of blocks left are a different question.
+    """
+    L = len(ls)
+    if L < n:
+        return None
+    failed: set[tuple[int, int, int]] = set()
+    ends: list[int] = []  # block ends of the witness, filled last block first
+
+    def extend(prev: int, start: int, depth: int) -> bool:
+        # place block `depth` at `start`; ls[prev:start] is block depth - 1
+        first = start + 1
+        if depth:
+            # the new block is smaller than the previous one iff it runs
+            # past their first mismatch and is smaller there
+            m = 0
+            while start + m < L and prev + m < start and ls[prev + m] == ls[start + m]:
+                m += 1
+            if start + m == L or prev + m == start or ls[prev + m] < ls[start + m]:
+                return False
+            first = start + m + 1
+        if depth == n - 1:
+            ends.append(L)
+            return True
+        key = (prev, start, depth)
+        if key in failed:
+            return False
+        for end in range(first, L - (n - depth - 1) + 1):
+            if extend(start, end, depth + 1):
+                ends.append(end)
+                return True
+        failed.add(key)
+        return False
+
+    if not extend(0, 0, 0):
+        return None
+    ends.reverse()
+    starts = [0] + ends[:-1]
+    return DivisibilityWitness(Sense.ORDINARY, tuple((s + 1, e) for s, e in zip(starts, ends)))
+
+
+def reference_strong_blocks(
+    ls: tuple[int, ...], n: int, heads: Sequence[tuple[int, ...]], start: int
+) -> list[tuple[int, int, int]] | None:
+    """First division of ls[start:] into n strictly decreasing blocks,
+    each opening with a head not used by an earlier block, as 0-based
+    (start, end, head index) triples; or None.
+
+    Depth-first over block ends, shortest block first, heads in order.
+    The cuts drop only branches that cannot succeed, so the division is
+    the one the plain search finds: the last block is pinned to end at
+    |ls|; ends that would leave a block not smaller than the previous
+    one are skipped after one mismatch scan; ends that leave too little
+    room for the shortest heads of the blocks still to come are not
+    tried; and the heads that open a block are found once per block
+    start, not once per candidate end.
+    """
+    L = len(ls)
+    used: list[int] = []
+    blocks: list[tuple[int, int, int]] = []  # filled last block first
+    # reserve[j]: the least room j more blocks need, one distinct head each
+    shortest = sorted(map(len, heads))
+    reserve = [sum(shortest[:j]) for j in range(n)]
+
+    def place(prev: int, begin: int, depth: int) -> bool:
+        # place block `depth` at `begin`; ls[prev:begin] is block depth - 1
+        first = begin + 1
+        if depth:
+            m = 0
+            while begin + m < L and prev + m < begin and ls[prev + m] == ls[begin + m]:
+                m += 1
+            if begin + m == L or prev + m == begin or ls[prev + m] < ls[begin + m]:
+                return False
+            first = begin + m + 1
+        opening = [
+            (zi, len(h))
+            for zi, h in enumerate(heads)
+            if zi not in used and ls[begin : begin + len(h)] == h
+        ]
+        if not opening:
+            return False
+        if depth == n - 1:
+            blocks.append((begin, L, opening[0][0]))
+            return True
+        for end in range(first, L - reserve[n - depth - 1] + 1):
+            for zi, size in opening:
+                if size > end - begin:
+                    continue
+                used.append(zi)
+                if place(begin, end, depth + 1):
+                    blocks.append((begin, end, zi))
+                    return True
+                used.pop()
+        return False
+
+    if not place(start, start, 0):
+        return None
+    blocks.reverse()
+    return blocks
+
+
+def recursive_strong_witness(w, n, Z, min_power):
+    """The strong witness as the recursive search gave it: the free-prefix
+    lengths in increasing order, each searched by reference_strong_blocks."""
+    Z = tuple({z.letters: z for z in Z}.values())
+    if len(Z) < n:
+        return None
+    ls = w.letters
+    heads = [z.letters * min_power for z in Z]
+    span = sum(sorted(map(len, heads))[:n])
+    for start in range(len(ls) - span + 1):
+        blocks = reference_strong_blocks(ls, n, heads, start)
+        if blocks is not None:
+            return DivisibilityWitness(
+                Sense.STRONG,
+                tuple((s + 1, e) for s, e, _ in blocks),
+                tuple(Z[zi] for _, _, zi in blocks),
+            )
+    return None
 
 
 def naive_tail(ls, n):
@@ -252,6 +388,86 @@ def reference_corpus_check(l, n, max_len, period_len, bound):
     }
 
 
+def reference_large_selective_height(
+    w: Word, period_len: int, boundary: int, gap_len: int | None = None
+) -> int:
+    """Most disjoint maximal z**m fragments, m > boundary, where each
+    consecutive pair is separated by a gap longer than gap_len that is
+    comparable with the earlier fragment's period.
+
+    The recursive enumeration of every chain of compatible runs that the
+    longest-path DP replaced; exponential in the number of runs."""
+    if gap_len is None:
+        gap_len = boundary // 2
+    runs = divisibility._maximal_runs(w, period_len, boundary)
+    runs.sort()
+    ls = w.letters
+    best = 0
+
+    def grow(idx: int, last_end: int, last_z: tuple[int, ...] | None, count: int) -> None:
+        nonlocal best
+        best = max(best, count)
+        for j in range(idx, len(runs)):
+            s, e, z = runs[j]
+            if s < last_end:
+                continue
+            if last_z is not None:
+                gap = ls[last_end:s]
+                if len(gap) <= gap_len:
+                    continue
+                if lex_compare_letters(gap, last_z) is Cmp.INCOMPARABLE:
+                    continue
+            grow(j + 1, e, z, count + 1)
+
+    grow(0, 0, None, 0)
+    return best
+
+
+def reference_process_sequence(p: int, k: int, budget: int = 2_000_000) -> ProcessResult:
+    """Exact maximum sequence length, exhaustive over counter states: the
+    memoised recursion, one Python frame per move, that the bottom-up DP
+    replaced."""
+    if p < 2 or k < 2:
+        raise ValueError("need p >= 2 and k >= 2")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    width = k - 1
+    states = 0
+    memo: dict[tuple[int, ...], tuple[int, int | None]] = {}
+
+    def longest(state: tuple[int, ...]) -> tuple[int, int | None]:
+        nonlocal states
+        if state in memo:
+            return memo[state]
+        states += 1
+        if states > budget:
+            raise BudgetExceededError(f"process budget of {budget} states exhausted", states)
+        best, move = 0, None
+        for s in range(width, 0, -1):  # prefer the rightmost admissible position
+            if state[s - 1] >= p - 1:
+                continue
+            nxt = state[: s - 1] + (state[s - 1] + 1,) + (0,) * (width - s)
+            sub, _ = longest(nxt)
+            if sub + 1 > best:
+                best, move = sub + 1, s
+        memo[state] = (best, move)
+        return best, move
+
+    start = (0,) * width
+    length, _ = longest(start)
+    witness = []
+    state = start
+    while True:
+        _, move = memo[state]
+        if move is None:
+            break
+        witness.append("0" * (move - 1) + "1" + "0" * (width - move))
+        state = state[: move - 1] + (state[move - 1] + 1,) + (0,) * (width - move)
+    assert len(witness) == length
+    assert is_valid_process_sequence(witness, p)
+    return ProcessResult(p, k, length, tuple(witness), states)
+
+
 def reference_word_height(w, Y):
     """Reference DP: least r with w = y_1**k_1 ... y_r**k_r over Y."""
     ys = {y.letters for y in Y if len(y) > 0}
@@ -409,6 +625,79 @@ class TestWitnesses:
                 validate_witness(w, witness)
 
 
+PERIOD_SETS = {
+    # every primitive period of length 1 and 2, and of length 1 to 3
+    "t<=2": [z for t in (1, 2) for z in itertools.product((1, 2), repeat=t) if is_primitive(z)],
+    "t<=3": [z for t in (1, 2, 3) for z in itertools.product((1, 2), repeat=t) if is_primitive(z)],
+    # heads of mixed lengths out of order, one a prefix of another
+    "mixed": [(1, 2), (2, 1), (2,), (1, 1, 2)],
+}
+
+
+class TestBlockDivision:
+    """The one iterative block search against the two recursive searches
+    it replaced: the same witness, block for block, in both senses."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_ordinary_every_binary_word(self, n):
+        for length in range(12):
+            for ls in itertools.product((1, 2), repeat=length):
+                assert is_n_divisible(Word(ls, A2), n) == reference_ordinary_witness(ls, n), ls
+
+    def test_ordinary_seeded_and_thue_morse(self):
+        # Thue-Morse 2^7 at n = 10 catches a failed-state memo keyed without the depth
+        tm = thue_morse(7)
+        cases = [(tm, n) for n in (6, 10, 16)]
+        rng = random.Random(1975)
+        for _ in range(2000):
+            ls = tuple(rng.randint(1, 3) for _ in range(rng.randint(12, 24)))
+            cases.append((Word(ls, A3), rng.randint(2, 6)))
+        found = 0
+        for w, n in cases:
+            got = is_n_divisible(w, n)
+            assert got == reference_ordinary_witness(w.letters, n), (w, n)
+            found += got is not None
+        assert 200 < found < len(cases) - 200  # both answers occur
+
+    @given(st.lists(st.integers(1, 3), max_size=18), st.integers(1, 7))
+    def test_ordinary_hypothesis(self, letters, n):
+        ls = tuple(letters)
+        assert is_n_divisible(Word(ls, A3), n) == reference_ordinary_witness(ls, n)
+
+    @pytest.mark.parametrize("periods", sorted(PERIOD_SETS))
+    def test_strong_every_binary_word(self, periods):
+        Z = [Word(z, A2) for z in PERIOD_SETS[periods]]
+        for length in range(11):
+            for ls in itertools.product((1, 2), repeat=length):
+                w = Word(ls, A2)
+                for n, min_power in itertools.product((1, 2, 3), (1, 2)):
+                    got = is_n_divisible(w, n, "strong", Z=Z, min_power=min_power)
+                    assert got == recursive_strong_witness(w, n, Z, min_power), (ls, n, min_power)
+
+    @given(
+        st.lists(st.integers(1, 3), max_size=16),
+        st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3), min_size=1, max_size=6),
+        st.integers(1, 4),
+        st.integers(1, 2),
+    )
+    def test_strong_hypothesis(self, letters, periods, n, min_power):
+        w = Word(tuple(letters), A3)
+        Z = [Word(tuple(z), A3) for z in periods]
+        got = is_n_divisible(w, n, "strong", Z=Z, min_power=min_power)
+        assert got == recursive_strong_witness(w, n, Z, min_power)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # one block per letter: 1,200 blocks, one Python frame each before
+        ls = tuple(range(1200, 0, -1))
+        w = Word(ls, Alphabet(1200))
+        singles = tuple((i, i) for i in range(1, 1201))
+        assert is_n_divisible(w, 1200).blocks == singles
+        strong = is_n_divisible(w, 1200, "strong", Z=[Word((x,), w.alphabet) for x in ls])
+        assert strong.blocks == singles
+        assert [z.letters for z in strong.periods] == [(x,) for x in ls]
+        assert is_n_divisible(w, 1201) is None
+
+
 class TestTailSense:
     """The suffix-rank tail witness and coloring against the pairwise
     references, and the sentinel (prefix) case at scale."""
@@ -556,6 +845,23 @@ class TestProcessSequences:
             ):
                 best = length
         assert best == max_process_sequence_length(p, k).length
+
+    @pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 4, 5) for k in range(2, 9) if p ** (k - 1) <= 400])
+    def test_against_recursive_reference(self, p, k):
+        assert max_process_sequence_length(p, k) == reference_process_sequence(p, k)
+        # the budget runs out on the same state
+        for budget in (0, p ** (k - 1) - 1):
+            with pytest.raises(BudgetExceededError) as got:
+                max_process_sequence_length(p, k, budget)
+            with pytest.raises(BudgetExceededError) as expected:
+                reference_process_sequence(p, k, budget)
+            assert (str(got.value), got.value.nodes) == (str(expected.value), expected.value.nodes)
+
+    def test_longer_than_the_recursion_limit(self):
+        # 1,023 moves; the memoised recursion went one frame deeper per move
+        res = max_process_sequence_length(2, 11)
+        assert (res.length, res.states) == (1023, 1024)
+        assert is_valid_process_sequence(res.witness, 2)
 
     def test_longer_sequences_all_fail(self):
         tokens = ["01", "10"]
@@ -807,6 +1113,40 @@ class TestSelectiveHeights:
         w = (word("ab", A3) * 7) + (word("c", A3) * 2) + (word("ac", A3) * 7)
         assert large_selective_height(w, 2, self.BOUNDARY, gap_len=3) == 1
 
+    @pytest.mark.parametrize("period_len,boundary", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_large_against_reference_exhaustive(self, period_len, boundary):
+        for w in _exhaustive_words():
+            for gap_len in (None, -1, 0, 1, 2):
+                got = large_selective_height(w, period_len, boundary, gap_len)
+                assert got == reference_large_selective_height(w, period_len, boundary, gap_len), (w, gap_len)
+
+    def test_large_against_reference_seeded(self):
+        # words built from short powers and separators hold many runs
+        rng = random.Random(1982)
+        found = 0
+        for _ in range(1500):
+            l = rng.randint(2, 3)
+            ls = []
+            while len(ls) < 40:
+                z = [rng.randint(1, l) for _ in range(rng.randint(1, 3))]
+                ls += z * rng.randint(1, 4) + [rng.randint(1, l) for _ in range(rng.randint(0, 3))]
+            w = Word(tuple(ls[: rng.randint(16, 40)]), Alphabet(l))
+            period_len, boundary = rng.randint(1, 3), rng.randint(1, 3)
+            gap_len = rng.choice((None, 0, 1, 2, 3))
+            got = large_selective_height(w, period_len, boundary, gap_len)
+            assert got == reference_large_selective_height(w, period_len, boundary, gap_len), (w, gap_len)
+            found += got >= 3
+        assert found > 100
+
+    def test_large_on_400_runs(self):
+        # (aabb)^200: 400 touching runs of period 1.  A gap longer than 0
+        # skips one run and a gap longer than 2 two, so every second or
+        # every third run is selected
+        w = word("aabb") * 200
+        assert large_selective_height(w, 1, 1) == 200
+        assert large_selective_height(w, 1, 1, gap_len=-1) == 200
+        assert large_selective_height(w, 1, 1, gap_len=2) == 134
+
     def test_corpus_check_small_range(self):
         report = selective_corpus_check(2, 3, 10, 2, beth_bound("t2", 2, 3))
         assert report["ok"] and report["scanned"] > 0
@@ -841,7 +1181,7 @@ class TestSelectiveHeights:
 
     def test_head_chain_against_strong_blocks_at_every_child(self, monkeypatch):
         # every child the walk tests is excluded by the head table exactly
-        # when some suffix of it has a strong division by _strong_blocks
+        # when some suffix of it has a strong division by _block_division
         head_chain = divisibility._head_chain
         checked = divisible = 0
         for l, top in ((2, 10), (3, 7)):
@@ -852,10 +1192,13 @@ class TestSelectiveHeights:
                     nonlocal checked, divisible
                     entry = head_chain(ls, chains, rank, t)
                     starts = range(len(ls) - n * t + 1)
-                    old = any(divisibility._strong_blocks(ls, n, heads, s) is not None for s in starts)
-                    assert (entry[1] >= n) == old, (ls, n, t)
+                    failed = set()  # one memo for every start, as _strong_witness shares it
+                    divides = any(
+                        divisibility._block_division(ls, n, s, heads, failed) is not None for s in starts
+                    )
+                    assert (entry[1] >= n) == divides, (ls, n, t)
                     checked += 1
-                    divisible += old
+                    divisible += divides
                     return entry
 
                 monkeypatch.setattr(divisibility, "_head_chain", checked_chain)
