@@ -388,15 +388,9 @@ def _cmd_count(args) -> list[dict]:
             if method == "multilinear":
                 rec["l"] = args.l
             if args.bound:
-                rec["bound_ok"] = (
-                    value * _square_factorial(args.k - 1) <= args.k ** (2 * n)
-                )
+                rec["bound_ok"] = value * factorial(args.k - 1) ** 2 <= args.k ** (2 * n)
             records.append(rec)
     return records
-
-
-def _square_factorial(k: int) -> int:
-    return factorial(k) ** 2
 
 
 def _posets_args(p: argparse.ArgumentParser) -> None:
@@ -415,15 +409,8 @@ def _cmd_posets(args) -> list[dict]:
         records = []
         table = po.epsilon_table(args.n)
         for k in sorted(table):
-            records.append(
-                {
-                    "n": args.n,
-                    "k": k,
-                    "epsilon": table[k],
-                    "bound": po.epsilon_bound(args.n, k),
-                    "ok": table[k] <= po.epsilon_bound(args.n, k),
-                }
-            )
+            bound = po.epsilon_bound(args.n, k)
+            records.append({"n": args.n, "k": k, "epsilon": table[k], "bound": bound, "ok": table[k] <= bound})
         return records
     if args.remark:
         demo = po.non_injectivity_demo()
@@ -446,7 +433,6 @@ def _cmd_posets(args) -> list[dict]:
         import random
 
         rng = random.Random(args.seed)
-        checked = 0
         ok = True
         for _ in range(args.random):
             n = rng.randrange(1, args.size + 1)
@@ -460,11 +446,10 @@ def _cmd_posets(args) -> list[dict]:
             anti, _ = po.max_antichain(p)
             cover = po.min_chain_cover(p)
             ok = ok and len(cover) == anti == po.max_antichain_bruteforce(p)
-            checked += 1
         return [
             {
                 "kind": "random-dilworth",
-                "checked": checked,
+                "checked": args.random,
                 "max_size": args.size,
                 "seed": args.seed,
                 "ok": ok,

@@ -21,18 +21,21 @@ The tail sense is one permutation, _suffix_ranks: with a sentinel
 letter above the alphabet closing each suffix, tail i > tail j for
 starts i < j exactly when rank(i) > rank(j), so a tail n-division is a
 decreasing subsequence of n ranks and the tail poset their permutation poset.
+_tail_witness and the coding-class width read one patience pass,
+posets._decreasing_reach; the Dilworth matching runs only in
+dilworth_tail_coloring, which returns the chains.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .bounds import alpha_lower
-from .posets import FinitePoset, max_antichain, min_chain_cover, permutation_poset
+from .posets import _decreasing_reach, min_chain_cover, permutation_poset
 from .words import (
     THETA,
     Alphabet,
@@ -163,21 +166,16 @@ def _suffix_ranks(ls: tuple[int, ...], limit: int) -> list[int]:
 def _tail_witness(w: Word, n: int, d: int | None) -> DivisibilityWitness | None:
     """The least list of n starts whose tails strictly decrease, or None.
 
-    One right-to-left patience pass over _suffix_ranks gives reach[i],
-    the most starts in a decreasing chain opening at i.  The chain is
-    read back greedily: the first start whose reach is >= n, then each
-    time the first later start of lower rank whose reach covers the rest.
+    One patience pass over _suffix_ranks gives reach[i], the most starts
+    in a decreasing chain opening at i.  The chain is read back greedily:
+    the first start whose reach is >= n, then each time the first later
+    start of lower rank whose reach covers the rest.
     """
     ls = w.letters
     L = len(ls)
     limit = L // d if d else L
     ranks = _suffix_ranks(ls, limit)
-    reach = [0] * limit
-    piles = [limit + 1] * limit  # piles[k]: least rank opening a chain of k + 1 starts
-    for i in range(limit - 1, -1, -1):
-        k = bisect_left(piles, ranks[i])
-        piles[k] = ranks[i]
-        reach[i] = k + 1
+    reach = _decreasing_reach(ranks)
     if max(reach, default=0) < n:
         return None
     chain: list[int] = []
@@ -487,12 +485,6 @@ class TailColoring:
     positions: tuple[int, ...]  # 1-based tail starts forming the colored set
     chains: tuple[tuple[int, ...], ...]  # positions per color, ascending
 
-    def color_of(self, position: int) -> int:
-        for color, chain in enumerate(self.chains, start=1):
-            if position in chain:
-                return color
-        raise ValueError(f"position {position} is not colored")
-
     def snapshot(self, p: int, i: int) -> tuple[Word | Theta, ...]:
         """Per color, the p-truncated most recent tail at position <= i."""
         if i not in self.positions:
@@ -677,21 +669,34 @@ def small_selective_height(w: Word, period_len: int, boundary: int) -> int:
 
 
 def _selection_height(cands: Sequence[tuple[int, int, tuple[int, ...]]]) -> int:
-    """Most pairwise disjoint candidate runs with pairwise distinct classes."""
+    """Most pairwise disjoint candidate runs with pairwise distinct classes.
+
+    Depth-first on an explicit stack, one frame per chosen run.  cands[j:]
+    adds at most rest[j] runs, its number of distinct classes, and rest
+    falls as j grows, so a frame stops once count + rest[j] <= best."""
+    rest = [0] * len(cands)
+    seen: set = set()
+    for j in range(len(cands) - 1, -1, -1):
+        seen.add(cands[j][2])
+        rest[j] = len(seen)
     best = 0
-
-    def grow(idx: int, last_end: int, used: frozenset, count: int) -> None:
-        nonlocal best
-        best = max(best, count)
-        remaining_classes = {c for _, _, c in cands[idx:] if c not in used}
-        if count + len(remaining_classes) <= best:
-            return
-        for j in range(idx, len(cands)):
+    used: set = set()
+    stack: list[list] = [[0, 0, None]]  # [next candidate, end of the run, its class]
+    while stack:
+        frame = stack[-1]
+        count = len(stack) - 1
+        j, last_end = frame[0], frame[1]
+        while j < len(cands) and count + rest[j] > best:
             s, e, cls = cands[j]
+            j += 1
             if s >= last_end and cls not in used:
-                grow(j + 1, e, used | {cls}, count + 1)
-
-    grow(0, 0, frozenset(), 0)
+                frame[0] = j
+                used.add(cls)
+                stack.append([j, e, cls])
+                best = max(best, count + 1)
+                break
+        else:
+            used.discard(stack.pop()[2])
     return best
 
 
@@ -775,14 +780,6 @@ class CodingClass:
         return Word(rep[j - 1 :] + rep[: j - 1], self.alphabet)
 
 
-def coding_poset(c: CodingClass) -> FinitePoset:
-    items = [(i, c.word(i, j).letters) for i in range(1, len(c.cycles) + 1) for j in range(1, c.length + 1)]
-    pairs = [
-        (a, b) for a, (ia, wa) in enumerate(items) for b, (ib, wb) in enumerate(items) if ia < ib and wa < wb
-    ]
-    return FinitePoset.from_relation(len(items), pairs)
-
-
 def is_n_light(c: CodingClass, n: int) -> bool:
     """True iff the two-coordinate order on the class has no antichain of size n."""
     if n < 1:
@@ -791,8 +788,15 @@ def is_n_light(c: CodingClass, n: int) -> bool:
 
 
 def _class_width(c: CodingClass) -> int:
-    """Largest antichain of the two-coordinate order, 0 for an empty class."""
-    return max_antichain(coding_poset(c))[0] if c.cycles else 0
+    """Largest antichain of the two-coordinate order (rotation u of cycle i
+    below rotation v of cycle j when i < j and u < v), 0 for an empty
+    class.  Listed cycle by cycle, each from its largest rotation down,
+    and keyed by (word, -index), an antichain is a decreasing run."""
+    listing = []
+    for cyc in c.cycles:
+        rep = cyc.representative.letters
+        listing += sorted((rep[j:] + rep[:j] for j in range(c.length)), reverse=True)
+    return max(_decreasing_reach([(u, -k) for k, u in enumerate(listing)]), default=0)
 
 
 def recode_pairs(c: CodingClass) -> CodingClass:

@@ -50,22 +50,16 @@ def exact_int_log(base: int, value: int) -> int | None:
     """Return k with base**k == value, or None if value is not a power."""
     if base < 2 or value < 1:
         return None
-    k, acc = 0, 1
-    while acc < value:
-        acc *= base
-        k += 1
-    return k if acc == value else None
+    k = ceil_log(base, value)
+    return k if base**k == value else None
 
 
 def floor_log(base: int, value: int) -> int:
     """Largest e >= 0 with base**e <= value (value >= 1)."""
     if base < 2 or value < 1:
         raise ValueError("floor_log needs base >= 2 and value >= 1")
-    e, acc = 0, base
-    while acc <= value:
-        acc *= base
-        e += 1
-    return e
+    # base**e <= value exactly when base**e < value + 1
+    return ceil_log(base, value + 1) - 1
 
 
 def ceil_log(base: int, value: int) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import iv_log2
-from .words import Alphabet, Word, _pack, format_word, parse_word
+from .words import Alphabet, Word, _is_factor, _pack, format_word, parse_word
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,6 @@ class MonomialAlgebraSpec:
 
     def allows(self, letters: tuple[int, ...]) -> bool:
         return not any(_is_factor(f.letters, letters) for f in self.forbidden)
-
-
-def _is_factor(needle: tuple[int, ...], hay: tuple[int, ...]) -> bool:
-    if len(needle) > len(hay):
-        return False
-    return any(
-        hay[i : i + len(needle)] == needle for i in range(len(hay) - len(needle) + 1)
-    )
 
 
 @dataclass(frozen=True)

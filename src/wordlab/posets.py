@@ -4,22 +4,28 @@ Relations are kept as strict-order bitmasks: bit j of `above[i]` says
 i < j.  One maximum bipartite matching on the split graph gives both
 the minimum chain cover and, through its vertex cover, a maximum
 antichain, so the Dilworth equality |min chain cover| = |max antichain|
-is asserted on every call.
+is asserted on every call.  It runs only where chains or an antichain
+are returned: `min_chain_cover`, `max_antichain` (the `posets` CLI) and
+`divisibility.dilworth_tail_coloring`.  A width alone is one patience
+pass, `_decreasing_reach`, with no relation built: for `epsilon_table`,
+`tableaux.longest_decreasing` and the tail and coding-class widths.
 
 Every kernel reads whole rows of the relation instead of asking about
 one pair at a time.  The matching is Kuhn's augmenting-path method on
-Fulkerson's split graph: each augment walks the set bits of
-`above[i] & ~seen`, lowest first, with `seen` one int per top-level
-augment, so it visits the right vertices in index order and returns the
-same matching as a per-pair scan.  The alternating reachability that
-finds the vertex cover walks set bits the same way, and the antichain
-is checked with one mask test per element.  `less` and `comparable`
-remain for callers that do ask about single pairs.
+Fulkerson's split graph: each augment is a depth-first search on an
+explicit stack that walks the set bits of `above[i] & ~seen`, lowest
+first, with `seen` one int per top-level augment, so it visits the
+right vertices in index order and returns the same matching as a
+per-pair scan.  The alternating reachability that finds the vertex
+cover walks set bits the same way, and the antichain is checked with
+one mask test per element.  `less` and `comparable` remain for callers
+that do ask about single pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -63,10 +69,7 @@ class FinitePoset:
             changed = False
             for i in range(n):
                 extra = 0
-                m = rel[i]
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
+                for j in _bits(rel[i]):
                     extra |= rel[j]
                 if extra & ~rel[i]:
                     rel[i] |= extra
@@ -143,28 +146,30 @@ def _max_matching(p: FinitePoset) -> tuple[int, list[int]]:
     """Kuhn's algorithm on the split graph; deterministic by index order."""
     n, above = p.size, p.above
     match_right = [-1] * n  # right j -> left i
-    seen = 0  # right vertices visited by the current top-level augment
-
-    def augment(i: int) -> bool:
-        nonlocal seen
-        m = above[i] & ~seen
-        while m:
-            low = m & -m
-            seen |= low
-            j = low.bit_length() - 1
-            k = match_right[j]
-            if k < 0 or augment(k):
-                match_right[j] = i
-                return True
-            # every bit up to j is seen now, and the recursion may have seen more
-            m = above[i] & ~seen
-        return False
-
     size = 0
-    for i in range(n):
-        seen = 0
-        if augment(i):
-            size += 1
+    for root in range(n):
+        i, seen = root, 0  # seen: right vertices visited by this augment
+        path: list[tuple[int, int]] = []  # (left vertex, right vertex taken from it)
+        while True:
+            # a failed branch may have seen more than the bits up to its own
+            m = above[i] & ~seen
+            if m:
+                low = m & -m
+                seen |= low
+                j = low.bit_length() - 1
+                k = match_right[j]
+                if k < 0:
+                    match_right[j] = i
+                    for left, right in path:
+                        match_right[right] = left
+                    size += 1
+                    break
+                path.append((i, j))
+                i = k
+            elif path:
+                i = path.pop()[0]
+            else:
+                break
     return size, match_right
 
 
@@ -228,17 +233,13 @@ def max_antichain_bruteforce(p: FinitePoset) -> int:
     ]
     best = 0
 
-    def grow(start: int, chosen: int, count: int, allowed: int) -> None:
+    def grow(start: int, count: int, allowed: int) -> None:
         nonlocal best
         best = max(best, count)
-        m = allowed & ~((1 << start) - 1)
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            grow(j + 1, chosen | (1 << j), count + 1, allowed & incomp[j])
-        return
+        for j in _bits(allowed >> start << start):
+            grow(j + 1, count + 1, allowed & incomp[j])
 
-    grow(0, 0, 0, (1 << n) - 1)
+    grow(0, 0, full)
     return best
 
 
@@ -264,6 +265,24 @@ def permutation_poset(pi: Sequence[int]) -> FinitePoset:
     return FinitePoset(n, tuple(above))
 
 
+def _decreasing_reach(seq: Sequence) -> list[int]:
+    """reach[i]: the most terms of a strictly decreasing subsequence of
+    seq opening at i, by one right-to-left patience pass.  max(reach) is
+    the width of a two-dimensional order listed by one coordinate and
+    ranked by the other (Greene 1974)."""
+    reach = [0] * len(seq)
+    piles: list = []  # piles[k]: least value read that opens k + 1 terms
+    for i in range(len(seq) - 1, -1, -1):
+        x = seq[i]
+        k = bisect_left(piles, x)
+        if k == len(piles):
+            piles.append(x)
+        else:
+            piles[k] = x
+        reach[i] = k + 1
+    return reach
+
+
 def canonical_key(p: FinitePoset) -> tuple[int, ...]:
     """Isomorphism-invariant canonical form.
 
@@ -285,6 +304,7 @@ def canonical_key(p: FinitePoset) -> tuple[int, ...]:
         offset += len(groups[prof])
     best: tuple[int, ...] | None = None
     group_keys = sorted(groups)
+    rows = [tuple(_bits(row)) for row in p.above]
     for assignment in itertools.product(
         *(itertools.permutations(slots[prof]) for prof in group_keys)
     ):
@@ -293,11 +313,8 @@ def canonical_key(p: FinitePoset) -> tuple[int, ...]:
             for elem, slot in zip(groups[prof], slot_perm):
                 relabel[elem] = slot
         rel = [0] * n
-        for i in range(n):
-            m = p.above[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
+        for i, row in enumerate(rows):
+            for j in row:
                 rel[relabel[i]] |= 1 << relabel[j]
         key = tuple(rel)
         if best is None or key < best:
@@ -312,10 +329,9 @@ def epsilon_table(n: int) -> dict[int, int]:
         raise ValueError("epsilon enumeration needs 1 <= n <= 7")
     seen: dict[tuple[int, ...], int] = {}
     for pi in itertools.permutations(range(1, n + 1)):
-        p = permutation_poset(pi)
-        key = canonical_key(p)
+        key = canonical_key(permutation_poset(pi))
         if key not in seen:
-            seen[key] = max_antichain(p)[0]
+            seen[key] = max(_decreasing_reach(pi))
     table = {k: 0 for k in range(1, n + 1)}
     for anti in seen.values():
         table[anti] += 1

@@ -28,6 +28,8 @@ from math import comb, factorial
 from operator import lt
 from typing import Iterator, Sequence
 
+from .posets import _decreasing_reach
+
 
 @dataclass(frozen=True)
 class Tableau:
@@ -144,15 +146,7 @@ def _check_permutation(pi: Sequence[int]) -> None:
 
 
 def longest_decreasing(pi: Sequence[int]) -> int:
-    tails: list[int] = []  # negated patience piles
-    for x in pi:
-        y = -x
-        lo = bisect_left(tails, y)
-        if lo == len(tails):
-            tails.append(y)
-        else:
-            tails[lo] = y
-    return len(tails)
+    return max(_decreasing_reach(pi), default=0)
 
 
 def longest_increasing(pi: Sequence[int]) -> int:

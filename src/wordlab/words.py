@@ -275,6 +275,13 @@ def _root_length(ls: tuple[int, ...]) -> int:
     return n
 
 
+def _is_factor(needle: tuple[int, ...], hay: tuple[int, ...]) -> bool:
+    """True iff needle occurs in hay as a contiguous factor."""
+    return any(
+        hay[i : i + len(needle)] == needle for i in range(len(hay) - len(needle) + 1)
+    )
+
+
 def _power_blockers(ls: tuple[int, ...], e: int) -> set[int]:
     """The letters x for which ls + (x,) ends with some z**e, z nonempty, e >= 2.
 
@@ -369,27 +376,37 @@ def is_regular(w: Word) -> bool:
     return _is_regular_letters(w.letters)
 
 
+class _Bracketing:
+    def _walk(self) -> Iterator["Leaf | str"]:
+        """The leaves in order, with "[" before and "]" after each pair, on
+        an explicit stack, so a tree may be deeper than the recursion limit."""
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            while type(node) is Pair:
+                yield "["
+                stack += ("]", node.right)
+                node = node.left
+            yield node
+
+    def render(self, alphabet: Alphabet) -> str:
+        return "".join(
+            f"[{alphabet.letter_str(x.letter)}]" if type(x) is Leaf else x for x in self._walk()
+        )
+
+    def frontier(self) -> tuple[int, ...]:
+        return tuple(x.letter for x in self._walk() if type(x) is Leaf)
+
+
 @dataclass(frozen=True)
-class Leaf:
+class Leaf(_Bracketing):
     letter: int
 
-    def render(self, alphabet: Alphabet) -> str:
-        return f"[{alphabet.letter_str(self.letter)}]"
-
-    def frontier(self) -> tuple[int, ...]:
-        return (self.letter,)
-
 
 @dataclass(frozen=True)
-class Pair:
+class Pair(_Bracketing):
     left: "Leaf | Pair"
     right: "Leaf | Pair"
-
-    def render(self, alphabet: Alphabet) -> str:
-        return f"[{self.left.render(alphabet)}{self.right.render(alphabet)}]"
-
-    def frontier(self) -> tuple[int, ...]:
-        return self.left.frontier() + self.right.frontier()
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,20 @@ class TestExactHelpers:
         assert ceil_log(3, 4) == 2
         assert ceil_log(3, 1) == 0
 
+    def test_logs_against_powers(self):
+        # the three helpers share one power loop; check each against the powers
+        for base in range(2, 8):
+            powers = [base**e for e in range(16)]
+            for value in range(1, 3000):
+                assert floor_log(base, value) == max(e for e, q in enumerate(powers) if q <= value)
+                assert ceil_log(base, value) == min(e for e, q in enumerate(powers) if q >= value)
+                assert exact_int_log(base, value) == (powers.index(value) if value in powers else None)
+        for base, value in ((1, 8), (2, 0), (0, 1)):
+            assert exact_int_log(base, value) is None
+            for f in (floor_log, ceil_log):
+                with pytest.raises(ValueError):
+                    f(base, value)
+
     @pytest.mark.parametrize(
         "x", [Fraction(3), Fraction(5, 2), Fraction(7), Fraction(1, 3), Fraction(10**6, 7)]
     )

@@ -261,6 +261,16 @@ class TestDeepSearches:
         assert rec["nodes_explored"] == 2 ** (k - 1)
         assert is_valid_process_sequence(rec["witness"].split(","), 2)
 
+    def test_selective_on_1500_classes(self):
+        # one run of three letters per class: the selection search once
+        # recursed per chosen run
+        letters = ",".join(str(x) for x in range(1, 1501) for _ in range(3))
+        proc = run_process("selective", "--word", "i:" + letters, "--l", "1500", "--period", "1",
+                           "--k", "2", "--n", "3", "--format", "jsonl")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        rec = json.loads(proc.stdout)
+        assert rec["small"] == 1500 and rec["large"] == 750
+
     def test_selective_on_400_runs(self):
         proc = run_process("selective", "--word", "aabb" * 200, "--period", "1", "--k", "1", "--n", "3",
                            "--format", "jsonl")

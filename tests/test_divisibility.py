@@ -38,7 +38,7 @@ from wordlab.divisibility import (
     word_height,
 )
 from wordlab.morphisms import thue_morse
-from wordlab.posets import FinitePoset, min_chain_cover
+from wordlab.posets import FinitePoset, max_antichain, min_chain_cover
 from wordlab.words import (
     Alphabet,
     Cmp,
@@ -421,6 +421,59 @@ def reference_large_selective_height(
 
     grow(0, 0, None, 0)
     return best
+
+
+def recursive_selection_height(cands):
+    """Most pairwise disjoint candidate runs with pairwise distinct classes:
+    the recursive search that the explicit stack replaced.  It recurses
+    once per chosen run, and its bound rebuilds the set of remaining
+    unused classes at every node."""
+    best = 0
+
+    def grow(idx, last_end, used, count):
+        nonlocal best
+        best = max(best, count)
+        remaining_classes = {c for _, _, c in cands[idx:] if c not in used}
+        if count + len(remaining_classes) <= best:
+            return
+        for j in range(idx, len(cands)):
+            s, e, cls = cands[j]
+            if s >= last_end and cls not in used:
+                grow(j + 1, e, used | {cls}, count + 1)
+
+    grow(0, 0, frozenset(), 0)
+    return best
+
+
+def reference_coding_poset(c: CodingClass) -> FinitePoset:
+    """The two-coordinate order as a relation: rotation u of cycle i below
+    rotation v of cycle j when i < j and u < v."""
+    items = [(i, c.word(i, j).letters) for i in range(1, len(c.cycles) + 1) for j in range(1, c.length + 1)]
+    pairs = [
+        (a, b) for a, (ia, wa) in enumerate(items) for b, (ib, wb) in enumerate(items) if ia < ib and wa < wb
+    ]
+    return FinitePoset.from_relation(len(items), pairs)
+
+
+def reference_class_width(c: CodingClass) -> int:
+    """The width by a Dilworth matching on the whole relation, which the
+    one patience pass of _class_width replaced."""
+    return max_antichain(reference_coding_poset(c))[0] if c.cycles else 0
+
+
+def seeded_coding_class(rng: random.Random) -> CodingClass:
+    """Up to four pairwise non-conjugate cycles, often proper powers."""
+    l, t = rng.choice((2, 3)), rng.choice((1, 2, 3, 4, 6))
+    alphabet = Alphabet(l)
+    cycles: dict[tuple[int, ...], WordCycle] = {}
+    for _ in range(rng.randrange(1, 5)):
+        p = rng.choice([p for p in range(1, t + 1) if t % p == 0])
+        root = tuple(rng.randrange(1, l + 1) for _ in range(p))
+        cyc = WordCycle.of(Word(root * (t // p), alphabet))
+        cycles.setdefault(cyc.representative.letters, cyc)
+    order = list(cycles.values())
+    rng.shuffle(order)
+    return CodingClass(t, alphabet, tuple(order))
 
 
 def reference_process_sequence(p: int, k: int, budget: int = 2_000_000) -> ProcessResult:
@@ -921,6 +974,21 @@ class TestTailColoring:
                     best = max(best, len(subset))
             assert len(tc.chains) == best
 
+    def test_augmenting_paths_deeper_than_the_recursion_limit(self):
+        # 3,000 seeded binary letters and a closing c: every tail is
+        # comparable, and an augmenting path of the matching runs deeper
+        # than Python's default recursion limit
+        rng = random.Random(3)
+        w = Word(tuple(rng.choice((1, 2)) for _ in range(3000)) + (3,), A3)
+        tc = dilworth_tail_coloring(w, len(w))
+        assert sorted(i for chain in tc.chains for i in chain) == list(range(1, 3002))
+        for chain in tc.chains:
+            for a, b in zip(chain, chain[1:]):
+                assert a < b and w.letters[a - 1 :] < w.letters[b - 1 :]
+        k = len(tc.chains)
+        assert is_n_divisible(w, k, Sense.TAIL) is not None
+        assert is_n_divisible(w, k + 1, Sense.TAIL) is None
+
     def test_chains_increase_in_position_and_order(self):
         tc = dilworth_tail_coloring(word("cabcab", Alphabet(3)), 10, d=2)
         for chain in tc.chains:
@@ -1223,6 +1291,21 @@ class TestSelectiveHeights:
         with pytest.raises(ValueError):
             selective_corpus_check(l, n, max_len, period_len, 1)
 
+    def test_selection_height_against_recursive_search(self):
+        rng = random.Random(4300)
+        for _ in range(4300):
+            width = rng.randrange(1, 5)
+            classes = [(x,) for x in range(rng.randrange(1, 7))]
+            ends = sorted(rng.randrange(width, 40) for _ in range(rng.randrange(0, 14)))
+            cands = [(e - width, e, rng.choice(classes)) for e in ends]
+            assert divisibility._selection_height(cands) == recursive_selection_height(cands), cands
+
+    def test_selection_height_past_the_recursion_limit(self):
+        # 1,500 disjoint runs of 1,500 distinct classes: the recursive
+        # search needed one frame per chosen run
+        letters = tuple(x for x in range(1, 1501) for _ in range(3))
+        assert small_selective_height(Word(letters, Alphabet(1500)), 1, 2) == 1500
+
     def test_large_bounded_by_small_relation(self):
         # the large height stays below 2(n-1) times the small-height
         # ceiling; spot-check on synthetic hosts with n = 3
@@ -1298,6 +1381,35 @@ class TestCoding:
                     recode_converse += is_n_light(recode_pairs(c), n)
                     pad_converse += is_n_light(pad_to_power_of_two(c, 2), 4 * (n - 1) + 1)
         assert recode_converse > 0 and pad_converse > 0
+
+    def test_width_against_matching_on_every_small_class(self):
+        # every ordered class of at most four cycles, with its padded and
+        # recoded images
+        checked = 0
+        for l, t_max in ((2, 5), (3, 3)):
+            alphabet = Alphabet(l)
+            for t in range(1, t_max + 1):
+                s = (t - 1).bit_length()
+                cycles = primitive_cycle_classes(t, alphabet)
+                for r in range(1, min(4, len(cycles)) + 1):
+                    for combo in itertools.permutations(cycles, r):
+                        c = CodingClass(t, alphabet, combo)
+                        images = [c, pad_to_power_of_two(c, s)] + ([recode_pairs(c)] if t % 2 == 0 else [])
+                        for image in images:
+                            assert divisibility._class_width(image) == reference_class_width(image), image
+                            checked += 1
+        empty = CodingClass(2, A2, ())
+        assert divisibility._class_width(empty) == reference_class_width(empty) == 0
+        assert checked > 5000
+
+    def test_width_against_matching_with_non_primitive_cycles(self):
+        rng = random.Random(2014)
+        powers = 0
+        for _ in range(3000):
+            c = seeded_coding_class(rng)
+            powers += any(cyc.period_length < c.length for cyc in c.cycles)
+            assert divisibility._class_width(c) == reference_class_width(c), c
+        assert powers > 1000
 
     def test_pad_nonvacuous_case(self):
         # a light class at t = 3 exists once n exceeds the cycle length

@@ -131,6 +131,25 @@ class TestCrochemore:
         assert m.max_image == 7 and m.min_image == 5
         assert crochemore_test(m).k_used == 3
 
+    def test_condition2_against_slice_scan(self):
+        # condition 2: no image is a factor of the image of another letter
+        rng = random.Random(6)
+        outcomes = set()
+        for _ in range(200):
+            l = rng.randrange(1, 4)
+            images = tuple(
+                Word(tuple(rng.randrange(1, 3) for _ in range(rng.randrange(1, 4))), A2) for _ in range(l)
+            )
+            want = not any(
+                a != b and any(y.letters[i : i + len(x)] == x.letters for i in range(len(y) - len(x) + 1))
+                for a, x in enumerate(images)
+                for b, y in enumerate(images)
+            )
+            got = crochemore_test(Morphism(Alphabet(l), A2, images)).thue2_condition2
+            assert got is want, images
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
     def test_agrees_with_direct_definition_on_random_morphisms(self):
         rng = random.Random(5)
         for _ in range(60):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from wordlab.posets import (
     FinitePoset,
+    _decreasing_reach,
     _dilworth,
     _max_matching,
     count_permutation_posets,
@@ -107,9 +108,49 @@ def reference_max_antichain_bruteforce(p):
     return best
 
 
+def recursive_max_matching(p):
+    """Kuhn's matching with a recursive augment over the row bitmasks, the
+    same visiting order as the explicit stack; it recurses once per step
+    of an augmenting path."""
+    n, above = p.size, p.above
+    match_right = [-1] * n
+    seen = 0
+
+    def augment(i):
+        nonlocal seen
+        m = above[i] & ~seen
+        while m:
+            low = m & -m
+            seen |= low
+            j = low.bit_length() - 1
+            k = match_right[j]
+            if k < 0 or augment(k):
+                match_right[j] = i
+                return True
+            m = above[i] & ~seen
+        return False
+
+    size = 0
+    for i in range(n):
+        seen = 0
+        size += augment(i)
+    return size, match_right
+
+
+def brute_force_reach(seq):
+    """reach[i] over every index subset: the largest strictly decreasing
+    one whose first index is i."""
+    reach = [0] * len(seq)
+    for r in range(1, len(seq) + 1):
+        for idx in itertools.combinations(range(len(seq)), r):
+            if reach[idx[0]] < r and all(seq[a] > seq[b] for a, b in zip(idx, idx[1:])):
+                reach[idx[0]] = r
+    return reach
+
+
 def assert_matches_reference(p):
     size, match_right, chains, antichain = reference_dilworth(p)
-    assert _max_matching(p) == (size, match_right)
+    assert _max_matching(p) == (size, match_right) == recursive_max_matching(p)
     assert _dilworth(p) == (chains, antichain)
 
 
@@ -233,6 +274,30 @@ class TestPermutationPosets:
         for n in range(1, 7):
             for pi in itertools.permutations(range(1, n + 1)):
                 assert max_antichain(permutation_poset(pi))[0] == lds(pi)
+
+    def test_decreasing_reach_against_brute_force(self):
+        # every sequence over three values, ties included, and every
+        # permutation, up to length 7
+        seqs = itertools.chain(
+            (seq for n in range(8) for seq in itertools.product((1, 2, 3), repeat=n)),
+            (pi for n in range(8) for pi in itertools.permutations(range(1, n + 1))),
+        )
+        for seq in seqs:
+            assert _decreasing_reach(seq) == brute_force_reach(seq), seq
+
+    def test_width_is_longest_decreasing_up_to_seven(self):
+        for n in range(1, 8):
+            for pi in itertools.permutations(range(1, n + 1)):
+                assert max(_decreasing_reach(pi)) == max_antichain(permutation_poset(pi))[0], pi
+
+    def test_matching_against_recursive_augment_on_larger_posets(self):
+        # a few hundred points, small enough for the recursive augment
+        rng = random.Random(1974)
+        for n in (100, 200, 400):
+            pi = list(range(1, n + 1))
+            rng.shuffle(pi)
+            p = permutation_poset(pi)
+            assert _max_matching(p) == recursive_max_matching(p)
 
     def test_permutation_poset_rows_against_closure(self):
         # the direct rows against the pair list closed by from_relation

@@ -294,6 +294,20 @@ def _regular_nonassoc(tree):
     return True
 
 
+def recursive_frontier(tree):
+    """The letters of the leaves, one recursive call per node."""
+    if isinstance(tree, Leaf):
+        return (tree.letter,)
+    return recursive_frontier(tree.left) + recursive_frontier(tree.right)
+
+
+def recursive_render(tree, alphabet):
+    """The bracketed text, one recursive call per node."""
+    if isinstance(tree, Leaf):
+        return f"[{alphabet.letter_str(tree.letter)}]"
+    return f"[{recursive_render(tree.left, alphabet)}{recursive_render(tree.right, alphabet)}]"
+
+
 class TestRegularAndBracketing:
     @pytest.mark.parametrize("text,expected", [("ba", True), ("ab", False), ("aa", False)])
     def test_is_regular(self, text, expected):
@@ -347,6 +361,23 @@ class TestRegularKernels:
         if reference_is_regular(top):
             assert _is_regular_letters(top)
             assert _bracket(top) == reference_bracket(top)
+
+    @pytest.mark.parametrize("l,max_len", [(2, 12), (3, 8)])
+    def test_frontier_and_render_against_recursion(self, l, max_len):
+        alphabet = Alphabet(l)
+        for n in range(1, max_len + 1):
+            for ls in itertools.product(range(1, l + 1), repeat=n):
+                if _is_regular_letters(ls):
+                    tree = _bracket(ls)
+                    assert tree.frontier() == recursive_frontier(tree) == ls
+                    assert tree.render(alphabet) == recursive_render(tree, alphabet)
+
+    def test_bracketing_deeper_than_the_recursion_limit(self):
+        # b a^1200 is a left comb 1,200 pairs deep
+        w = Word((2,) + (1,) * 1200, A2)
+        bracketed = shirshov_bracketing(w)
+        assert bracketed.tree.frontier() == w.letters
+        assert str(bracketed) == "[" * 1200 + "[b]" + "[a]]" * 1200
 
     def test_long_regular_word(self):
         # b a^k: the stack merges one letter at a time into a left comb
