@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .bounds import alpha_lower
 from .posets import _decreasing_reach, min_chain_cover, permutation_poset
 from .words import (
     THETA,
@@ -254,7 +253,10 @@ def _block_division(
         pseudo = ((0, 1, 0),)
         reserve: Sequence[int] = range(n)  # one letter per block still to come
     else:
-        table = [(zi, h, len(h), 1 << zi) for zi, h in enumerate(heads)]
+        # the heads by first letter, in head order within a letter
+        table: dict[int, list] = {}
+        for zi, h in enumerate(heads):
+            table.setdefault(h[0], []).append((zi, h, len(h), 1 << zi))
         # reserve[j]: the least room j more blocks need, one distinct head each
         shortest = sorted(map(len, heads))
         reserve = [sum(shortest[:j]) for j in range(n)]
@@ -272,7 +274,7 @@ def _block_division(
         else:
             opening = [
                 (zi, size, bit)
-                for zi, h, size, bit in table
+                for zi, h, size, bit in table.get(ls[begin], ())
                 if not mask & bit and ls[begin : begin + size] == h
             ]
         if opening:
@@ -890,6 +892,8 @@ def lower_bound_witness_edges(n: int, l: int) -> tuple[tuple[int, int], ...]:
     (j = 0..n-3); increments are distinct dyadic sums, so no edge ever
     repeats, and each big step contributes (n-2)(n-3)/2 edges.
     """
+    from .bounds import alpha_lower
+
     if n < 4:
         raise ValueError("the construction needs n >= 4")
     if l <= 2 ** (n - 1):
@@ -935,19 +939,34 @@ def primitive_cycle_classes(t: int, alphabet: Alphabet) -> tuple[WordCycle, ...]
     return tuple(out)
 
 
-def _head_chain(
-    ls: tuple[int, ...], chains: tuple[tuple[int, int], ...], rank: dict, t: int
-) -> tuple[int, int]:
-    """The head-table entry of ls's last length-t window, given the
-    entries of all earlier windows: the window's rank among the heads
-    and the most blocks of a strong division whose last block opens
-    there; (-1, 0) when the window is not a head."""
-    r = rank.get(ls[-t:], -1)
-    if r < 0:
-        return (-1, 0)
-    # the block before opens with a larger head, at least t letters earlier
-    earlier = chains[: max(len(chains) - t + 1, 0)]
-    return (r, 1 + max((d for q, d in earlier if q > r), default=0))
+def _head_step(state: tuple, x: int, rank: dict, t: int, n: int) -> tuple | None:
+    """The head state of p + (x,) from the state of p, or None when
+    p + (x,) is strongly n-divisible; p itself must not be.
+
+    A state is (the last t - 1 letters, the head-table entries of the
+    last t - 1 windows, M).  An entry is a length-t window's rank among
+    the heads and the longest chain of heads that ends there, (-1, 0)
+    for a window that is not a head.  M[r] is the longest chain among
+    the older windows, those at least t letters before the next one,
+    whose head ranks above r.  The empty word's state is ((), (), M)
+    with M all zeros.
+    """
+    tail, pending, M = state
+    window = tail + (x,)
+    if len(window) < t:
+        return window, pending, M
+    r = rank.get(window, -1)
+    d = 1 + M[r] if r >= 0 else 0
+    if d >= n:
+        return None
+    pending += ((r, d),)
+    if len(pending) == t:
+        # the oldest entry is now t windows back: fold it into M.  M does
+        # not rise with r, so nothing changes when its chain <= M[q - 1]
+        (q, e), pending = pending[0], pending[1:]
+        if q > 0 and e > M[q - 1]:
+            M = tuple([max(m, e) for m in M[:q]]) + M[q:]
+    return window[1:], pending, M
 
 
 def selective_corpus_check(
@@ -957,14 +976,8 @@ def selective_corpus_check(
     and report the largest small selective height against the bound.
 
     The declared period set is every primitive word of the given length.
-    The words are walked depth-first as a prefix tree on letter tuples.
     Strong divisibility is kept under right extension, so a divisible
-    node is counted in `excluded` with its whole subtree and not entered.
-    The small selective height can only grow under right extension too,
-    so it is taken only at maximal scanned words: those of length
-    max_len and those whose one-letter extensions are all excluded.
-    Each node carries its candidate runs, one new run at most per
-    letter, and a word without runs has height 0.
+    word is counted in `excluded` with all its extensions up to max_len.
 
     Only the last block can be new.  Every head has the same length t,
     so a block opens with its first t letters, two blocks with distinct
@@ -974,20 +987,36 @@ def selective_corpus_check(
     letters after the one before.  Suppose a child p + (x,) has a
     division whose last block is longer than one head.  That block and
     the one before it first differ ahead of x, so dropping x leaves a
-    division of p.  The walk never enters a divisible p, so a child is
-    divisible exactly when a division's last block is the one head that
-    x completes, and the search for it runs leftwards from there: each
-    earlier block opens with a larger head, hence an unused one.
+    division of p.  No divisible p is extended, so a child is divisible
+    exactly when a division's last block is the one head that x
+    completes, and each earlier block opens with a larger head, hence
+    an unused one.  So a child is excluded exactly when the longest
+    chain of heads ending at its last window reaches n.
 
-    One head table per node holds that search.  A node carries one
-    entry per window of length t, in order: the window's rank among
-    the heads, and the longest chain of heads that ends there, the most
-    blocks a division whose last block opens there can have.  A child
-    appends the entry of its last window (`_head_chain`) and is
-    excluded when that entry reaches n.  An entry depends only on
-    letters up to its window, so a node's table holds in its whole
-    subtree.  The table is carried only where some division is
-    possible: at least n heads, and n * t <= max_len.
+    That chain needs the chains of the windows at least t letters back
+    only through M[r], the longest of them among heads ranked above
+    the new window's rank r, and the new window's rank needs only the
+    last t - 1 letters.  So a word's head state (`_head_step`) holds
+    those letters, the entries of the last t - 1 windows, which are
+    still too near, and M.  The entry t windows back leaves the
+    pending ones when a window is added and folds into M: M[r] rises
+    to its chain for every r below its rank.  Chains stay below n, so
+    few states exist, and two words with one state have extensions
+    that are excluded alike.  The counts are taken level by level over
+    the states, each with the number of words that reach it.  Where no
+    division is possible (fewer than n heads, or n * t > max_len),
+    every word is scanned.
+
+    The small selective height can only grow under right extension, so
+    it is taken at maximal scanned words: those of length max_len and
+    those whose one-letter extensions are all excluded.  That takes a
+    depth-first walk of the words, each carrying its head state and its
+    candidate runs.  A height counts pairwise disjoint runs of
+    (2n + 1) * t letters with pairwise distinct classes, and each
+    primitive class has exactly t rotations among the heads, so no
+    height exceeds cap = min(#heads // t, max_len // ((2n + 1) * t)).
+    The walk runs only while the largest height found is below the
+    cap, and looks for a run only at depths that can hold one.
     """
     if n < 1 or period_len < 1 or l < 1 or max_len < 1:
         raise ValueError("need n, period_len, l and max_len all >= 1")
@@ -997,33 +1026,45 @@ def selective_corpus_check(
     heads = [z for z in itertools.product(letters, repeat=t) if _root_length(z) == t]
     rank = {z: i for i, z in enumerate(heads)}
     boundary = 2 * n
-    scanned = 0
-    excluded = 0
-    worst = 0
     # n blocks need n distinct heads and n * t letters; else nothing divides
     strong = len(heads) >= n and n * t <= max_len
-    # (word, its candidate runs, its head table); the empty root is not scanned
-    stack: list[tuple[tuple[int, ...], tuple, tuple]] = [((), (), ())]
-    while stack:
-        ls, runs, chains = stack.pop()
+    root = ((), (), (0,) * len(heads))
+    if strong:
+        scanned = excluded = 0
+        level = {root: 1}  # head state -> number of words of this length
+        for k in range(max_len):
+            below = sum(l**j for j in range(max_len - k))  # a length-(k+1) word and its extensions
+            grown: dict[tuple, int] = {}
+            for state, count in level.items():
+                for x in letters:
+                    child = _head_step(state, x, rank, t, n)
+                    if child is None:
+                        excluded += count * below
+                    else:
+                        scanned += count
+                        grown[child] = grown.get(child, 0) + count
+            level = grown
+    else:
+        scanned, excluded = sum(l**j for j in range(1, max_len + 1)), 0
+    run_len = (boundary + 1) * t
+    cap = min(len(heads) // t, max_len // run_len)
+    worst = 0
+    # (word, its candidate runs, its head state); the empty root is not scanned
+    stack: list[tuple[tuple[int, ...], tuple, tuple]] = [((), (), root)] if cap else []
+    while stack and worst < cap:
+        ls, runs, state = stack.pop()
         k = len(ls)
         maximal = True
         for x in letters:
-            child = ls + (x,)
-            if strong and k + 1 >= t:
-                entry = _head_chain(child, chains, rank, t)
-                if entry[1] >= n:
-                    excluded += sum(l**j for j in range(max_len - k))  # child and subtree
-                    continue
-                child_chains = chains + (entry,)
-            else:
-                child_chains = chains
-            scanned += 1
+            child_state = _head_step(state, x, rank, t, n) if strong else state
+            if child_state is None:
+                continue
             maximal = False
-            run = _candidate_run(child, k + 1, t, boundary)
+            child = ls + (x,)
+            run = _candidate_run(child, k + 1, t, boundary) if k + 1 >= run_len else None
             child_runs = runs + (run,) if run else runs
             if k + 1 < max_len:
-                stack.append((child, child_runs, child_chains))
+                stack.append((child, child_runs, child_state))
             elif child_runs:
                 worst = max(worst, _selection_height(child_runs))
         if maximal and runs:

@@ -403,10 +403,22 @@ class Leaf(_Bracketing):
     letter: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pair(_Bracketing):
+    """An inner node.  Equality and hash read the bracketed leaf
+    sequence of _walk, which spells the tree, so a tree may be deeper
+    than the recursion limit; the generated repr still recurses."""
+
     left: "Leaf | Pair"
     right: "Leaf | Pair"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Pair:
+            return NotImplemented
+        return all(a == b for a, b in itertools.zip_longest(self._walk(), other._walk()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._walk()))
 
 
 @dataclass(frozen=True)

@@ -463,6 +463,12 @@ class TestStartup:
     def test_import_loads_no_layer(self):
         assert self.loaded_layers("import wordlab.cli") == set()
 
+    def test_divisibility_loads_no_bounds(self):
+        # lower_bound_witness_edges imports its one bounds helper when called
+        assert self.loaded_layers("import wordlab.divisibility") == {"divisibility", "posets"}
+        code = 'from wordlab.cli import main\nmain(["divide", "--word", "cba", "--n", "3"])'
+        assert self.loaded_layers(code) == {"divisibility", "posets"}
+
     def test_command_loads_its_layer_only(self):
         code = 'from wordlab.cli import main\nmain(["bounds", "--which", "q-n", "--n", "3"])'
         assert self.loaded_layers(code) == {"bounds", "exactmath"}

@@ -388,6 +388,78 @@ def reference_corpus_check(l, n, max_len, period_len, bound):
     }
 
 
+def reference_head_chain(ls, chains, rank, t):
+    """The head-table entry of ls's last length-t window, given the
+    entries of all earlier windows: the window's rank among the heads
+    and the most blocks of a strong division whose last block opens
+    there; (-1, 0) when the window is not a head."""
+    r = rank.get(ls[-t:], -1)
+    if r < 0:
+        return (-1, 0)
+    # the block before opens with a larger head, at least t letters earlier
+    earlier = chains[: max(len(chains) - t + 1, 0)]
+    return (r, 1 + max((d for q, d in earlier if q > r), default=0))
+
+
+def reference_corpus_walk(l, n, max_len, period_len, bound):
+    """The corpus walk that selective_corpus_check replaced: depth-first
+    over every scanned word, each node carrying its candidate runs and
+    one head-table entry per window, and the height taken at every
+    maximal scanned word."""
+    t = period_len
+    letters = range(1, l + 1)
+    heads = [z for z in itertools.product(letters, repeat=t) if is_primitive(z)]
+    rank = {z: i for i, z in enumerate(heads)}
+    boundary = 2 * n
+    scanned = excluded = worst = 0
+    strong = len(heads) >= n and n * t <= max_len
+    stack = [((), (), ())]
+    while stack:
+        ls, runs, chains = stack.pop()
+        k = len(ls)
+        maximal = True
+        for x in letters:
+            child = ls + (x,)
+            if strong and k + 1 >= t:
+                entry = reference_head_chain(child, chains, rank, t)
+                if entry[1] >= n:
+                    excluded += sum(l**j for j in range(max_len - k))  # child and subtree
+                    continue
+                child_chains = chains + (entry,)
+            else:
+                child_chains = chains
+            scanned += 1
+            maximal = False
+            run = divisibility._candidate_run(child, k + 1, t, boundary)
+            child_runs = runs + (run,) if run else runs
+            if k + 1 < max_len:
+                stack.append((child, child_runs, child_chains))
+            elif child_runs:
+                worst = max(worst, divisibility._selection_height(child_runs))
+        if maximal and runs:
+            worst = max(worst, divisibility._selection_height(runs))
+    return dict(
+        l=l, n=n, max_len=max_len, period_len=period_len, boundary=boundary,
+        scanned=scanned, excluded=excluded, max_height=worst, bound=bound, ok=worst <= bound,
+    )
+
+
+# (l, n, max_len, period_len): every cell with l <= 3, n <= 4 and
+# period_len <= 3, up to 10 letters (7 at l = 3); the sweep benchmark's
+# ladder; and the two acceptance-suite cells
+CORPUS_GRID = [
+    (l, n, max_len, t)
+    for l in (1, 2, 3)
+    for n, t in itertools.product(range(1, 5), range(1, 4))
+    for max_len in range(1, (10 if l < 3 else 7) + 1)
+]
+CORPUS_RUNGS = [
+    (2, 3, 10, 2), (2, 3, 11, 2), (2, 3, 12, 2), (2, 3, 13, 2), (2, 3, 14, 2),
+    (2, 3, 9, 3), (2, 3, 10, 3), (3, 3, 6, 2), (3, 3, 7, 2),
+]
+CORPUS_PINNED = [(2, 3, 14, 3), (3, 3, 9, 2)]
+
+
 def reference_large_selective_height(
     w: Word, period_len: int, boundary: int, gap_len: int | None = None
 ) -> int:
@@ -749,6 +821,16 @@ class TestBlockDivision:
         assert strong.blocks == singles
         assert [z.letters for z in strong.periods] == [(x,) for x in ls]
         assert is_n_divisible(w, 1201) is None
+
+    def test_strong_with_heads_in_another_order(self):
+        # the periods in increasing order, the word decreasing: each block
+        # start finds its one head by its first letter
+        w = parse_word("i:" + ",".join(str(x) for x in range(1200, 0, -1)))
+        Z = [Word((x,), w.alphabet) for x in range(1, 1201)]
+        strong = is_n_divisible(w, 1200, "strong", Z=Z)
+        assert strong.blocks == tuple((i, i) for i in range(1, 1201))
+        assert [z.letters for z in strong.periods] == [(x,) for x in w.letters]
+        validate_witness(w, strong)
 
 
 class TestTailSense:
@@ -1247,41 +1329,65 @@ class TestSelectiveHeights:
         r = selective_corpus_check(l, n, max_len, period_len, 1)
         assert (r["scanned"], r["excluded"], r["max_height"]) == report
 
-    def test_head_chain_against_strong_blocks_at_every_child(self, monkeypatch):
-        # every child the walk tests is excluded by the head table exactly
-        # when some suffix of it has a strong division by _block_division
-        head_chain = divisibility._head_chain
+    def test_head_step_against_strong_blocks_at_every_child(self):
+        # each child of a scanned word, walked one word at a time with
+        # its head state, is excluded by _head_step exactly when some
+        # suffix of it has a strong division by _block_division
         checked = divisible = 0
         for l, top in ((2, 10), (3, 7)):
             for n, t, max_len in itertools.product(range(1, 5), range(1, 4), range(1, top + 1)):
                 heads = [z for z in itertools.product(range(1, l + 1), repeat=t) if is_primitive(z)]
-
-                def checked_chain(ls, chains, rank, t, n=n, heads=heads):
-                    nonlocal checked, divisible
-                    entry = head_chain(ls, chains, rank, t)
-                    starts = range(len(ls) - n * t + 1)
-                    failed = set()  # one memo for every start, as _strong_witness shares it
-                    divides = any(
-                        divisibility._block_division(ls, n, s, heads, failed) is not None for s in starts
-                    )
-                    assert (entry[1] >= n) == divides, (ls, n, t)
-                    checked += 1
-                    divisible += divides
-                    return entry
-
-                monkeypatch.setattr(divisibility, "_head_chain", checked_chain)
-                selective_corpus_check(l, n, max_len, t, 1)
+                if len(heads) < n or n * t > max_len:
+                    continue  # no division is possible, and the corpus check tests no child
+                rank = {z: i for i, z in enumerate(heads)}
+                stack = [((), ((), (), (0,) * len(heads)))]
+                while stack:
+                    ls, state = stack.pop()
+                    for x in range(1, l + 1):
+                        child = ls + (x,)
+                        child_state = divisibility._head_step(state, x, rank, t, n)
+                        if len(child) >= t:
+                            starts = range(len(child) - n * t + 1)
+                            failed = set()  # one memo for every start, as _strong_witness shares it
+                            divides = any(
+                                divisibility._block_division(child, n, s, heads, failed) is not None
+                                for s in starts
+                            )
+                            assert (child_state is None) == divides, (child, n, t)
+                            checked += 1
+                            divisible += divides
+                        if child_state is not None and len(child) < max_len:
+                            stack.append((child, child_state))
         assert (checked, divisible) == (23283, 4797)
 
     def test_corpus_walk_measures_words_with_all_extensions_excluded(self, monkeypatch):
-        # with every word of length >= 6 counted as divisible, the
-        # maximal scanned words are the 32 words of length 5, and aaaaa
-        # holds one z**5 fragment of period 1
-        monkeypatch.setattr(
-            divisibility, "_head_chain", lambda ls, chains, rank, t: (0, 9 if len(ls) >= 6 else 0)
-        )
+        # a head state that keeps every letter, with every word of length
+        # >= 6 counted as divisible: the maximal scanned words are the 32
+        # words of length 5, and aaaaa holds one z**5 fragment of period 1
+        def step(state, x, rank, t, n):
+            letters, pending, M = state
+            return None if len(letters) >= 5 else (letters + (x,), pending, M)
+
+        monkeypatch.setattr(divisibility, "_head_step", step)
         report = selective_corpus_check(2, 2, 8, 1, 1)
         assert (report["scanned"], report["excluded"], report["max_height"]) == (62, 448, 1)
+
+    def test_corpus_check_against_the_replaced_walk(self):
+        for cell in CORPUS_GRID + CORPUS_RUNGS + CORPUS_PINNED:
+            assert selective_corpus_check(*cell, 3) == reference_corpus_walk(*cell, 3), cell
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_corpus_check_against_reference_on_the_grid(self, l):
+        for cell in CORPUS_GRID:
+            if cell[0] == l:
+                assert selective_corpus_check(*cell, 3) == reference_corpus_check(*cell, 3), cell
+
+    def test_corpus_check_against_reference_on_the_rungs(self):
+        # the per-word reference takes up to a third of a second a rung,
+        # and 4 to 9 s on each of the two acceptance-suite cells, which
+        # are left to the replaced walk
+        for cell in CORPUS_RUNGS:
+            assert selective_corpus_check(*cell, 3) == reference_corpus_check(*cell, 3), cell
 
     @pytest.mark.parametrize(
         "l,n,max_len,period_len",

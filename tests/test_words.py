@@ -379,6 +379,25 @@ class TestRegularKernels:
         assert bracketed.tree.frontier() == w.letters
         assert str(bracketed) == "[" * 1200 + "[b]" + "[a]]" * 1200
 
+    def test_deep_trees_compare_and_hash(self):
+        # 1,200-deep combs: equality and hash walk an explicit stack
+        def comb(bottom, leaves, left=True):
+            tree = bottom
+            for x in leaves:
+                tree = Pair(tree, Leaf(x)) if left else Pair(Leaf(x), tree)
+            return tree
+
+        tree = shirshov_bracketing(Word((2,) + (1,) * 1200, A2)).tree
+        same = comb(Leaf(2), (1,) * 1200)
+        assert tree is not same and tree == same and hash(tree) == hash(same)
+        assert {tree: 1}[same] == 1
+        # the deepest leaf differs; one leaf fewer; the same letters in another shape
+        assert tree != comb(Leaf(1), (1,) * 1200)
+        assert tree != comb(Leaf(2), (1,) * 1199)
+        other = Pair(Leaf(2), comb(Leaf(1), (1,) * 1199, left=False))
+        assert other.frontier() == tree.frontier() and tree != other
+        assert tree != Leaf(2) and Leaf(2) != tree
+
     def test_long_regular_word(self):
         # b a^k: the stack merges one letter at a time into a left comb
         ls = (2,) + (1,) * 500
