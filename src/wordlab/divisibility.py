@@ -32,7 +32,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .posets import _decreasing_reach, min_chain_cover, permutation_poset
 from .words import (
@@ -969,6 +969,62 @@ def _head_step(state: tuple, x: int, rank: dict, t: int, n: int) -> tuple | None
     return window[1:], pending, M
 
 
+def _corpus_height(
+    step: Callable[[int], tuple], heads: list[tuple[int, ...]], t: int, run: int, max_len: int
+) -> int:
+    """The most runs z**run of pairwise distinct classes, z among the
+    heads of length t, over the words of at most max_len letters built
+    from head state 0 one whole run or, after the first run, one gap
+    letter at a time; step(i) lists state i's child per letter, None
+    where the word is excluded.  The search behind
+    selective_corpus_check's height."""
+    run_len = run * t
+    # each primitive class has exactly t rotations among the heads
+    cap = min(len(heads) // t, max_len // run_len)
+    if not cap:
+        return 0
+    class_bit: dict[tuple[int, ...], int] = {}  # a class's least rotation -> its bit
+    head_bit = [
+        class_bit.setdefault(min(z[r:] + z[:r] for r in range(t)), 1 << len(class_bit))
+        for z in heads
+    ]
+    runs: dict[int, list] = {}  # head state -> (class bit, head state) after each scanned run
+
+    def run_moves(state: int) -> list:
+        moves = runs.get(state)
+        if moves is None:
+            moves = runs[state] = []
+            for z, bit in zip(heads, head_bit):
+                s = state
+                for x in z * run:
+                    s = step(s)[x - 1]
+                    if s is None:
+                        break
+                else:
+                    moves.append((bit, s))
+        return moves
+
+    best = 0
+    least = {(0, 0): 0}  # (head state, used-class mask) -> least length reaching it
+    by_length: list[list] = [[] for _ in range(max_len + 1)]
+    by_length[0].append((0, 0))
+    for k, pairs in enumerate(by_length):
+        for pair in pairs:
+            state, used = pair
+            height = used.bit_count()
+            if least[pair] < k or height + min(cap - height, (max_len - k) // run_len) <= best:
+                continue  # reached sooner, or too short to lift the height
+            grown_pairs = [(k + run_len, (s, used | bit)) for bit, s in run_moves(state) if not used & bit]
+            if used:
+                grown_pairs += [(k + 1, (s, used)) for s in step(state) if s is not None]
+            for length, grown_pair in grown_pairs:
+                if least.get(grown_pair, max_len + 1) > length:
+                    least[grown_pair] = length
+                    by_length[length].append(grown_pair)
+                    best = max(best, grown_pair[1].bit_count())
+    return best
+
+
 def selective_corpus_check(
     l: int, n: int, max_len: int, period_len: int, bound: int
 ) -> dict:
@@ -1005,18 +1061,28 @@ def selective_corpus_check(
     that are excluded alike.  The counts are taken level by level over
     the states, each with the number of words that reach it.  Where no
     division is possible (fewer than n heads, or n * t > max_len),
-    every word is scanned.
+    every word is scanned and the head state never changes.  Each
+    state's children are taken once a call and shared with the height
+    search.
 
-    The small selective height can only grow under right extension, so
-    it is taken at maximal scanned words: those of length max_len and
-    those whose one-letter extensions are all excluded.  That takes a
-    depth-first walk of the words, each carrying its head state and its
-    candidate runs.  A height counts pairwise disjoint runs of
-    (2n + 1) * t letters with pairwise distinct classes, and each
-    primitive class has exactly t rotations among the heads, so no
-    height exceeds cap = min(#heads // t, max_len // ((2n + 1) * t)).
-    The walk runs only while the largest height found is below the
-    cap, and looks for a run only at depths that can hold one.
+    A word is excluded exactly when some chain of head windows lies
+    anywhere in it, so every factor of a scanned word is scanned.  A
+    height counts pairwise disjoint runs z**(2n + 1), z a head, with
+    pairwise distinct classes.  Given a scanned word of height h, the
+    factor from its first chosen run's start to its last one's end is
+    scanned, no longer, and of the form run, gaps, run, ..., run, with h
+    runs of distinct classes.  The height search builds exactly the
+    scanned words of that form: from the empty word it appends one whole
+    run (of a class not yet used) or, after the first run, one gap
+    letter, each letter through the head state, which drops a word once
+    it is excluded.  So the largest height is the most runs it reaches.
+    What a word can still become depends only on its head state and its
+    used classes, so the search keeps the least length of each (head
+    state, used classes) pair and takes the pairs in order of length.
+    Each primitive class has exactly t rotations among the heads, so no
+    height exceeds cap = min(#heads // t, max_len // ((2n + 1) * t)),
+    and a pair is dropped once the runs that still fit cannot lift it
+    above the largest height found.
     """
     if n < 1 or period_len < 1 or l < 1 or max_len < 1:
         raise ValueError("need n, period_len, l and max_len all >= 1")
@@ -1028,16 +1094,32 @@ def selective_corpus_check(
     boundary = 2 * n
     # n blocks need n distinct heads and n * t letters; else nothing divides
     strong = len(heads) >= n and n * t <= max_len
-    root = ((), (), (0,) * len(heads))
+    # head states by number, the empty word's first; children[i] holds
+    # state i's child per letter (None where excluded) once taken
+    states = [((), (), (0,) * len(heads))]
+    number = {states[0]: 0}
+    children: list[tuple | None] = [None]
+
+    def step(i: int) -> tuple:
+        kids = children[i]
+        if kids is None:
+            after = [_head_step(states[i], x, rank, t, n) if strong else states[i] for x in letters]
+            for state in after:
+                if state is not None and state not in number:
+                    number[state] = len(states)
+                    states.append(state)
+                    children.append(None)
+            kids = children[i] = tuple(None if s is None else number[s] for s in after)
+        return kids
+
     if strong:
         scanned = excluded = 0
-        level = {root: 1}  # head state -> number of words of this length
+        level = {0: 1}  # head state number -> number of words of this length
         for k in range(max_len):
             below = sum(l**j for j in range(max_len - k))  # a length-(k+1) word and its extensions
-            grown: dict[tuple, int] = {}
+            grown: dict[int, int] = {}
             for state, count in level.items():
-                for x in letters:
-                    child = _head_step(state, x, rank, t, n)
+                for child in step(state):
                     if child is None:
                         excluded += count * below
                     else:
@@ -1046,29 +1128,7 @@ def selective_corpus_check(
             level = grown
     else:
         scanned, excluded = sum(l**j for j in range(1, max_len + 1)), 0
-    run_len = (boundary + 1) * t
-    cap = min(len(heads) // t, max_len // run_len)
-    worst = 0
-    # (word, its candidate runs, its head state); the empty root is not scanned
-    stack: list[tuple[tuple[int, ...], tuple, tuple]] = [((), (), root)] if cap else []
-    while stack and worst < cap:
-        ls, runs, state = stack.pop()
-        k = len(ls)
-        maximal = True
-        for x in letters:
-            child_state = _head_step(state, x, rank, t, n) if strong else state
-            if child_state is None:
-                continue
-            maximal = False
-            child = ls + (x,)
-            run = _candidate_run(child, k + 1, t, boundary) if k + 1 >= run_len else None
-            child_runs = runs + (run,) if run else runs
-            if k + 1 < max_len:
-                stack.append((child, child_runs, child_state))
-            elif child_runs:
-                worst = max(worst, _selection_height(child_runs))
-        if maximal and runs:
-            worst = max(worst, _selection_height(runs))
+    worst = _corpus_height(step, heads, t, boundary + 1, max_len)
     return dict(
         l=l, n=n, max_len=max_len, period_len=period_len, boundary=boundary,
         scanned=scanned, excluded=excluded, max_height=worst, bound=bound, ok=worst <= bound,

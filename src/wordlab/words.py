@@ -406,11 +406,26 @@ class Leaf(_Bracketing):
 @dataclass(frozen=True, eq=False)
 class Pair(_Bracketing):
     """An inner node.  Equality and hash read the bracketed leaf
-    sequence of _walk, which spells the tree, so a tree may be deeper
-    than the recursion limit; the generated repr still recurses."""
+    sequence of _walk, which spells the tree, and repr writes the
+    generated dataclass repr's text on an explicit stack, so a tree may
+    be deeper than the recursion limit."""
 
     left: "Leaf | Pair"
     right: "Leaf | Pair"
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if type(node) is str:
+                parts.append(node)
+            elif type(node) is Pair:
+                parts.append("Pair(left=")
+                stack += (")", node.right, ", right=", node.left)
+            else:
+                parts.append(repr(node))
+        return "".join(parts)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Pair:

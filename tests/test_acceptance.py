@@ -150,7 +150,9 @@ def test_criterion_08_oracle_versus_bounds():
         8,
         ok,
         f"oracle < min(psi, psi_log2) on {sorted(terminating)}; "
-        f"budget-limited: {sorted(skipped)}; (2,2,2) -> (3, aba)",
+        f"budget-limited: {sorted(skipped)}; (2,2,2) -> (3, aba); "
+        "the oracle reduces in the whole-word sense, not the factor sense "
+        "of the Shirshov-lemma bound",
     )
     assert ok
 

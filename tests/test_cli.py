@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -401,6 +402,24 @@ class TestSubcommandSurfaces:
         assert code == 0 and rec["bound"] == bound and rec["ok"] is True
         assert (rec["scanned"], rec["excluded"], rec["max_height"]) == (scanned, excluded, height)
         assert run_cli(*argv, "--bound", str(bound)) == (code, out)
+
+    @pytest.mark.parametrize(
+        "l, max_len, height, ok",
+        [
+            # height l: one run a^5, b^5, ... per letter, in increasing order
+            (4, 20, 4, True),
+            (5, 25, 5, False),
+        ],
+    )
+    def test_selective_corpus_heights_past_one(self, l, max_len, height, ok):
+        argv = ["selective", "--corpus", "--l", str(l), "--n", "2", "--max-len", str(max_len),
+                "--period", "1", "--bound", "4", "--format", "jsonl"]
+        start = time.perf_counter()
+        code, out = run_cli(*argv)
+        # a generous limit: the check itself takes about a millisecond
+        assert time.perf_counter() - start < 1.0
+        rec = json.loads(out)
+        assert code == 0 and (rec["max_height"], rec["ok"]) == (height, ok)
 
     def test_posets_file(self, tmp_path):
         path = tmp_path / "poset.txt"

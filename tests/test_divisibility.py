@@ -458,6 +458,13 @@ CORPUS_RUNGS = [
     (2, 3, 9, 3), (2, 3, 10, 3), (3, 3, 6, 2), (3, 3, 7, 2),
 ]
 CORPUS_PINNED = [(2, 3, 14, 3), (3, 3, 9, 2)]
+# strong cells and their heights, up to 4: with period 1, one run a^5,
+# b^5, ... per letter in increasing order; with period 2 at l = 2,
+# n = 2, none, as every (ab)^5 holds the head ba before the smaller ab
+CORPUS_HIGH = [
+    ((4, 2, 20, 1), 4), ((3, 2, 15, 1), 3), ((2, 2, 24, 1), 2), ((5, 2, 18, 1), 3),
+    ((2, 2, 20, 2), 0),
+]
 
 
 def reference_large_selective_height(
@@ -1375,6 +1382,53 @@ class TestSelectiveHeights:
     def test_corpus_check_against_the_replaced_walk(self):
         for cell in CORPUS_GRID + CORPUS_RUNGS + CORPUS_PINNED:
             assert selective_corpus_check(*cell, 3) == reference_corpus_walk(*cell, 3), cell
+
+    @pytest.mark.parametrize("cell, height", CORPUS_HIGH)
+    def test_corpus_heights_past_one_against_the_replaced_walk(self, cell, height):
+        report = selective_corpus_check(*cell, 3)
+        assert report == reference_corpus_walk(*cell, 3)
+        assert report["max_height"] == height
+
+    def test_corpus_height_needs_a_gap_between_runs(self, monkeypatch):
+        # a head state that excludes every word holding ab, ba or ccc: the
+        # runs a^5 and b^5 may not touch, and c is a gap letter but no run,
+        # so height 2 first fits in a^5 c b^5, at 11 letters
+        def step(state, x, rank, t, n):
+            last, pending, M = state
+            if last[-1:] + (x,) in ((1, 2), (2, 1)) or last + (x,) == (3, 3, 3):
+                return None
+            return (last + (x,))[-2:], pending, M
+
+        monkeypatch.setattr(divisibility, "_head_step", step)
+        heights = [selective_corpus_check(3, 2, max_len, 1, 2)["max_height"] for max_len in (10, 11)]
+        assert heights == [1, 2]
+
+    def test_corpus_height_counts_each_class_once(self, monkeypatch):
+        # a head state that excludes every word holding c leaves one class
+        # of period 2, {ab, ba}, against a cap of 3; (ab)^5 (ba)^5 holds
+        # two runs of that one class
+        def step(state, x, rank, t, n):
+            return None if x == 3 else state
+
+        monkeypatch.setattr(divisibility, "_head_step", step)
+        assert selective_corpus_check(3, 2, 30, 2, 1)["max_height"] == 1
+
+    def test_corpus_height_reaches_the_cap_where_nothing_divides(self):
+        # with fewer than n heads or n * t > max_len every word is scanned,
+        # so the height is the most runs of (2n + 1) * t letters that fit,
+        # one class each
+        reached = set()
+        for l, t in itertools.product((1, 2, 3, 4), (1, 2, 3)):
+            heads = sum(1 for z in itertools.product(range(1, l + 1), repeat=t) if is_primitive(z))
+            classes = len(primitive_cycle_classes(t, Alphabet(l)))
+            for n, max_len in itertools.product(range(1, 8), range(1, 61, 3)):
+                if heads >= n and n * t <= max_len:
+                    continue
+                cap = min(classes, max_len // ((2 * n + 1) * t))
+                report = selective_corpus_check(l, n, max_len, t, cap)
+                assert (report["excluded"], report["max_height"]) == (0, cap), (l, n, max_len, t)
+                reached.add(cap)
+        assert reached == {0, 1, 2, 3, 4}
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_corpus_check_against_reference_on_the_grid(self, l):

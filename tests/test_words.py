@@ -398,6 +398,25 @@ class TestRegularKernels:
         assert other.frontier() == tree.frontier() and tree != other
         assert tree != Leaf(2) and Leaf(2) != tree
 
+    def test_repr_matches_the_generated_repr(self):
+        # the dataclass repr, one recursive call per node, on every
+        # bracketing of words up to 5 letters
+        def generated(tree):
+            if isinstance(tree, Leaf):
+                return repr(tree)
+            return f"Pair(left={generated(tree.left)}, right={generated(tree.right)})"
+
+        for length in range(2, 6):
+            for ls in itertools.product((1, 2, 3), repeat=length):
+                for tree in _brute_force_bracketings(ls):
+                    assert repr(tree) == generated(tree)
+        bracketed = shirshov_bracketing(word("bbabaa"))
+        assert repr(bracketed) == f"BracketedWord(tree={generated(bracketed.tree)}, word={bracketed.word!r})"
+
+    def test_repr_deeper_than_the_recursion_limit(self):
+        tree = shirshov_bracketing(Word((2,) + (1,) * 1200, A2)).tree
+        assert repr(tree) == "Pair(left=" * 1200 + "Leaf(letter=2)" + ", right=Leaf(letter=1))" * 1200
+
     def test_long_regular_word(self):
         # b a^k: the stack merges one letter at a time into a left comb
         ls = (2,) + (1,) * 500
