@@ -69,6 +69,17 @@ def _read_input(path: str | None) -> str:
         return fh.read()
 
 
+def _bound_text(value) -> str:
+    """A bound as text.  The int-to-str digit limit guards parsing untrusted
+    text, and a bound is a computed answer: the limit is lifted meanwhile."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _common(p: argparse.ArgumentParser, *names: str) -> None:
     if "n" in names:
         p.add_argument("--n", type=int, default=2)
@@ -81,8 +92,6 @@ def _common(p: argparse.ArgumentParser, *names: str) -> None:
     if "word" in names:
         p.add_argument("--word", type=str, default=None)
     p.add_argument("--format", choices=("table", "csv", "jsonl"), default="table")
-    p.add_argument("--budget", type=int, default=2_000_000)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _divide_args(p: argparse.ArgumentParser) -> None:
@@ -139,6 +148,7 @@ def _cmd_reduce(args) -> list[dict]:
 
 def _oracle_args(p: argparse.ArgumentParser) -> None:
     _common(p, "n", "d", "l")
+    p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--which", choices=("nonreducible", "process"), default="nonreducible")
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--k", type=int, default=2)
@@ -175,8 +185,8 @@ def _cmd_oracle(args) -> list[dict]:
             "oracle_value": res.length,
             "bound_values": json.dumps(
                 {
-                    "psi": str(bnd.psi_bound(args.n, args.d, args.l)),
-                    "psi_log2": str(bnd.psi_log2_bound(args.n, args.d, args.l)),
+                    "psi": _bound_text(bnd.psi_bound(args.n, args.d, args.l)),
+                    "psi_log2": _bound_text(bnd.psi_log2_bound(args.n, args.d, args.l)),
                 },
                 sort_keys=True,
             ),
@@ -213,17 +223,7 @@ def _cmd_bounds(args) -> list[dict]:
     from . import bounds as bnd
 
     which = args.which
-    value = _BOUNDS[which](bnd, args)
-    # the interpreter's int-to-str digit limit guards parsing untrusted
-    # text; a bound is a computed answer, so it is lifted for this one
-    # conversion and restored at once
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        text = str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
-    rec = {"which": which, "n": args.n, "value": text}
+    rec = {"which": which, "n": args.n, "value": _bound_text(_BOUNDS[which](bnd, args))}
     if which in ("psi", "psi-log2", "p-nd"):
         rec["d"] = args.d
     if which not in ("p-nd", "q-n"):
@@ -395,6 +395,7 @@ def _cmd_count(args) -> list[dict]:
 
 def _posets_args(p: argparse.ArgumentParser) -> None:
     _common(p, "n")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--in", dest="infile", type=str, default=None)
     p.add_argument("--epsilon", action="store_true")
     p.add_argument("--remark", action="store_true")

@@ -28,6 +28,7 @@ dilworth_tail_coloring, which returns the chains.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -43,12 +44,12 @@ from .words import (
     Word,
     WordCycle,
     _first_power,
+    _pack,
     _power_blockers,
     _root_length,
     find_period_power,
     format_word,
     lex_compare_letters,
-    rotations,
 )
 
 
@@ -154,10 +155,11 @@ def _suffix_ranks(ls: tuple[int, ...], limit: int) -> list[int]:
     For i < j, tail i is greater than tail j (comparable, and larger at
     their first mismatch) exactly when rank(i) > rank(j).  A mismatch
     orders both alike.  Else ls[j:] is a prefix of ls[i:]: the tails are
-    incomparable, and the sentinel ranks ls[j:] higher, so no descent."""
-    closed = ls + (max(ls, default=0) + 1,)
+    incomparable, and the sentinel ranks ls[j:] higher, so no descent.
+    Slices of one packing (words._pack) sort as the closed suffixes do."""
+    packed, width = _pack(ls + (max(ls, default=0) + 1,))
     ranks = [0] * limit
-    for r, i in enumerate(sorted(range(limit), key=lambda i: closed[i:]), 1):
+    for r, i in enumerate(sorted(range(limit), key=lambda i: packed[i * width :]), 1):
         ranks[i] = r
     return ranks
 
@@ -646,28 +648,36 @@ def extract_periodic_fragments(
 # --- selective heights ---
 
 
-def _candidate_run(
-    ls: tuple[int, ...], end: int, period_len: int, boundary: int
-) -> tuple[int, int, tuple[int, ...]] | None:
-    """The z**(boundary+1) occurrence ending at `end`, z primitive of
-    length period_len, as (start, end, class key), 0-based; or None."""
-    t = period_len
-    start = end - t * (boundary + 1)
-    if start < 0 or ls[start + t : end] != ls[start : end - t]:
-        return None
-    z = ls[start : start + t]
-    if _root_length(z) < t:
-        return None
-    return (start, end, min(z[r:] + z[:r] for r in range(t)))
+def _period_blocks(ls: tuple[int, ...], t: int) -> list[tuple[int, int]]:
+    """The maximal factors of period t (the runs of Kolpakov and Kucherov
+    1999) that are at least 2t letters long and have a primitive root,
+    as 0-based (start, end) pairs by start: each is a run of
+    ls[k] == ls[k + t] and t more letters.  A block's length-t windows
+    are rotations of one another, so one primitivity test serves it."""
+    out = []
+    k = 0
+    for same, group in itertools.groupby(x == y for x, y in zip(ls, ls[t:])):
+        r = sum(1 for _ in group)
+        if same and r >= t and _root_length(ls[k : k + t]) == t:
+            out.append((k, k + r + t))
+        k += r
+    return out
 
 
 def small_selective_height(w: Word, period_len: int, boundary: int) -> int:
     """Most disjoint z**m fragments, m > boundary, with pairwise distinct
-    period conjugacy classes."""
+    period conjugacy classes.  The candidates are the z**(boundary+1)
+    windows of the period's blocks, keyed by the block's least rotation."""
     if period_len < 1 or boundary < 1:
         raise ValueError("need period_len >= 1 and boundary >= 1")
-    runs = (_candidate_run(w.letters, end, period_len, boundary) for end in range(len(w) + 1))
-    return _selection_height([run for run in runs if run is not None])
+    ls, t = w.letters, period_len
+    size = t * (boundary + 1)
+    cands = []
+    for start, end in _period_blocks(ls, t):
+        z = ls[start : start + t]
+        key = min(z[r:] + z[:r] for r in range(t))
+        cands += [(s, s + size, key) for s in range(start, end - size + 1)]
+    return _selection_height(cands)
 
 
 def _selection_height(cands: Sequence[tuple[int, int, tuple[int, ...]]]) -> int:
@@ -702,24 +712,6 @@ def _selection_height(cands: Sequence[tuple[int, int, tuple[int, ...]]]) -> int:
     return best
 
 
-def _maximal_runs(w: Word, period_len: int, boundary: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    ls = w.letters
-    t = period_len
-    out = []
-    for i in range(0, len(ls) - t + 1):
-        z = ls[i : i + t]
-        if _root_length(z) < t:
-            continue
-        if i >= t and ls[i - t : i] == z:
-            continue  # not maximal on the left
-        m = 1
-        while ls[i + m * t : i + (m + 1) * t] == z:
-            m += 1
-        if m > boundary:
-            out.append((i, i + m * t, z))
-    return out
-
-
 def large_selective_height(
     w: Word, period_len: int, boundary: int, gap_len: int | None = None
 ) -> int:
@@ -727,26 +719,30 @@ def large_selective_height(
     consecutive pair is separated by a gap longer than gap_len that is
     comparable with the earlier fragment's period.
 
-    Whether one run may follow another depends on that pair alone, and
-    a follower starts after its predecessor ends.  So the answer is a
-    longest path over the runs sorted by start: chain[j], the most runs
-    in a selection ending with run j, is one more than the best chain[i]
-    over the runs i that run j may follow.
-    """
+    The fragments open at one of a block's first period_len starts and
+    hold as many whole copies of z as the block does from there.  The
+    block goes on past a run's end by a proper prefix of z and breaks
+    the period at its own end, so a gap is comparable with z exactly
+    when it reaches past the block.  Run j may thus follow run i exactly
+    when it starts after max(end_i + gap_len, blockend_i), a threshold
+    of run i alone.  One pass over the runs by start keeps the pending
+    thresholds in a heap; a run's longest chain is one more than the
+    longest among the runs whose thresholds it has passed."""
+    if period_len < 1 or boundary < 1:
+        raise ValueError("need period_len >= 1 and boundary >= 1")
     if gap_len is None:
         gap_len = boundary // 2
-    runs = sorted(_maximal_runs(w, period_len, boundary))
-    ls = w.letters
-    chain: list[int] = []
-    for s, _, _ in runs:
-        best = 0
-        for (_, e, z), c in zip(runs, chain):
-            # the gap ls[e:s] and z are comparable unless one is a prefix of the other
-            k = min(s - e, len(z))
-            if c > best and s - e > gap_len and k > 0 and ls[e : e + k] != z[:k]:
-                best = c
-        chain.append(best + 1)
-    return max(chain, default=0)
+    t = period_len
+    size = t * (boundary + 1)
+    passed = chain = 0  # the longest chain among the passed runs; the last run's chain
+    pending: list[tuple[int, int]] = []  # (threshold, chain) of the runs not yet passed
+    for start, end in _period_blocks(w.letters, t):
+        for s in range(start, min(start + t, end - size + 1)):
+            while pending and pending[0][0] < s:
+                passed = max(passed, heapq.heappop(pending)[1])
+            chain = passed + 1
+            heapq.heappush(pending, (max(s + (end - s) // t * t + gap_len, end), chain))
+    return chain  # `passed` never falls, so the last run's chain is the longest
 
 
 # --- coding classes (word-cycles with the two-coordinate order) ---
@@ -970,31 +966,26 @@ def _head_step(state: tuple, x: int, rank: dict, t: int, n: int) -> tuple | None
 
 
 def _corpus_height(
-    step: Callable[[int], tuple], heads: list[tuple[int, ...]], t: int, run: int, max_len: int
+    step: Callable[[int], tuple], heads: list[tuple[tuple[int, ...], int]], t: int, run: int, max_len: int
 ) -> int:
     """The most runs z**run of pairwise distinct classes, z among the
     heads of length t, over the words of at most max_len letters built
     from head state 0 one whole run or, after the first run, one gap
-    letter at a time; step(i) lists state i's child per letter, None
-    where the word is excluded.  The search behind
-    selective_corpus_check's height."""
+    letter at a time; `heads` pairs each head with its class's bit, and
+    step(i) lists state i's child per letter, None where the word is
+    excluded.  The search behind selective_corpus_check's height."""
     run_len = run * t
     # each primitive class has exactly t rotations among the heads
     cap = min(len(heads) // t, max_len // run_len)
     if not cap:
         return 0
-    class_bit: dict[tuple[int, ...], int] = {}  # a class's least rotation -> its bit
-    head_bit = [
-        class_bit.setdefault(min(z[r:] + z[:r] for r in range(t)), 1 << len(class_bit))
-        for z in heads
-    ]
     runs: dict[int, list] = {}  # head state -> (class bit, head state) after each scanned run
 
     def run_moves(state: int) -> list:
         moves = runs.get(state)
         if moves is None:
             moves = runs[state] = []
-            for z, bit in zip(heads, head_bit):
+            for z, bit in heads:
                 s = state
                 for x in z * run:
                     s = step(s)[x - 1]
@@ -1088,9 +1079,11 @@ def selective_corpus_check(
         raise ValueError("need n, period_len, l and max_len all >= 1")
     t = period_len
     letters = range(1, l + 1)
-    # the heads in lexicographic order, so ranks compare as the heads do
-    heads = [z for z in itertools.product(letters, repeat=t) if _root_length(z) == t]
-    rank = {z: i for i, z in enumerate(heads)}
+    # the heads are the rotations of the Lyndon words, each with its
+    # class's bit, in lexicographic order, so ranks compare as heads do
+    lyndon = [c.representative.letters for c in primitive_cycle_classes(t, Alphabet(l))]
+    heads = sorted((z[r:] + z[:r], 1 << c) for c, z in enumerate(lyndon) for r in range(t))
+    rank = {z: i for i, (z, _) in enumerate(heads)}
     boundary = 2 * n
     # n blocks need n distinct heads and n * t letters; else nothing divides
     strong = len(heads) >= n and n * t <= max_len

@@ -60,20 +60,15 @@ class FinitePoset:
 
     @staticmethod
     def from_relation(n: int, pairs: Iterable[tuple[int, int]]) -> "FinitePoset":
-        """Build from strict relations i < j (0-based), transitively closed."""
+        """Build from strict relations i < j (0-based), closed by one
+        Warshall pass (1962) over the bit rows, k outermost."""
         rel = [0] * n
         for i, j in pairs:
             rel[i] |= 1 << j
-        changed = True
-        while changed:
-            changed = False
+        for k in range(n):
             for i in range(n):
-                extra = 0
-                for j in _bits(rel[i]):
-                    extra |= rel[j]
-                if extra & ~rel[i]:
-                    rel[i] |= extra
-                    changed = True
+                if rel[i] >> k & 1:
+                    rel[i] |= rel[k]
         return FinitePoset(n, tuple(rel))
 
     def covering_pairs(self) -> tuple[tuple[int, int], ...]:

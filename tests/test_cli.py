@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wordlab.cli import build_parser, main
+from wordlab.cli import COMMANDS, build_parser, main
 
 LAYERS = ("divisibility", "growth", "morphisms", "posets", "tableaux", "bounds", "exactmath")
 
@@ -198,6 +198,16 @@ class TestSpecExamples:
         text = json.loads(out)["value"]
         # Decimal parses past the limit that int() keeps
         assert len(text) > limit and Decimal(text) == upsilon_coding_bound(5000, 9)
+
+    def test_oracle_bounds_past_the_int_str_digit_limit(self, capsys, monkeypatch):
+        import wordlab.bounds
+
+        monkeypatch.setattr(wordlab.bounds, "psi_bound", lambda n, d, l: 10**5000)
+        limit = sys.get_int_max_str_digits()
+        code, out = run_cli("oracle", "--n", "2", "--d", "2", "--l", "1", "--format", "jsonl")
+        assert code == 0 and capsys.readouterr().err == ""
+        assert sys.get_int_max_str_digits() == limit
+        assert json.loads(json.loads(out)["bound_values"])["psi"] == "1" + "0" * 5000
 
     def test_bounds_upsilon(self):
         code, out = run_cli("bounds", "--n", "3", "--l", "2", "--which", "upsilon")
@@ -518,6 +528,18 @@ class TestStartup:
         err = capsys.readouterr().err
         assert err.startswith("usage: wordlab divide [-h] ")
         assert err.endswith("wordlab divide: error: argument --n: invalid int value: 'x'\n")
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_budget_and_seed_only_where_read(self, name, capsys):
+        # only oracle reads --budget, and only posets reads --seed
+        for flag, reader in (("--budget", "oracle"), ("--seed", "posets")):
+            if name == reader:
+                assert build_parser(name).parse_args([name, flag, "5"]) is not None
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main([name, flag, "5"])
+            assert exc.value.code == 2
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_top_level_usage_lists_every_subcommand(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")

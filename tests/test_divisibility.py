@@ -351,6 +351,58 @@ def reference_strong_witness(w, n, Z, min_power):
     return None
 
 
+def reference_candidate_run(ls, end, period_len, boundary):
+    """The z**(boundary+1) occurrence ending at `end`, z primitive of
+    length period_len, as (start, end, class key), 0-based; or None.
+    The per-end scan that _period_blocks replaced for the small height."""
+    t = period_len
+    start = end - t * (boundary + 1)
+    if start < 0 or ls[start + t : end] != ls[start : end - t]:
+        return None
+    z = ls[start : start + t]
+    if not is_primitive(z):
+        return None
+    return (start, end, min(z[r:] + z[:r] for r in range(t)))
+
+
+def reference_small_selective_height(w, period_len, boundary):
+    """The small height from one reference_candidate_run per end position."""
+    runs = (reference_candidate_run(w.letters, end, period_len, boundary) for end in range(len(w) + 1))
+    return divisibility._selection_height([run for run in runs if run is not None])
+
+
+def reference_maximal_runs(w, period_len, boundary):
+    """The runs of whole copies of a primitive z, not extendable by a
+    copy on the left, with more than `boundary` copies, as (start, end,
+    z): the per-start scan that _period_blocks replaced for the large
+    height."""
+    ls = w.letters
+    t = period_len
+    out = []
+    for i in range(0, len(ls) - t + 1):
+        z = ls[i : i + t]
+        if not is_primitive(z):
+            continue
+        if i >= t and ls[i - t : i] == z:
+            continue  # not maximal on the left
+        m = 1
+        while ls[i + m * t : i + (m + 1) * t] == z:
+            m += 1
+        if m > boundary:
+            out.append((i, i + m * t, z))
+    return out
+
+
+def planted_run_word(rng, length):
+    """A word built from short powers and separators, so it holds many runs."""
+    l = rng.randint(2, 3)
+    ls = []
+    while len(ls) < length:
+        z = [rng.randint(1, l) for _ in range(rng.randint(1, 3))]
+        ls += z * rng.randint(1, 6) + [rng.randint(1, l) for _ in range(rng.randint(0, 3))]
+    return Word(tuple(ls[: rng.randint(length // 4, length)]), Alphabet(l))
+
+
 def reference_corpus_check(l, n, max_len, period_len, bound):
     """Reference corpus sweep: every word up to max_len is built, tested
     with reference_strong_witness and measured on its own."""
@@ -430,7 +482,7 @@ def reference_corpus_walk(l, n, max_len, period_len, bound):
                 child_chains = chains
             scanned += 1
             maximal = False
-            run = divisibility._candidate_run(child, k + 1, t, boundary)
+            run = reference_candidate_run(child, k + 1, t, boundary)
             child_runs = runs + (run,) if run else runs
             if k + 1 < max_len:
                 stack.append((child, child_runs, child_chains))
@@ -478,8 +530,7 @@ def reference_large_selective_height(
     longest-path DP replaced; exponential in the number of runs."""
     if gap_len is None:
         gap_len = boundary // 2
-    runs = divisibility._maximal_runs(w, period_len, boundary)
-    runs.sort()
+    runs = reference_maximal_runs(w, period_len, boundary)
     ls = w.letters
     best = 0
 
@@ -870,6 +921,21 @@ class TestTailSense:
     def test_witness_against_reference_hypothesis(self, letters, n, d):
         w = Word(tuple(letters), A3)
         assert is_n_divisible(w, n, "tail", d=d) == reference_tail_witness(w, n, d)
+
+    def test_suffix_ranks_against_the_tuple_sort(self):
+        # the packed byte slices rank the closed suffixes as their letter
+        # tuples do, with letters of one byte and of two (above 255)
+        def reference_suffix_ranks(ls, limit):
+            closed = ls + (max(ls, default=0) + 1,)
+            order = sorted(range(limit), key=lambda i: closed[i:])
+            return [order.index(i) + 1 for i in range(limit)]
+
+        rng = random.Random(2014)
+        for top in (1, 2, 3, 255, 256, 300, 70000):
+            for _ in range(150):
+                ls = tuple(rng.randint(max(top - 2, 1), top) for _ in range(rng.randint(0, 30)))
+                for limit in {0, len(ls) // 2, len(ls)}:
+                    assert divisibility._suffix_ranks(ls, limit) == reference_suffix_ranks(ls, limit), ls
 
     def test_coloring_against_reference_exhaustive(self):
         for w in _exhaustive_words():
@@ -1294,6 +1360,57 @@ class TestSelectiveHeights:
             assert got == reference_large_selective_height(w, period_len, boundary, gap_len), (w, gap_len)
             found += got >= 3
         assert found > 100
+
+    @pytest.mark.parametrize("period_len,boundary", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+    def test_small_against_reference_exhaustive(self, period_len, boundary):
+        for w in _exhaustive_words():
+            got = small_selective_height(w, period_len, boundary)
+            assert got == reference_small_selective_height(w, period_len, boundary), w
+
+    def test_both_heights_against_references_on_planted_runs(self):
+        rng = random.Random(1999)
+        found = 0
+        for _ in range(1500):
+            w = planted_run_word(rng, 40)
+            period_len, boundary = rng.randint(1, 3), rng.randint(1, 3)
+            small = small_selective_height(w, period_len, boundary)
+            assert small == reference_small_selective_height(w, period_len, boundary), w
+            gap_len = rng.choice((None, -1, 0, 1, 2, 3, 4, 5))
+            large = large_selective_height(w, period_len, boundary, gap_len)
+            assert large == reference_large_selective_height(w, period_len, boundary, gap_len), (w, gap_len)
+            found += small >= 2 and large >= 3
+        assert found > 50
+
+    def test_blocks_hold_the_scanned_windows_and_runs(self):
+        # the small height's windows are every z**(boundary+1) window of a
+        # block, and the large height's runs open at a block's first t
+        # starts and take as many whole copies as fit before its end
+        rng = random.Random(2017)
+        for w in itertools.chain(_exhaustive_words(), (planted_run_word(rng, 80) for _ in range(500))):
+            for t, boundary in itertools.product((1, 2, 3), (1, 2)):
+                size = t * (boundary + 1)
+                blocks = divisibility._period_blocks(w.letters, t)
+                windows = [(s, s + size) for start, end in blocks for s in range(start, end - size + 1)]
+                runs = [
+                    (s, s + (end - s) // t * t)
+                    for start, end in blocks
+                    for s in range(start, min(start + t, end - size + 1))
+                ]
+                cands = (reference_candidate_run(w.letters, e, t, boundary) for e in range(len(w) + 1))
+                assert windows == [c[:2] for c in cands if c], (w, t, boundary)
+                assert runs == [r[:2] for r in reference_maximal_runs(w, t, boundary)], (w, t, boundary)
+
+    def test_large_on_1500_classes(self):
+        # 1,500 touching runs x^3 of distinct letters: a gap longer than
+        # boundary // 2 = 1 skips one run, so every second run is selected
+        letters = tuple(x for x in range(1, 1501) for _ in range(3))
+        assert large_selective_height(Word(letters, Alphabet(1500)), 1, 2) == 750
+
+    @pytest.mark.parametrize("period_len,boundary", [(0, 2), (2, 0), (-1, 2), (2, -1)])
+    def test_heights_reject_bad_input(self, period_len, boundary):
+        for height in (small_selective_height, large_selective_height):
+            with pytest.raises(ValueError):
+                height(word("abab"), period_len, boundary)
 
     def test_large_on_400_runs(self):
         # (aabb)^200: 400 touching runs of period 1.  A gap longer than 0

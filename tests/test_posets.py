@@ -159,6 +159,43 @@ class TestConstruction:
         p = FinitePoset.from_relation(3, [(0, 1), (1, 2)])
         assert p.less(0, 2)
 
+    def test_closure_against_the_repeated_pass(self):
+        # Warshall's one pass against the pass repeated until nothing
+        # changes, on relations with cycles and self-pairs: the same rows,
+        # so the same poset or the same error
+        def reference_closure(n, pairs):
+            rel = [0] * n
+            for i, j in pairs:
+                rel[i] |= 1 << j
+            changed = True
+            while changed:
+                changed = False
+                for i in range(n):
+                    extra = 0
+                    for j in range(n):
+                        if rel[i] >> j & 1:
+                            extra |= rel[j]
+                    if extra & ~rel[i]:
+                        rel[i] |= extra
+                        changed = True
+            return tuple(rel)
+
+        def outcome(build):
+            try:
+                return build().above
+            except ValueError as exc:
+                return str(exc)
+
+        rng = random.Random(1962)
+        errors = 0
+        for _ in range(2000):
+            n = rng.randrange(0, 10)
+            pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < rng.choice((0.05, 0.2, 0.4))]
+            got = outcome(lambda: FinitePoset.from_relation(n, pairs))
+            assert got == outcome(lambda: FinitePoset(n, reference_closure(n, pairs))), (n, pairs)
+            errors += isinstance(got, str)
+        assert 200 < errors < 1800
+
     def test_invalid_relations_rejected(self):
         with pytest.raises(ValueError):
             FinitePoset(2, (0b10, 0b01))  # a cycle
