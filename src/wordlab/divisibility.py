@@ -21,9 +21,11 @@ The tail sense is one permutation, _suffix_ranks: with a sentinel
 letter above the alphabet closing each suffix, tail i > tail j for
 starts i < j exactly when rank(i) > rank(j), so a tail n-division is a
 decreasing subsequence of n ranks and the tail poset their permutation poset.
-_tail_witness and the coding-class width read one patience pass,
-posets._decreasing_reach; the Dilworth matching runs only in
-dilworth_tail_coloring, which returns the chains.
+_tail_witness reads one patience pass, posets._decreasing_reach; the
+Dilworth matching runs only in dilworth_tail_coloring, which returns
+the chains.  A coding class's width is the number of left-to-right
+patience piles of its rotations, which coding_corpus_check extends one
+cycle at a time.
 """
 
 from __future__ import annotations
@@ -789,12 +791,39 @@ def _class_width(c: CodingClass) -> int:
     """Largest antichain of the two-coordinate order (rotation u of cycle i
     below rotation v of cycle j when i < j and u < v), 0 for an empty
     class.  Listed cycle by cycle, each from its largest rotation down,
-    and keyed by (word, -index), an antichain is a decreasing run."""
-    listing = []
-    for cyc in c.cycles:
-        rep = cyc.representative.letters
-        listing += sorted((rep[j:] + rep[:j] for j in range(c.length)), reverse=True)
-    return max(_decreasing_reach([(u, -k) for k, u in enumerate(listing)]), default=0)
+    an antichain is a non-increasing run: two rotations of one cycle
+    never compare, and a later cycle's rotation compares with an
+    earlier one exactly when it is larger."""
+    base = c.alphabet.size + 1
+    return len(_extend_piles([], [k for cyc in c.cycles for k in _rotation_keys(cyc.representative.letters, base)]))
+
+
+def _rotation_keys(z: tuple[int, ...], base: int) -> list[int]:
+    """The rotations of z from the largest down, each keyed by minus its
+    value in base `base`, which must exceed every letter: one cycle's
+    part of a class listing, whose non-increasing runs of words are the
+    non-decreasing runs of keys."""
+    ranks = []
+    for j in range(len(z)):
+        r = 0
+        for x in z[j:] + z[:j]:
+            r = r * base + x
+        ranks.append(-r)
+    return sorted(ranks)
+
+
+def _extend_piles(piles: list[int], keys: list[int]) -> list[int]:
+    """The left-to-right patience piles of a listing grown by keys:
+    piles[k] is the least key that closes a non-decreasing run of k + 1
+    keys, so len(piles) is the longest such run."""
+    piles = piles[:]
+    for x in keys:
+        k = bisect_right(piles, x)
+        if k == len(piles):
+            piles.append(x)
+        else:
+            piles[k] = x
+    return piles
 
 
 def recode_pairs(c: CodingClass) -> CodingClass:
@@ -1128,41 +1157,115 @@ def selective_corpus_check(
     )
 
 
-def coding_corpus_check(t_max: int, l: int, n_max: int) -> dict:
-    """Brute-force the recoding and padding lemmas over every ordered class
-    with cycle length <= t_max over l letters, in the lemmas' direction:
-    a light class has a light image.  The converse does not hold (at
+def _primitive_cycle_counts(l: int):
+    """Yield the number of primitive cycles of length t over l letters
+    for t = 1, 2, ...  Each length-t word is a power of one primitive
+    root whose length d divides t, and a primitive cycle of length d
+    has d rotations, so l**t = sum over d | t of d * C_d.  Solving for
+    C_t one length at a time is the Moebius inversion
+    C_t = (1/t) sum over d | t of mu(d) * l**(t/d), the necklace formula."""
+    counts = [0]
+    for t in itertools.count(1):
+        counts.append((l**t - sum(d * counts[d] for d in range(1, t) if t % d == 0)) // t)
+        yield counts[t]
+
+
+def _light_classes(t: int, alphabet: Alphabet, n_max: int):
+    """Yield every ordered class of primitive length-t cycles whose width
+    is below n_max, as (cycle indices into primitive_cycle_classes,
+    width, width of the class padded to length 2**s, width of the
+    recoded class or None for odd t).
+
+    A class's width is the number of patience piles of its listing
+    (_class_width), and appending a cycle extends them.  The padded and
+    the recoded class (pad_to_power_of_two, recode_pairs) list the
+    cycles' images in the same order, so their piles extend alike.
+    Adding a cycle at any place keeps the order among the others, so
+    the width never falls: the depth-first search appends one unused
+    cycle at a time and drops a class, with all its extensions, once
+    its width reaches n_max."""
+    l = alphabet.size
+    base = l * l + 2  # above every letter of the class and of both images
+    s = (t - 1).bit_length()
+    reps = [c.representative.letters for c in primitive_cycle_classes(t, alphabet)]
+    own = [_rotation_keys(z, base) for z in reps]
+    pad = [_rotation_keys(tuple(x + 1 for x in z) + (1,) * ((1 << s) - t), base) for z in reps]
+    rec = None
+    if t % 2 == 0:
+        rec = [_rotation_keys(tuple((z[i] - 1) * l + z[i + 1] for i in range(0, t, 2)), base) for z in reps]
+    stack: list[tuple[tuple[int, ...], list[int], list[int], list[int]]] = [((), [], [], [])]
+    while stack:
+        chosen, piles, padded, recoded = stack.pop()
+        for i in range(len(reps)):
+            if i in chosen:
+                continue
+            grown = _extend_piles(piles, own[i])
+            if len(grown) >= n_max:
+                continue
+            grown_padded = _extend_piles(padded, pad[i])
+            grown_recoded = _extend_piles(recoded, rec[i]) if rec else []
+            yield chosen + (i,), len(grown), len(grown_padded), len(grown_recoded) if rec else None
+            stack.append((chosen + (i,), grown, grown_padded, grown_recoded))
+
+
+_CHECKED_DIGITS = 4300  # Python's default limit on the digits of a printed int
+_CHECKED_LIMIT = 10**_CHECKED_DIGITS
+
+
+def coding_corpus_check(t_max: int, l: int, n_max: int, budget: int = 2_000_000) -> dict:
+    """Check the recoding and padding lemmas over every ordered class of
+    primitive cycles of length t <= t_max over l letters, at every n in
+    2..n_max, in the lemmas' direction: a light class has a light image.
+    Recoding (even t) merges letter pairs, and an n-light class recodes
+    to an n-light class; padding to length 2**s >= t keeps an n-light
+    class (2**s * (n - 1) + 1)-light.  The converse does not hold (at
     t_max=4, l=2, n_max=3 some classes that are not n-light have an
-    n-light image), so it is not checked."""
+    n-light image), so it is not checked.
+
+    `recode_checked` and `pad_checked` count every (class, n) pair,
+    (n_max - 1) * sum over r >= 1 of P(C_t, r) at each t, where C_t is
+    the number of primitive cycles of length t; recoding counts even t
+    only.  Almost all of those pairs hold vacuously: one cycle's t
+    rotations are pairwise incomparable, so a nonempty class has width
+    >= t and is n-light only when t < n.  The lemmas are tested on the
+    light classes alone, which _light_classes finds, and
+    `*_light_cases` counts their (class, n) pairs.  The search visits
+    at most `budget` light classes, else BudgetExceededError is raised;
+    totals past _CHECKED_DIGITS digits raise ValueError."""
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     alphabet = Alphabet(l)
     recode_checked = recode_light = 0
     pad_checked = pad_light = 0
     ok = True
-
-    def classes(t: int):
-        cycles = primitive_cycle_classes(t, alphabet)
-        for r in range(1, len(cycles) + 1):
-            for combo in itertools.permutations(cycles, r):
-                yield CodingClass(t, alphabet, tuple(combo))
-
-    for t in range(1, t_max + 1):
-        s = (t - 1).bit_length()  # least s with 2**s >= t
-        for c in classes(t):
-            # a class is n-light exactly when its width is below n
-            width = _class_width(c)
-            recoded_width = _class_width(recode_pairs(c)) if t % 2 == 0 else None
-            padded_width = _class_width(pad_to_power_of_two(c, s))
-            for n in range(2, n_max + 1):
-                light = width < n
-                if recoded_width is not None:
-                    recode_checked += 1
-                    if light:
-                        recode_light += 1
-                        ok = ok and recoded_width < n
-                pad_checked += 1
-                if light:
-                    pad_light += 1
-                    ok = ok and padded_width < (1 << s) * (n - 1) + 1
+    visited = 0
+    checks = max(n_max - 1, 0)  # the n in 2..n_max
+    # with no n there is no pair, and one letter has one primitive cycle, of length 1
+    top = 0 if not checks else t_max if l > 1 else min(t_max, 1)
+    for t, count in zip(range(1, top + 1), _primitive_cycle_counts(l)):
+        selections = 0  # sum over r >= 1 of P(count, r)
+        term = 1
+        for k in range(count, 0, -1):
+            term *= k
+            selections += term
+            if pad_checked + checks * selections >= _CHECKED_LIMIT:
+                raise ValueError(f"the checked totals pass {_CHECKED_DIGITS} digits at cycle length {t}")
+        pad_checked += checks * selections
+        if t % 2 == 0:
+            recode_checked += checks * selections
+        if t >= n_max:
+            continue  # no class of cycle length t is light at any n <= n_max
+        s = (t - 1).bit_length()
+        for _, width, padded_width, recoded_width in _light_classes(t, alphabet, n_max):
+            visited += 1
+            if visited > budget:
+                raise BudgetExceededError(f"coding budget of {budget} classes exhausted at cycle length {t}", visited)
+            # light at every n in width + 1..n_max; the least such n is the tightest
+            pad_light += n_max - width
+            ok = ok and padded_width <= (1 << s) * width
+            if recoded_width is not None:
+                recode_light += n_max - width
+                ok = ok and recoded_width <= width
     return dict(
         t_max=t_max, l=l, n_max=n_max, recode_checked=recode_checked, recode_light_cases=recode_light,
         pad_checked=pad_checked, pad_light_cases=pad_light, ok=ok,

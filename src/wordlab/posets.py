@@ -8,7 +8,9 @@ is asserted on every call.  It runs only where chains or an antichain
 are returned: `min_chain_cover`, `max_antichain` (the `posets` CLI) and
 `divisibility.dilworth_tail_coloring`.  A width alone is one patience
 pass, `_decreasing_reach`, with no relation built: for `epsilon_table`,
-`tableaux.longest_decreasing` and the tail and coding-class widths.
+`tableaux.longest_decreasing` and the tail width.  The coding-class
+width is read left to right instead (`divisibility._extend_piles`), so
+that a class grown by one cycle extends its parent's piles.
 
 Every kernel reads whole rows of the relation instead of asking about
 one pair at a time.  The matching is Kuhn's augmenting-path method on

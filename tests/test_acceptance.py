@@ -258,6 +258,23 @@ def test_criterion_13_coding_transfers():
     assert ok
 
 
+def test_coding_light_classes_report():
+    # criterion 13's cell has light classes at t <= 2 only; this cell has
+    # them up to t = 6, so the lemmas are tested past the smallest lengths
+    t_max, l, n_max = 6, 2, 7
+    report = dv.coding_corpus_check(t_max, l, n_max)
+    per_length = {t: sum(1 for _ in dv._light_classes(t, Alphabet(l), n_max)) for t in range(1, t_max + 1)}
+    vacuous = list(range(n_max, t_max + 1))
+    ok = report["ok"] and any(per_length[t] for t in range(3, t_max + 1))
+    print(
+        f"coding light classes {'PASS' if ok else 'FAIL'}: t<={t_max}, l={l}, n<={n_max}: "
+        f"light classes per t {per_length}; vacuous at t>={n_max}: {vacuous or 'none up to t_max'}; "
+        f"{report['recode_light_cases']} recode and {report['pad_light_cases']} pad light cases "
+        f"of {report['recode_checked']}/{report['pad_checked']} checked, light class => light image"
+    )
+    assert ok
+
+
 def test_criterion_14_cli_determinism():
     commands = [
         ("posets", "--random", "30", "--size", "10", "--seed", "7", "--format", "jsonl"),

@@ -61,6 +61,7 @@ class TestExitCodes:
             ("growth", "--in", ""),
             ("complexity", "--mechanical", "", "--word", "ab"),
             ("count", "--method", "multilinear", "--n", "13", "--k", "3", "--l", "20"),
+            ("selective", "--coding", "--t-max", "15", "--n", "3"),
         ],
     )
     def test_domain_error(self, argv):
@@ -430,6 +431,27 @@ class TestSubcommandSurfaces:
         assert time.perf_counter() - start < 1.0
         rec = json.loads(out)
         assert code == 0 and (rec["max_height"], rec["ok"]) == (height, ok)
+
+    def test_selective_coding_readme_bytes(self):
+        code, out = run_cli("selective", "--coding", "--t-max", "4", "--l", "2", "--n", "3")
+        assert (code, out) == (0, (
+            "kind    t_max  l  n_max  recode_checked  recode_light_cases  pad_checked  pad_light_cases  ok\n"
+            "coding  4      2  3      32              1                   48           8                true\n"
+        ))
+
+    def test_selective_coding_three_letters(self, capsys):
+        # the enumeration of every ordered class never finished here
+        start = time.perf_counter()
+        code, out = run_cli("selective", "--coding", "--t-max", "4", "--l", "3", "--n", "3")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and "Traceback" not in capsys.readouterr().err
+        assert elapsed < 0.1
+        header, row = (line.split() for line in out.splitlines())
+        assert dict(zip(header, row)) == {
+            "kind": "coding", "t_max": "4", "l": "3", "n_max": "3",
+            "recode_checked": "34806912206568870", "recode_light_cases": "7",
+            "pad_checked": "34806912206788100", "pad_light_cases": "28", "ok": "true",
+        }
 
     def test_posets_file(self, tmp_path):
         path = tmp_path / "poset.txt"

@@ -3,7 +3,7 @@ import random
 from typing import Sequence
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from wordlab import divisibility
 from wordlab.bounds import alpha_lower, beth_bound, psi_bound, psi_log2_bound
@@ -604,6 +604,39 @@ def seeded_coding_class(rng: random.Random) -> CodingClass:
     order = list(cycles.values())
     rng.shuffle(order)
     return CodingClass(t, alphabet, tuple(order))
+
+
+def reference_coding_corpus_check(t_max: int, l: int, n_max: int) -> dict:
+    """Every ordered class at every n in 2..n_max, each width by
+    _class_width: the enumeration that the light-class search replaced."""
+    alphabet = Alphabet(l)
+    recode_checked = recode_light = 0
+    pad_checked = pad_light = 0
+    ok = True
+    for t in range(1, t_max + 1):
+        s = (t - 1).bit_length()
+        cycles = primitive_cycle_classes(t, alphabet)
+        for r in range(1, len(cycles) + 1):
+            for combo in itertools.permutations(cycles, r):
+                c = CodingClass(t, alphabet, combo)
+                width = divisibility._class_width(c)
+                recoded_width = divisibility._class_width(recode_pairs(c)) if t % 2 == 0 else None
+                padded_width = divisibility._class_width(pad_to_power_of_two(c, s))
+                for n in range(2, n_max + 1):
+                    light = width < n
+                    if recoded_width is not None:
+                        recode_checked += 1
+                        if light:
+                            recode_light += 1
+                            ok = ok and recoded_width < n
+                    pad_checked += 1
+                    if light:
+                        pad_light += 1
+                        ok = ok and padded_width < (1 << s) * (n - 1) + 1
+    return dict(
+        t_max=t_max, l=l, n_max=n_max, recode_checked=recode_checked, recode_light_cases=recode_light,
+        pad_checked=pad_checked, pad_light_cases=pad_light, ok=ok,
+    )
 
 
 def reference_process_sequence(p: int, k: int, budget: int = 2_000_000) -> ProcessResult:
@@ -1644,6 +1677,83 @@ class TestCoding:
             "pad_light_cases": 8,
             "ok": True,
         }
+
+    # every cell whose enumeration takes about a second at most; (3, 3, 2)
+    # takes about 20 s and is left out
+    @pytest.mark.parametrize(
+        "t_max, l, n_max",
+        [
+            (1, 2, 2), (2, 2, 2), (3, 2, 3), (3, 2, 4), (4, 2, 2), (4, 2, 3), (4, 2, 5), (5, 2, 3),
+            (2, 3, 4), (2, 4, 3), (1, 5, 4), (0, 2, 3), (3, 2, 1), (4, 2, 0), (2, 1, 3), (5, 1, 4),
+        ],
+    )
+    def test_corpus_against_enumeration(self, t_max, l, n_max):
+        assert coding_corpus_check(t_max, l, n_max) == reference_coding_corpus_check(t_max, l, n_max)
+
+    def test_cycle_counts_against_duval(self):
+        for l in range(1, 5):
+            counts = list(itertools.islice(divisibility._primitive_cycle_counts(l), 8))
+            assert counts == [len(primitive_cycle_classes(t, Alphabet(l))) for t in range(1, 9)], l
+
+    @pytest.mark.parametrize(
+        "t, l, n_max",
+        [(1, 3, 3), (1, 5, 4), (2, 3, 4), (2, 4, 3), (3, 2, 5), (4, 2, 6), (5, 2, 7), (6, 2, 7), (3, 3, 5), (4, 3, 5)],
+    )
+    def test_pile_widths_on_every_visited_class(self, t, l, n_max):
+        alphabet = Alphabet(l)
+        s = (t - 1).bit_length()
+        cycles = primitive_cycle_classes(t, alphabet)
+        visited = {}
+        for chosen, width, padded_width, recoded_width in divisibility._light_classes(t, alphabet, n_max):
+            c = CodingClass(t, alphabet, tuple(cycles[i] for i in chosen))
+            assert width == divisibility._class_width(c) < n_max, chosen
+            assert padded_width == divisibility._class_width(pad_to_power_of_two(c, s)), chosen
+            assert recoded_width == (divisibility._class_width(recode_pairs(c)) if t % 2 == 0 else None), chosen
+            visited[chosen] = width
+        assert visited
+        if len(cycles) <= 6:
+            # few enough cycles to list every ordered class: the search misses none
+            every = {
+                combo: divisibility._class_width(CodingClass(t, alphabet, tuple(cycles[i] for i in combo)))
+                for r in range(1, len(cycles) + 1)
+                for combo in itertools.permutations(range(len(cycles)), r)
+            }
+            assert visited == {combo: width for combo, width in every.items() if width < n_max}
+
+    @given(st.integers(1, 3), st.integers(1, 5), st.data())
+    def test_single_cycle_width_is_its_length(self, l, t, data):
+        cycles = primitive_cycle_classes(t, Alphabet(l))
+        assume(cycles)  # one letter has no primitive cycle past length 1
+        cycle = data.draw(st.sampled_from(cycles))
+        assert divisibility._class_width(CodingClass(t, Alphabet(l), (cycle,))) == t
+
+    @given(st.integers(1, 3), st.integers(1, 5), st.data())
+    def test_inserting_a_cycle_never_lowers_the_width(self, l, t, data):
+        alphabet = Alphabet(l)
+        cycles = primitive_cycle_classes(t, alphabet)
+        assume(cycles)
+        order = data.draw(st.permutations(cycles))
+        kept = list(order[: data.draw(st.integers(0, len(order) - 1))])
+        at = data.draw(st.integers(0, len(kept)))
+        grown = kept[:at] + [order[len(kept)]] + kept[at:]
+        before = divisibility._class_width(CodingClass(t, alphabet, tuple(kept)))
+        assert divisibility._class_width(CodingClass(t, alphabet, tuple(grown))) >= before
+
+    def test_budget_caps_the_light_classes(self):
+        # (6, 3, 7) has more light classes than a 5-minute search visits
+        with pytest.raises(BudgetExceededError, match="coding budget of 1000 classes") as info:
+            coding_corpus_check(6, 3, 7, budget=1000)
+        assert info.value.nodes == 1001
+        with pytest.raises(ValueError, match="budget"):
+            coding_corpus_check(2, 2, 3, budget=-1)
+
+    def test_totals_past_the_printable_digits(self):
+        # 2,182 primitive binary cycles of length 15 give a total past 10**4300
+        assert coding_corpus_check(14, 2, 3)["ok"]
+        with pytest.raises(ValueError, match="pass 4300 digits at cycle length 15"):
+            coding_corpus_check(10**9, 2, 3)
+        with pytest.raises(ValueError, match="pass 4300 digits at cycle length 1"):
+            coding_corpus_check(1, 10**7, 3)
 
     def test_light_image_does_not_imply_light_class(self):
         # the lemmas transfer lightness one way only, so the corpus check
