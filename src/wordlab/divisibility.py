@@ -23,9 +23,9 @@ starts i < j exactly when rank(i) > rank(j), so a tail n-division is a
 decreasing subsequence of n ranks and the tail poset their permutation poset.
 _tail_witness reads one patience pass, posets._decreasing_reach; the
 Dilworth matching runs only in dilworth_tail_coloring, which returns
-the chains.  A coding class's width is the number of left-to-right
-patience piles of its rotations, which coding_corpus_check extends one
-cycle at a time.
+the chains.  A coding class's width is one left-to-right patience
+pass over integer keys of its rotations, which coding_corpus_check
+takes once per cycle.
 """
 
 from __future__ import annotations
@@ -794,8 +794,13 @@ def _class_width(c: CodingClass) -> int:
     an antichain is a non-increasing run: two rotations of one cycle
     never compare, and a later cycle's rotation compares with an
     earlier one exactly when it is larger."""
+    return _longest_nondecreasing([k for keys in _cycle_keys(c) for k in keys])
+
+
+def _cycle_keys(c: CodingClass) -> list[list[int]]:
+    """Each cycle's part of the class listing (_rotation_keys), in order."""
     base = c.alphabet.size + 1
-    return len(_extend_piles([], [k for cyc in c.cycles for k in _rotation_keys(cyc.representative.letters, base)]))
+    return [_rotation_keys(cyc.representative.letters, base) for cyc in c.cycles]
 
 
 def _rotation_keys(z: tuple[int, ...], base: int) -> list[int]:
@@ -812,18 +817,17 @@ def _rotation_keys(z: tuple[int, ...], base: int) -> list[int]:
     return sorted(ranks)
 
 
-def _extend_piles(piles: list[int], keys: list[int]) -> list[int]:
-    """The left-to-right patience piles of a listing grown by keys:
-    piles[k] is the least key that closes a non-decreasing run of k + 1
-    keys, so len(piles) is the longest such run."""
-    piles = piles[:]
+def _longest_nondecreasing(keys: list[int]) -> int:
+    """The most keys in a non-decreasing run, by one left-to-right
+    patience pass."""
+    piles: list[int] = []  # piles[k]: least key read that closes k + 1 keys
     for x in keys:
         k = bisect_right(piles, x)
         if k == len(piles):
             piles.append(x)
         else:
             piles[k] = x
-    return piles
+    return len(piles)
 
 
 def recode_pairs(c: CodingClass) -> CodingClass:
@@ -1176,43 +1180,40 @@ def _light_classes(t: int, alphabet: Alphabet, n_max: int):
     width, width of the class padded to length 2**s, width of the
     recoded class or None for odd t).
 
-    A class's width is the number of patience piles of its listing
-    (_class_width), and appending a cycle extends them.  The padded and
-    the recoded class (pad_to_power_of_two, recode_pairs) list the
-    cycles' images in the same order, so their piles extend alike.
     Adding a cycle at any place keeps the order among the others, so
     the width never falls: the depth-first search appends one unused
     cycle at a time and drops a class, with all its extensions, once
-    its width reaches n_max."""
-    l = alphabet.size
-    base = l * l + 2  # above every letter of the class and of both images
+    its width reaches n_max.  pad_to_power_of_two and recode_pairs map
+    a class cycle by cycle, in order, so each cycle's keys in the class
+    and in both images are taken once, and a width is one patience pass
+    over the chosen cycles' keys."""
     s = (t - 1).bit_length()
-    reps = [c.representative.letters for c in primitive_cycle_classes(t, alphabet)]
-    own = [_rotation_keys(z, base) for z in reps]
-    pad = [_rotation_keys(tuple(x + 1 for x in z) + (1,) * ((1 << s) - t), base) for z in reps]
-    rec = None
-    if t % 2 == 0:
-        rec = [_rotation_keys(tuple((z[i] - 1) * l + z[i + 1] for i in range(0, t, 2)), base) for z in reps]
-    stack: list[tuple[tuple[int, ...], list[int], list[int], list[int]]] = [((), [], [], [])]
+    every = CodingClass(t, alphabet, primitive_cycle_classes(t, alphabet))
+    own = _cycle_keys(every)
+    padded = _cycle_keys(pad_to_power_of_two(every, s))
+    recoded = _cycle_keys(recode_pairs(every)) if t % 2 == 0 else None
+
+    def width(keys: list[list[int]], chosen: tuple[int, ...]) -> int:
+        return _longest_nondecreasing([k for j in chosen for k in keys[j]])
+
+    stack: list[tuple[int, ...]] = [()]
     while stack:
-        chosen, piles, padded, recoded = stack.pop()
-        for i in range(len(reps)):
+        chosen = stack.pop()
+        for i in range(len(own)):
             if i in chosen:
                 continue
-            grown = _extend_piles(piles, own[i])
-            if len(grown) >= n_max:
-                continue
-            grown_padded = _extend_piles(padded, pad[i])
-            grown_recoded = _extend_piles(recoded, rec[i]) if rec else []
-            yield chosen + (i,), len(grown), len(grown_padded), len(grown_recoded) if rec else None
-            stack.append((chosen + (i,), grown, grown_padded, grown_recoded))
+            grown = chosen + (i,)
+            grown_width = width(own, grown)
+            if grown_width < n_max:
+                yield grown, grown_width, width(padded, grown), width(recoded, grown) if recoded else None
+                stack.append(grown)
 
 
-_CHECKED_DIGITS = 4300  # Python's default limit on the digits of a printed int
-_CHECKED_LIMIT = 10**_CHECKED_DIGITS
+_CODING_BUDGET = 2_000_000  # light classes a coding check visits, as many as the oracle's default nodes
+_CODING_CYCLES = 10_000  # most primitive cycles of one length whose selections the checked totals count
 
 
-def coding_corpus_check(t_max: int, l: int, n_max: int, budget: int = 2_000_000) -> dict:
+def coding_corpus_check(t_max: int, l: int, n_max: int) -> dict:
     """Check the recoding and padding lemmas over every ordered class of
     primitive cycles of length t <= t_max over l letters, at every n in
     2..n_max, in the lemmas' direction: a light class has a light image.
@@ -1230,10 +1231,9 @@ def coding_corpus_check(t_max: int, l: int, n_max: int, budget: int = 2_000_000)
     >= t and is n-light only when t < n.  The lemmas are tested on the
     light classes alone, which _light_classes finds, and
     `*_light_cases` counts their (class, n) pairs.  The search visits
-    at most `budget` light classes, else BudgetExceededError is raised;
-    totals past _CHECKED_DIGITS digits raise ValueError."""
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    at most _CODING_BUDGET light classes, else BudgetExceededError is
+    raised.  A length with more than _CODING_CYCLES primitive cycles
+    raises ValueError: its totals take time quadratic in their count."""
     alphabet = Alphabet(l)
     recode_checked = recode_light = 0
     pad_checked = pad_light = 0
@@ -1243,13 +1243,16 @@ def coding_corpus_check(t_max: int, l: int, n_max: int, budget: int = 2_000_000)
     # with no n there is no pair, and one letter has one primitive cycle, of length 1
     top = 0 if not checks else t_max if l > 1 else min(t_max, 1)
     for t, count in zip(range(1, top + 1), _primitive_cycle_counts(l)):
+        if count > _CODING_CYCLES:
+            raise ValueError(
+                f"the checked totals sum over at most {_CODING_CYCLES} primitive cycles of one length; "
+                f"length {t} has {count}"
+            )
         selections = 0  # sum over r >= 1 of P(count, r)
         term = 1
         for k in range(count, 0, -1):
             term *= k
             selections += term
-            if pad_checked + checks * selections >= _CHECKED_LIMIT:
-                raise ValueError(f"the checked totals pass {_CHECKED_DIGITS} digits at cycle length {t}")
         pad_checked += checks * selections
         if t % 2 == 0:
             recode_checked += checks * selections
@@ -1258,8 +1261,10 @@ def coding_corpus_check(t_max: int, l: int, n_max: int, budget: int = 2_000_000)
         s = (t - 1).bit_length()
         for _, width, padded_width, recoded_width in _light_classes(t, alphabet, n_max):
             visited += 1
-            if visited > budget:
-                raise BudgetExceededError(f"coding budget of {budget} classes exhausted at cycle length {t}", visited)
+            if visited > _CODING_BUDGET:
+                raise BudgetExceededError(
+                    f"coding budget of {_CODING_BUDGET} classes exhausted at cycle length {t}", visited
+                )
             # light at every n in width + 1..n_max; the least such n is the tightest
             pad_light += n_max - width
             ok = ok and padded_width <= (1 << s) * width

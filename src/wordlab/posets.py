@@ -9,8 +9,9 @@ are returned: `min_chain_cover`, `max_antichain` (the `posets` CLI) and
 `divisibility.dilworth_tail_coloring`.  A width alone is one patience
 pass, `_decreasing_reach`, with no relation built: for `epsilon_table`,
 `tableaux.longest_decreasing` and the tail width.  The coding-class
-width is read left to right instead (`divisibility._extend_piles`), so
-that a class grown by one cycle extends its parent's piles.
+width is one left-to-right pass instead
+(`divisibility._longest_nondecreasing`), over integer rotation keys
+that the coding corpus search takes once per cycle.
 
 Every kernel reads whole rows of the relation instead of asking about
 one pair at a time.  The matching is Kuhn's augmenting-path method on

@@ -61,7 +61,7 @@ class TestExitCodes:
             ("growth", "--in", ""),
             ("complexity", "--mechanical", "", "--word", "ab"),
             ("count", "--method", "multilinear", "--n", "13", "--k", "3", "--l", "20"),
-            ("selective", "--coding", "--t-max", "15", "--n", "3"),
+            ("selective", "--coding", "--t-max", "18", "--n", "3"),
         ],
     )
     def test_domain_error(self, argv):
@@ -209,6 +209,27 @@ class TestSpecExamples:
         assert code == 0 and capsys.readouterr().err == ""
         assert sys.get_int_max_str_digits() == limit
         assert json.loads(json.loads(out)["bound_values"])["psi"] == "1" + "0" * 5000
+
+    def test_coding_totals_past_the_int_str_digit_limit(self, capsys):
+        from decimal import Decimal
+
+        from wordlab.divisibility import coding_corpus_check
+
+        limit = sys.get_int_max_str_digits()
+        report = coding_corpus_check(15, 2, 3)
+        argv = ("selective", "--coding", "--t-max", "15", "--n", "3", "--format")
+        code, out = run_cli(*argv, "jsonl")
+        assert code == 0 and capsys.readouterr().err == ""
+        assert sys.get_int_max_str_digits() == limit
+        rec = json.loads(out, parse_int=Decimal)
+        assert len(str(rec["pad_checked"])) > limit
+        assert (rec["recode_checked"], rec["pad_checked"]) == (report["recode_checked"], report["pad_checked"])
+        code, out = run_cli(*argv, "csv")
+        header, row = (line.split(",") for line in out.splitlines())
+        rec = dict(zip(header, row))
+        assert code == 0 and (Decimal(rec["recode_checked"]), Decimal(rec["pad_checked"])) == (
+            report["recode_checked"], report["pad_checked"]
+        )
 
     def test_bounds_upsilon(self):
         code, out = run_cli("bounds", "--n", "3", "--l", "2", "--which", "upsilon")

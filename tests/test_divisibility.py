@@ -1699,7 +1699,7 @@ class TestCoding:
         "t, l, n_max",
         [(1, 3, 3), (1, 5, 4), (2, 3, 4), (2, 4, 3), (3, 2, 5), (4, 2, 6), (5, 2, 7), (6, 2, 7), (3, 3, 5), (4, 3, 5)],
     )
-    def test_pile_widths_on_every_visited_class(self, t, l, n_max):
+    def test_widths_on_every_visited_class(self, t, l, n_max):
         alphabet = Alphabet(l)
         s = (t - 1).bit_length()
         cycles = primitive_cycle_classes(t, alphabet)
@@ -1739,20 +1739,19 @@ class TestCoding:
         before = divisibility._class_width(CodingClass(t, alphabet, tuple(kept)))
         assert divisibility._class_width(CodingClass(t, alphabet, tuple(grown))) >= before
 
-    def test_budget_caps_the_light_classes(self):
+    def test_budget_caps_the_light_classes(self, monkeypatch):
         # (6, 3, 7) has more light classes than a 5-minute search visits
+        monkeypatch.setattr(divisibility, "_CODING_BUDGET", 1000)
         with pytest.raises(BudgetExceededError, match="coding budget of 1000 classes") as info:
-            coding_corpus_check(6, 3, 7, budget=1000)
+            coding_corpus_check(6, 3, 7)
         assert info.value.nodes == 1001
-        with pytest.raises(ValueError, match="budget"):
-            coding_corpus_check(2, 2, 3, budget=-1)
 
-    def test_totals_past_the_printable_digits(self):
-        # 2,182 primitive binary cycles of length 15 give a total past 10**4300
-        assert coding_corpus_check(14, 2, 3)["ok"]
-        with pytest.raises(ValueError, match="pass 4300 digits at cycle length 15"):
+    def test_totals_sum_over_a_bounded_number_of_cycles(self):
+        # 7,710 primitive binary cycles of length 17, 14,532 of length 18
+        assert coding_corpus_check(17, 2, 3)["ok"]
+        with pytest.raises(ValueError, match="length 18 has 14532"):
             coding_corpus_check(10**9, 2, 3)
-        with pytest.raises(ValueError, match="pass 4300 digits at cycle length 1"):
+        with pytest.raises(ValueError, match="length 1 has 10000000"):
             coding_corpus_check(1, 10**7, 3)
 
     def test_light_image_does_not_imply_light_class(self):
