@@ -1,12 +1,26 @@
-"""Monomial-algebra growth via the subword graph, plus factor complexity.
+"""Monomial-algebra growth over the Aho-Corasick automaton, plus factor complexity.
 
 A monomial algebra is presented by a finite set of forbidden factors;
-its nonzero monomials are the words avoiding them all.  The subword
-graph has the allowed words of length m as vertices (m one less than
-the longest forbidden word) and overlap edges whose (m+1)-letter merge
-is allowed; growth is exponential exactly when some vertex lies on two
-distinct cycles, and otherwise polynomial with degree equal to the
-most cycles any path through the cycle condensation can visit.
+its nonzero monomials are the words avoiding them all.  The words are
+read by the Aho-Corasick automaton of the forbidden set (Aho and
+Corasick 1975), the Ufnarovskii graph of the algebra (Ufnarovskii
+1982): its states are the trie nodes of the forbidden words, at most
+their total length plus one, and a state is dead when its node ends
+with a forbidden word, that is when the node is terminal or its suffix
+link is dead.  A word is allowed exactly when it passes no dead state,
+so `count_words` counts words of every length by transfer over the
+live states.
+
+The subword graph has the allowed words of length m as vertices (m one
+less than the longest forbidden word) and overlap edges whose
+(m+1)-letter merge is allowed.  `subword_graph` lists the windows by a
+depth-first walk over live states that tries the letters in increasing
+order, so they come out in lexicographic order, the order of
+`itertools.product`; window u has the edge for letter x exactly when
+the state of u steps to a live state on x.  Growth is exponential
+exactly when some vertex lies on two distinct cycles, and otherwise
+polynomial with degree equal to the most cycles any path through the
+cycle condensation can visit.
 
 Factor complexity sorts the word's windows once: the factors of length
 k are counted by how many sorted neighbours share a prefix of k
@@ -62,49 +76,93 @@ class SubwordGraph:
         return out
 
 
+def _automaton(spec: MonomialAlgebraSpec) -> tuple[list[list[int]], list[bool]]:
+    """Aho-Corasick automaton of the forbidden set: (delta, dead).
+
+    States are the trie nodes of `spec.forbidden`, root 0; delta[s][x - 1]
+    is the state after letter x in state s, the longest suffix of the
+    letters read that is a trie node.
+    """
+    size = spec.alphabet.size
+    delta = [[-1] * size]
+    dead = [False]
+    for f in spec.forbidden:
+        s = 0
+        for x in f.letters:
+            if delta[s][x - 1] < 0:
+                delta[s][x - 1] = len(delta)
+                delta.append([-1] * size)
+                dead.append(False)
+            s = delta[s][x - 1]
+        dead[s] = True
+    link = [0] * len(delta)
+    queue = []
+    for c, t in enumerate(delta[0]):
+        if t < 0:
+            delta[0][c] = 0
+        else:
+            queue.append(t)
+    # breadth-first, so a state's link is shallower and already final
+    for s in queue:
+        dead[s] = dead[s] or dead[link[s]]
+        fallback = delta[link[s]]
+        row = delta[s]
+        for c, t in enumerate(row):
+            if t < 0:
+                row[c] = fallback[c]
+            else:
+                link[t] = fallback[c]
+                queue.append(t)
+    return delta, dead
+
+
 def subword_graph(spec: MonomialAlgebraSpec) -> SubwordGraph:
     m = max((len(f) for f in spec.forbidden), default=2) - 1
     m = max(m, 1)
-    verts = [
-        ls
-        for ls in itertools.product(spec.alphabet.letters(), repeat=m)
-        if spec.allows(ls)
-    ]
+    delta, dead = _automaton(spec)
+    letters = spec.alphabet.letters()
+    verts: list[tuple[int, ...]] = []
+    states: list[int] = []
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while stack:
+        ls, s = stack.pop()
+        if len(ls) == m:
+            verts.append(ls)
+            states.append(s)
+            continue
+        row = delta[s]
+        for x in reversed(letters):  # the smallest letter is popped first
+            if not dead[row[x - 1]]:
+                stack.append((ls + (x,), row[x - 1]))
     index = {ls: i for i, ls in enumerate(verts)}
     edges = []
-    for ls in verts:
-        for x in spec.alphabet.letters():
-            merged = ls + (x,)
-            if spec.allows(merged):
-                edges.append((index[ls], index[merged[1:]]))
+    for i, (ls, s) in enumerate(zip(verts, states)):
+        row = delta[s]
+        for x in letters:
+            if not dead[row[x - 1]]:
+                edges.append((i, index[ls[1:] + (x,)]))
     return SubwordGraph(m, tuple(verts), tuple(edges))
 
 
 def count_words(spec: MonomialAlgebraSpec, n: int) -> list[int]:
-    """Allowed words per length 0..n, by transfer over the subword graph."""
+    """Allowed words per length 0..n, by transfer over the live automaton states."""
     if n < 0:
         raise ValueError("growth length must be non-negative")
-    g = subword_graph(spec)
-    m = g.window
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for k in range(1, min(m, n) + 1):
-        counts[k] = sum(
-            1
-            for ls in itertools.product(spec.alphabet.letters(), repeat=k)
-            if spec.allows(ls)
-        )
-    if n >= m:
-        succ = g.successors()
-        vec = [1] * len(g.vertices)
-        counts[m] = len(g.vertices)
-        for k in range(m + 1, n + 1):
-            nxt = [0] * len(g.vertices)
-            for a in range(len(g.vertices)):
-                for b in succ[a]:
-                    nxt[b] += vec[a]
-            vec = nxt
-            counts[k] = sum(vec)
+    delta, dead = _automaton(spec)
+    live = [s for s in range(len(delta)) if not dead[s]]
+    succ = [[t for t in delta[s] if not dead[t]] for s in live]
+    vec = [0] * len(delta)
+    vec[0] = 1
+    counts = [1] + [0] * n
+    for k in range(1, n + 1):
+        nxt = [0] * len(delta)
+        for s, targets in zip(live, succ):
+            v = vec[s]
+            if v:
+                for t in targets:
+                    nxt[t] += v
+        vec = nxt
+        counts[k] = sum(vec)
     return counts
 
 
@@ -116,7 +174,12 @@ def growth_function(spec: MonomialAlgebraSpec, n: int, cap: int = 10_000) -> lis
 
 
 def count_words_direct(spec: MonomialAlgebraSpec, n: int) -> list[int]:
-    """Independent enumeration used to cross-check the transfer counts."""
+    """Independent enumeration used to cross-check the transfer counts.
+
+    Every frontier word is allowed, so an extension by one letter is
+    allowed exactly when no forbidden word is a suffix of it.
+    """
+    forbidden = [f.letters for f in spec.forbidden]
     counts = [1] + [0] * n
     frontier = [()]
     for k in range(1, n + 1):
@@ -124,7 +187,7 @@ def count_words_direct(spec: MonomialAlgebraSpec, n: int) -> list[int]:
         for ls in frontier:
             for x in spec.alphabet.letters():
                 cand = ls + (x,)
-                if spec.allows(cand):
+                if not any(cand[-len(f) :] == f for f in forbidden):
                     nxt.append(cand)
         counts[k] = len(nxt)
         frontier = nxt

@@ -322,11 +322,20 @@ def canonical_key(p: FinitePoset) -> tuple[int, ...]:
 
 
 def epsilon_table(n: int) -> dict[int, int]:
-    """epsilon_k(n): isomorphism classes of permutation posets by max antichain k."""
+    """epsilon_k(n): isomorphism classes of permutation posets by max antichain k.
+
+    i -> pi(i) maps the poset of pi onto the poset of its inverse, so a
+    permutation whose inverse comes earlier in lex order adds no class.
+    """
     if not 1 <= n <= 7:
         raise ValueError("epsilon enumeration needs 1 <= n <= 7")
     seen: dict[tuple[int, ...], int] = {}
+    inverse = [0] * n
     for pi in itertools.permutations(range(1, n + 1)):
+        for i, v in enumerate(pi, 1):
+            inverse[v - 1] = i
+        if tuple(inverse) < pi:
+            continue
         key = canonical_key(permutation_poset(pi))
         if key not in seen:
             seen[key] = max(_decreasing_reach(pi))

@@ -508,6 +508,15 @@ class TestSubcommandSurfaces:
         assert lines[-1]["v"] == "polynomial" and lines[-1]["degree"] == 2
         assert lines[3]["v"] == 10
 
+    def test_growth_readme_bytes(self):
+        code, out = run_cli(
+            "growth", "--forbidden", "ba", "--n", "12", "--estimate-at", "200", "--format", "csv"
+        )
+        rows = [f"{n},{(n + 1) * (n + 2) // 2},,," for n in range(13)]
+        assert (code, out) == (0, "\n".join(
+            ["n,v,degree,estimate_at,estimate", *rows, "classification,polynomial,2,200,1.8720"]
+        ) + "\n")
+
     def test_complexity(self):
         code, out = run_cli("complexity", "--word", "ababab", "--n", "4", "--format", "jsonl")
         lines = [json.loads(line) for line in out.splitlines()]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from wordlab.growth import (
     GrowthClass,
     MonomialAlgebraSpec,
+    SubwordGraph,
     classify_growth,
     complexity_function,
     count_words,
@@ -106,6 +108,131 @@ class TestSubwordGraph:
     def test_reduction_drops_redundant_words(self):
         spec = MonomialAlgebraSpec.of(A2, [word("ab"), word("aab")])
         assert [str(f) for f in spec.forbidden] == ["ab"]
+
+
+def reference_subword_graph(spec):
+    """The window filter the automaton replaced: every l**m window through spec.allows."""
+    m = max(max((len(f) for f in spec.forbidden), default=2) - 1, 1)
+    verts = [
+        ls
+        for ls in itertools.product(spec.alphabet.letters(), repeat=m)
+        if spec.allows(ls)
+    ]
+    index = {ls: i for i, ls in enumerate(verts)}
+    edges = []
+    for ls in verts:
+        for x in spec.alphabet.letters():
+            merged = ls + (x,)
+            if spec.allows(merged):
+                edges.append((index[ls], index[merged[1:]]))
+    return SubwordGraph(m, tuple(verts), tuple(edges))
+
+
+def _spec(forbidden, alphabet=A2):
+    return MonomialAlgebraSpec.of(alphabet, [word(f, alphabet) for f in forbidden])
+
+
+def _binary_specs():
+    short = ["".join(t) for k in range(1, 5) for t in itertools.product("ab", repeat=k)]
+    sets = itertools.chain(((f,) for f in short), itertools.combinations(short, 2))
+    return sorted({_spec(fs) for fs in sets}, key=format_algebra_spec)
+
+
+def _ternary_specs():
+    rng = random.Random(22)
+    two = ["".join(t) for t in itertools.product("abc", repeat=2)]
+    specs = []
+    for _ in range(12):
+        forbidden = rng.sample(two, 3) + ["".join(rng.choices("abc", k=3))]
+        specs.append(_spec(forbidden, A3))
+    return specs
+
+
+# the forbidden sets of the benchmark's census workload
+CENSUS_SPECS = (
+    ("ba",), ("ab",), ("aa", "bb"), ("aba", "bab"), ("aab",), ("aaab", "bb"),
+    ("aaaaab", "bb"), ("aaaaaaab", "bb"), ("aaaaaaaaab", "bb"), ("ab", "bc", "ca"),
+    ("abc", "cba"),
+)
+
+SPEC_FAMILIES = {
+    "binary-one-or-two-words-up-to-4": _binary_specs,
+    "ternary-seeded": _ternary_specs,
+    "empty": lambda: [FREE],
+    "every-letter": lambda: [_spec(["a", "b"]), _spec(["a", "b", "c"], A3)],
+    "one-letter": lambda: [
+        MonomialAlgebraSpec.of(Alphabet(1), []),
+        _spec(["a"], Alphabet(1)),
+        _spec(["aaa"], Alphabet(1)),
+    ],
+    "census": lambda: [
+        _spec(fs, A3 if any("c" in f for f in fs) else A2) for fs in CENSUS_SPECS
+    ],
+    "abbabaababba": lambda: [_spec(["abbabaababba"])],
+    # unreduced: a forbidden word inside another keeps a terminal state with children
+    "unreduced": lambda: [
+        MonomialAlgebraSpec(A2, (word("ab"), word("aab"))),
+        MonomialAlgebraSpec(A3, (word("bcb", A3), word("c", A3), word("abca", A3))),
+    ],
+}
+
+
+def guibas_odlyzko_counts(w, size, n):
+    """Words over `size` letters avoiding the one factor w, lengths 0..n.
+
+    Their generating function is c(z) / (z**k + (1 - size*z) c(z)), where
+    k = |w| and c(z), the autocorrelation polynomial, has z**i for every
+    period i of w, i = 0 included (Guibas and Odlyzko 1981).
+    """
+    k = len(w)
+    c = [1 if w[i:] == w[: k - i] else 0 for i in range(k)]
+    den = [0] * (k + 1)
+    for i, ci in enumerate(c):
+        den[i] += ci
+        den[i + 1] -= size * ci
+    den[k] += 1
+    counts = []
+    for m in range(n + 1):
+        v = c[m] if m < k else 0
+        v -= sum(den[j] * counts[m - j] for j in range(1, min(m, k) + 1))
+        counts.append(v)
+    return counts
+
+
+class TestAutomaton:
+    @pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
+    def test_against_window_filter_and_enumeration(self, family):
+        for spec in SPEC_FAMILIES[family]():
+            assert subword_graph(spec) == reference_subword_graph(spec), spec
+            assert count_words(spec, 12) == count_words_direct(spec, 12), spec
+
+    def test_oracle_against_enumeration(self):
+        rng = random.Random(1981)
+        for _ in range(60):
+            size = rng.randint(1, 3)
+            w = tuple(rng.randint(1, size) for _ in range(rng.randint(1, 6)))
+            spec = MonomialAlgebraSpec.of(Alphabet(size), [Word(w, Alphabet(size))])
+            assert guibas_odlyzko_counts(w, size, 8) == count_words_direct(spec, 8), w
+
+    def test_long_forbidden_words_against_oracle(self):
+        rng = random.Random(1975)
+        cases = [((1,) * 19 + (2,), 2), ((1, 2) * 10, 2), ((1,) * 20, 3)]
+        for _ in range(20):
+            size = rng.randint(2, 3)
+            k = rng.randint(12, 20)
+            cases.append((tuple(rng.randint(1, size) for _ in range(k)), size))
+        for w, size in cases:
+            spec = MonomialAlgebraSpec.of(Alphabet(size), [Word(w, Alphabet(size))])
+            assert count_words(spec, 60) == guibas_odlyzko_counts(w, size, 60), w
+
+    def test_growth_of_a_twenty_letter_word_is_fast(self):
+        spec = _spec(["abbabaababbaababbaab"])
+        start = time.perf_counter()
+        values = growth_function(spec, 200)
+        # a generous limit: the counting itself takes a few milliseconds
+        assert time.perf_counter() - start < 1.0
+        counts = guibas_odlyzko_counts(spec.forbidden[0].letters, 2, 200)
+        assert values == list(itertools.accumulate(counts))
 
 
 def reference_is_balanced(w):

@@ -9,6 +9,7 @@ from wordlab.posets import (
     _decreasing_reach,
     _dilworth,
     _max_matching,
+    canonical_key,
     count_permutation_posets,
     epsilon_bound,
     epsilon_table,
@@ -21,6 +22,19 @@ from wordlab.posets import (
     parse_poset,
     permutation_poset,
 )
+
+
+def reference_epsilon_table(n):
+    """The loop epsilon_table replaced: one canonical key per permutation."""
+    seen = {}
+    for pi in itertools.permutations(range(1, n + 1)):
+        key = canonical_key(permutation_poset(pi))
+        if key not in seen:
+            seen[key] = max(_decreasing_reach(pi))
+    table = {k: 0 for k in range(1, n + 1)}
+    for anti in seen.values():
+        table[anti] += 1
+    return table
 
 
 def chain(n):
@@ -342,6 +356,19 @@ class TestPermutationPosets:
             for pi in itertools.permutations(range(1, n + 1)):
                 pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if pi[i] < pi[j]]
                 assert permutation_poset(pi) == FinitePoset.from_relation(n, pairs), pi
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_epsilon_against_every_permutation(self, n):
+        assert epsilon_table(n) == reference_epsilon_table(n)
+
+    def test_inverse_permutation_poset_is_isomorphic(self):
+        # the property that lets epsilon_table skip a permutation whose inverse came first
+        for n in range(1, 7):
+            for pi in itertools.permutations(range(1, n + 1)):
+                inverse = tuple(pi.index(v) + 1 for v in range(1, n + 1))
+                assert canonical_key(permutation_poset(pi)) == canonical_key(
+                    permutation_poset(inverse)
+                ), pi
 
     def test_epsilon_small_values(self):
         assert epsilon_table(2) == {1: 1, 2: 1}
