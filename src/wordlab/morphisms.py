@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .words import Alphabet, Word, _first_power, _is_factor, _power_blockers, format_word, parse_word
+from .words import Alphabet, Word, _first_power, _is_factor, _power_blockers, _word, format_word, parse_word
 
 ITERATE_CAP = 10**6
 
@@ -113,7 +113,7 @@ def square_free_words(alphabet: Alphabet, max_len: int):
     stack = [(x,) for x in letters]
     while stack:
         ls = stack.pop()
-        yield Word(ls, alphabet)
+        yield _word(ls, alphabet)
         if len(ls) < max_len:
             blocked = _power_blockers(ls, 2)
             for x in letters:

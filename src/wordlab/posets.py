@@ -1,11 +1,26 @@
 """Finite posets, Dilworth machinery, and permutation-ordered posets.
 
 Relations are kept as strict-order bitmasks: bit j of `above[i]` says
-i < j.  One maximum bipartite matching on the split graph gives both
-the minimum chain cover and, through its vertex cover, a maximum
+i < j.  Building a `FinitePoset` checks the rows: size, range and
+irreflexivity row by row, then antisymmetry and transitivity with rows
+taken in increasing popcount.  For row i the check visits the lowest
+bit j of the row not yet visited, tests that i is not in row j and
+that row j lies inside row i, and then drops j and all of row j from
+the bits left to visit.  That is exact: a row j inside row i is
+strictly smaller (j is in row i, not in row j), so it was checked
+earlier, and every pair (i, k) with k in row j follows from the pairs
+(i, j) and (j, k).  On a violation the check reruns the plain scan over
+every pair, rows in index order, so the message is the one that scan
+raises first.
+
+One maximum bipartite matching on the split graph gives both the
+minimum chain cover and, through its vertex cover, a maximum
 antichain, so the Dilworth equality |min chain cover| = |max antichain|
-is asserted on every call.  It runs only where chains or an antichain
-are returned: `min_chain_cover`, `max_antichain` (the `posets` CLI) and
+is asserted on every decomposition computed.  It is computed once per
+`FinitePoset` instance and kept on it (equality, hash and repr read
+only the two fields), so `max_antichain` and `min_chain_cover` on one
+poset share it.  It runs only where chains or an antichain are
+returned: `min_chain_cover`, `max_antichain` (the `posets` CLI) and
 `divisibility.dilworth_tail_coloring`.  A width alone is one patience
 pass, `_decreasing_reach`, with no relation built: for `epsilon_table`,
 `tableaux.longest_decreasing` and the tail width.  The coding-class
@@ -47,13 +62,14 @@ class FinitePoset:
                 raise ValueError("relation bits outside range")
             if rel[i] & (1 << i):
                 raise ValueError("relation not irreflexive")
-        for i in range(n):
-            row = rel[i]
-            for j in _bits(row):
-                if rel[j] >> i & 1:
-                    raise ValueError("relation not antisymmetric")
-                if rel[j] & ~row:
-                    raise ValueError("relation not transitive")
+        for i in sorted(range(n), key=lambda i: rel[i].bit_count()):
+            row = left = rel[i]
+            while left:
+                low = left & -left
+                up = rel[low.bit_length() - 1]
+                if up >> i & 1 or up & ~row:
+                    _check_pairs(rel)  # raises the index-order scan's first message
+                left &= ~(low | up)
 
     def less(self, i: int, j: int) -> bool:
         return bool(self.above[i] & (1 << j))
@@ -83,6 +99,17 @@ class FinitePoset:
                 beyond |= above[k]
             out.extend((i, j) for j in _bits(row & ~beyond))
         return tuple(out)
+
+
+def _check_pairs(rel: tuple[int, ...]) -> None:
+    """Antisymmetry and transitivity over every pair, rows in index order."""
+    for i, row in enumerate(rel):
+        for j in _bits(row):
+            if rel[j] >> i & 1:
+                raise ValueError("relation not antisymmetric")
+            if rel[j] & ~row:
+                raise ValueError("relation not transitive")
+    raise AssertionError("the popcount-order check found a violation the pair scan missed")
 
 
 def _bits(m: int) -> Iterator[int]:
@@ -172,7 +199,11 @@ def _max_matching(p: FinitePoset) -> tuple[int, list[int]]:
 
 
 def _dilworth(p: FinitePoset) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
-    """A minimum chain cover and a maximum antichain from one maximum matching."""
+    """A minimum chain cover and a maximum antichain from one maximum
+    matching, computed once per poset and kept on the instance."""
+    known = p.__dict__.get("_decomposition")
+    if known is not None:
+        return known
     n, above = p.size, p.above
     size, match_right = _max_matching(p)
     match_left = [-1] * n
@@ -207,7 +238,9 @@ def _dilworth(p: FinitePoset) -> tuple[tuple[tuple[int, ...], ...], frozenset[in
     assert len(chains) == n - size == len(antichain), "Dilworth equality violated"
     for a in antichain:
         assert not above[a] & mask, "antichain has comparable elements"
-    return tuple(chains), antichain
+    known = (tuple(chains), antichain)
+    object.__setattr__(p, "_decomposition", known)
+    return known
 
 
 def min_chain_cover(p: FinitePoset) -> tuple[tuple[int, ...], ...]:

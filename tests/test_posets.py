@@ -1,9 +1,15 @@
+import io
 import itertools
 import random
+import time
+from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, strategies as st
 
+import wordlab.posets as po
+from wordlab.cli import main
 from wordlab.posets import (
     FinitePoset,
     _decreasing_reach,
@@ -51,6 +57,26 @@ def random_poset(rng, max_size=12, density=0.3):
     perm = list(range(n))
     rng.shuffle(perm)
     return FinitePoset.from_relation(n, [(perm[i], perm[j]) for i, j in pairs])
+
+
+def reference_check_relation(n, rel):
+    """The validity check the popcount-order check replaced: every pair,
+    rows in index order."""
+    if len(rel) != n:
+        raise ValueError("relation size mismatch")
+    for i in range(n):
+        if rel[i] >> n:
+            raise ValueError("relation bits outside range")
+        if rel[i] & (1 << i):
+            raise ValueError("relation not irreflexive")
+    for i in range(n):
+        row = rel[i]
+        for j in range(n):
+            if row >> j & 1:
+                if rel[j] >> i & 1:
+                    raise ValueError("relation not antisymmetric")
+                if rel[j] & ~row:
+                    raise ValueError("relation not transitive")
 
 
 def reference_dilworth(p):
@@ -242,6 +268,58 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^relation bits outside range$"):
             FinitePoset(2, (0b10, 0b101))
 
+    def test_check_against_the_index_order_scan(self):
+        # raw rows (with and without self-pairs) and closed rows with a
+        # few bits flipped: the same relations accepted, the same message
+        def outcome(check):
+            try:
+                check()
+            except ValueError as exc:
+                return str(exc)
+            return "accepted"
+
+        rng = random.Random(1950)
+        tally = Counter()
+        for _ in range(3000):
+            kind = rng.randrange(3)
+            density = rng.choice((0.05, 0.15, 0.3, 0.6))
+            if kind < 2:
+                n = rng.randrange(0, 13)
+                rel = tuple(
+                    sum(1 << j for j in range(n) if (kind or j != i) and rng.random() < density)
+                    for i in range(n)
+                )
+            else:
+                p = random_poset(rng, max_size=12, density=density)
+                n, rows = p.size, list(p.above)
+                for _ in range(rng.randrange(1, 3)):
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    if i != j:
+                        rows[i] ^= 1 << j
+                rel = tuple(rows)
+            got = outcome(lambda: FinitePoset(n, rel))
+            assert got == outcome(lambda: reference_check_relation(n, rel)), (n, rel)
+            if got == "accepted":
+                assert FinitePoset(n, rel).above == rel
+            tally[got] += 1
+        assert set(tally) == {
+            "accepted",
+            "relation not irreflexive",
+            "relation not antisymmetric",
+            "relation not transitive",
+        }
+        assert min(tally.values()) > 100, tally
+
+    def test_permutation_poset_on_three_thousand_points(self):
+        # the check visits a few bits per row instead of every pair
+        rng = random.Random(3001)
+        pi = list(range(1, 3002))
+        rng.shuffle(pi)
+        start = time.perf_counter()
+        p = permutation_poset(pi)
+        assert time.perf_counter() - start < 1.0
+        assert p.size == 3001
+
     def test_covering_pairs_against_pairwise_definition(self):
         rng = random.Random(11)
         for _ in range(300):
@@ -279,6 +357,56 @@ class TestDilworth:
             for c in cover:
                 for a, b in zip(c, c[1:]):
                     assert p.less(a, b)
+
+
+class TestOneDecompositionPerPoset:
+    def test_matching_runs_once_per_poset(self, monkeypatch):
+        calls = []
+        real = po._max_matching
+        monkeypatch.setattr(po, "_max_matching", lambda p: calls.append(p) or real(p))
+        rng = random.Random(1956)
+        for k in range(100):
+            p = random_poset(rng, max_size=20, density=rng.choice((0.1, 0.3)))
+            first, second = (max_antichain, min_chain_cover)[:: 1 if k % 2 else -1]
+            calls.clear()
+            got = first(p), second(p), first(p), second(p)
+            assert len(calls) == 1 and calls[0] is p
+            fresh = FinitePoset(p.size, p.above)
+            assert got == (first(fresh), second(fresh)) * 2
+
+    def test_cached_decomposition_leaves_equality_hash_and_repr(self):
+        rng = random.Random(1950)
+        for _ in range(50):
+            p = random_poset(rng, max_size=20)
+            fresh = FinitePoset(p.size, p.above)
+            min_chain_cover(p)
+            assert "_decomposition" in p.__dict__ and "_decomposition" not in fresh.__dict__
+            assert p == fresh and fresh == p
+            assert hash(p) == hash(fresh) and repr(p) == repr(fresh)
+            assert {fresh: 1}[p] == 1
+
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (
+                ("posets", "--random", "200", "--size", "12", "--seed", "1"),
+                "kind             checked  max_size  seed  ok\n"
+                "random-dilworth  200      12        1     true\n",
+            ),
+            (
+                ("posets", "--in", "{poset}"),
+                "points  max_antichain  antichain  chains\n"
+                "10      3              5,7,10     1,3,5,8;2,6,7;4,9,10\n",
+            ),
+        ],
+    )
+    def test_cli_bytes(self, argv, stdout, tmp_path):
+        poset = tmp_path / "poset.txt"
+        poset.write_text("10\n1 3\n2 3\n3 5\n4 5\n2 6\n6 7\n5 8\n7 8\n9 10\n4 9\n")
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            code = main([arg.format(poset=poset) for arg in argv])
+        assert (code, buffer.getvalue()) == (0, stdout)
 
 
 class TestAgainstReference:
