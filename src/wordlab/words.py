@@ -225,13 +225,6 @@ def _first_power(ls: tuple[int, ...], e: int, leftmost: bool) -> tuple[int, int]
     so z**e with |z| = p starts at s iff (e-1)*p*width zero bytes begin
     at the letter-aligned offset (s+p)*width.  That is one bytes.find per
     period: O(n**2/e) byte operations in C, with no per-letter Python.
-
-    In leftmost mode a hit at start s leaves only the starts t < s to
-    try, at longer periods.  When s is small against the periods left,
-    `_shortest_power_at` tests those starts directly instead: O(s*n)
-    letter steps in Python against O(n) bytes in C for each period left,
-    where one letter step costs about as much as 130 bytes (2-vCPU Xeon,
-    Python 3.11).  Short words stay on the period scan.
     """
     n = len(ls)
     if n < e:
@@ -254,36 +247,7 @@ def _first_power(ls: tuple[int, ...], e: int, leftmost: bool) -> tuple[int, int]
         best = (i // width - p, p)
         if not leftmost or best[0] == 0:
             return best
-        if best[0] * 128 < n // e - p:
-            for t in range(best[0]):
-                q = _shortest_power_at(ls[t:], e)
-                if q:
-                    return t, q
-            return best
     return best
-
-
-def _shortest_power_at(ls: tuple[int, ...], e: int) -> int:
-    """The least p with ls[:e*p] = z**e, |z| = p, or 0 if there is none.
-
-    ls[:e*p] is a z**e with |z| = p iff the longest common prefix of ls
-    and ls[p:] is at least (e-1)*p.  The Z-function (Gusfield 1997)
-    gives those lengths for p = 1, 2, ... in O(|ls|) steps, stopping at
-    the first p that qualifies.
-    """
-    m = len(ls)
-    z = [0] * (m // e + 1)
-    lo = hi = 0  # ls[lo:hi] == ls[:hi - lo], with hi the furthest such end
-    for p in range(1, m // e + 1):
-        k = min(hi - p, z[p - lo]) if p < hi else 0
-        while p + k < m and ls[k] == ls[p + k]:
-            k += 1
-        if p + k > hi:
-            lo, hi = p, p + k
-        z[p] = k
-        if k >= (e - 1) * p:
-            return p
-    return 0
 
 
 def subword_count_period(w: Word, k: int, t: int) -> bool:

@@ -320,6 +320,18 @@ class TestConstruction:
         assert time.perf_counter() - start < 1.0
         assert p.size == 3001
 
+        class CountedRows(tuple):
+            lookups = 0
+
+            def __getitem__(self, i):
+                CountedRows.lookups += 1
+                return tuple.__getitem__(self, i)
+
+        # four lookups per row outside the pair check, a few visited bits
+        # per row inside it; every pair would be over two million
+        assert FinitePoset(p.size, CountedRows(p.above)) == p
+        assert CountedRows.lookups < 20 * p.size
+
     def test_covering_pairs_against_pairwise_definition(self):
         rng = random.Random(11)
         for _ in range(300):

@@ -1,12 +1,9 @@
 import itertools
-import random
-import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-import wordlab.words as words_module
-from wordlab.morphisms import has_cube, has_square, square_free_words, thue_morse, thue_ternary
+from wordlab.morphisms import square_free_words
 from wordlab.words import (
     Alphabet,
     Cmp,
@@ -18,7 +15,6 @@ from wordlab.words import (
     _first_power,
     _is_regular_letters,
     _power_blockers,
-    _shortest_power_at,
     all_words,
     canonical_rotation,
     conjugate_classes,
@@ -124,94 +120,6 @@ def reference_find_period_power(w, d):
 
 # letters above 255 pack several bytes wide; these share and differ in single bytes
 WIDE_LETTERS = (1, 2, 255, 256, 257, 263, 512, 519, 521, 65536, 65537, 65792)
-
-
-def reference_first_power(ls, e, leftmost):
-    """_first_power before the direct test of earlier starts: every
-    period scanned on the packed word, whatever the first hit."""
-    n = len(ls)
-    if n < e:
-        return None
-    width = (max(ls).bit_length() + 7) // 8
-    packed = bytes(ls) if width == 1 else b"".join(x.to_bytes(width, "big") for x in ls)
-    X = int.from_bytes(packed, "big")
-    size = n * width
-    best = None
-    for p in range(1, n // e + 1):
-        shift = p * width
-        D = (X ^ (X >> 8 * shift)).to_bytes(size, "big")
-        run = bytes((e - 1) * shift)
-        end = size if best is None else min(size, (best[0] + e * p - 1) * width)
-        i = D.find(run, shift, end)
-        while i > 0 and i % width:
-            i = D.find(run, i + width - i % width, end)
-        if i < 0:
-            continue
-        best = (i // width - p, p)
-        if not leftmost or best[0] == 0:
-            return best
-    return best
-
-
-def planted_words(seed, count):
-    """Long square-free and cube-free bodies with an early square or cube
-    planted a few letters in, and now and then a second one further on."""
-    rng = random.Random(seed)
-    ternary, binary = thue_ternary(6).letters, thue_morse(11).letters
-    for _ in range(count):
-        body, l = (ternary, 3) if rng.random() < 0.5 else (binary, 2)
-        e = rng.choice((2, 3))
-        n = rng.randrange(800, 1600)
-        at = rng.randrange(len(body) - n)
-        ls = list(body[at : at + n])
-        z = [rng.randint(1, l) for _ in range(rng.randint(1, 12))]
-        s = rng.randrange(0, 6)
-        ls[s : s + e * len(z)] = z * e
-        if rng.random() < 0.3:
-            t = rng.randrange(s + 1, n // 2)
-            ls[t : t + e] = [ls[t]] * e
-        yield tuple(ls), e
-
-
-class TestEarlyHit:
-    def test_planted_powers_against_the_full_scan(self, monkeypatch):
-        direct = []
-        real = words_module._shortest_power_at
-
-        def counted(ls, e):
-            direct.append(real(ls, e))
-            return direct[-1]
-
-        monkeypatch.setattr(words_module, "_shortest_power_at", counted)
-        starts, cases = set(), 0
-        for ls, e in planted_words(1983, 300):
-            calls = len(direct)
-            for leftmost in (False, True):
-                got = _first_power(ls, e, leftmost)
-                assert got == reference_first_power(ls, e, leftmost), (ls, e, leftmost)
-            starts.add(got[0])
-            cases += len(direct) > calls
-        # most cases take the direct test, and it often finds an earlier start
-        assert cases > 150 and sum(map(bool, direct)) > 50 and len(starts) > 5
-
-    @pytest.mark.parametrize("e", [2, 3])
-    def test_shortest_power_at_against_slices(self, e):
-        for l, max_len in ((2, 12), (3, 8)):
-            for n in range(max_len + 1):
-                for ls in itertools.product(range(1, l + 1), repeat=n):
-                    want = next(
-                        (p for p in range(1, n // e + 1) if ls[: e * p] == ls[:p] * e), 0
-                    )
-                    assert _shortest_power_at(ls, e) == want, ls
-
-    def test_early_square_in_a_long_square_free_word(self):
-        w = Word((3, 1, 1) + thue_ternary(7).letters[:20000], A3)
-        start = time.perf_counter()
-        occ = has_square(w)
-        assert time.perf_counter() - start < 0.1
-        assert (occ.start, occ.root) == (2, word("a", A3))
-        occ = has_cube(Word((2, 1, 2, 1, 2, 1) + thue_morse(15).letters[:20000], A2))
-        assert (occ.start, occ.root) == (1, word("ba", A2))
 
 
 class TestPeriodPowerEngine:
