@@ -71,6 +71,8 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class DivisibilityWitness:
+    """A division of a host word into blocks, in one sense of n-divisibility."""
+
     kind: Sense
     blocks: tuple[tuple[int, int], ...]  # 1-based inclusive (start, end)
     periods: tuple[Word, ...] | None = None  # strong sense only
@@ -331,6 +333,8 @@ def is_nd_reducible(w: Word, n: int, d: int) -> bool:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """A longest word over l letters that is not (n, d)-reducible, and the nodes searched."""
+
     n: int
     d: int
     l: int
@@ -397,6 +401,8 @@ def max_nonreducible_length(
 
 @dataclass(frozen=True)
 class ProcessResult:
+    """A longest valid zero-one process sequence for (p, k), and the states searched."""
+
     p: int
     k: int
     length: int
@@ -487,6 +493,8 @@ class ChainCapExceededError(ValueError):
 
 @dataclass(frozen=True)
 class TailColoring:
+    """A Dilworth coloring of a host word's tails: the colored starts and their chains."""
+
     host: Word
     positions: tuple[int, ...]  # 1-based tail starts forming the colored set
     chains: tuple[tuple[int, ...], ...]  # positions per color, ascending
@@ -575,6 +583,8 @@ def snapshot_stability(tc: TailColoring, p: int) -> int:
 
 @dataclass(frozen=True)
 class Fragment:
+    """A periodic fragment cut from a word: its period, exponent, start and piece count."""
+
     period: Word
     exponent: int
     start: int  # 1-based start in the word it was cut from
@@ -583,6 +593,8 @@ class Fragment:
 
 @dataclass(frozen=True)
 class FragmentDecomposition:
+    """The periodic fragments cut from a word in turn, and the word left after each cut."""
+
     original: Word
     power: int  # required exponent, 4n
     fragments: tuple[Fragment, ...]
@@ -752,6 +764,8 @@ def large_selective_height(
 
 @dataclass(frozen=True)
 class CodingClass:
+    """Pairwise non-conjugate word-cycles of one length over one alphabet."""
+
     length: int  # common cycle length t
     alphabet: Alphabet
     cycles: tuple[WordCycle, ...]

@@ -40,6 +40,8 @@ from .words import Alphabet, Word, _is_factor, _pack, format_word, parse_word
 
 @dataclass(frozen=True)
 class MonomialAlgebraSpec:
+    """A monomial algebra: an alphabet and the words it forbids."""
+
     alphabet: Alphabet
     forbidden: tuple[Word, ...]
 
@@ -65,6 +67,8 @@ class MonomialAlgebraSpec:
 
 @dataclass(frozen=True)
 class SubwordGraph:
+    """Allowed words of length window, with an edge from u to v when ux = yv is allowed."""
+
     window: int
     vertices: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]  # indices into vertices
@@ -196,6 +200,8 @@ def count_words_direct(spec: MonomialAlgebraSpec, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class GrowthClass:
+    """A growth verdict: exponential, or polynomial of a given degree."""
+
     kind: str  # "exponential" | "polynomial"
     degree: int | None  # GK dimension for polynomial growth
 

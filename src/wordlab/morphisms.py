@@ -23,6 +23,8 @@ ITERATE_CAP = 10**6
 
 @dataclass(frozen=True)
 class Morphism:
+    """A substitution: one nonempty image word over the target for each source letter."""
+
     source: Alphabet
     target: Alphabet
     images: tuple[Word, ...]  # indexed by source letter - 1
@@ -78,6 +80,8 @@ def iterate(m: Morphism, letter: int | str, k: int, cap: int = ITERATE_CAP) -> W
 
 @dataclass(frozen=True)
 class RepetitionOccurrence:
+    """A repetition's start in a word and its root."""
+
     start: int  # 1-based
     root: Word
 
@@ -123,6 +127,8 @@ def square_free_words(alphabet: Alphabet, max_len: int):
 
 @dataclass(frozen=True)
 class CrochemoreReport:
+    """Crochemore's square-freeness verdict on a morphism, and Thue's two conditions."""
+
     is_square_free: bool
     k_used: int
     counterexample: Word | None

@@ -50,6 +50,8 @@ from typing import Iterable, Iterator, Sequence
 
 @dataclass(frozen=True)
 class FinitePoset:
+    """A strict partial order on 0..size-1; above[i] has bit j set iff i < j."""
+
     size: int
     above: tuple[int, ...]  # bit j of above[i] set iff i < j (strict)
 
@@ -418,6 +420,8 @@ def _intersection_poset(order_a: tuple[int, ...], order_b: tuple[int, ...]) -> F
 
 @dataclass(frozen=True)
 class TwoPairsDemo:
+    """Two non-isomorphic pairs of linear orders that intersect in one poset."""
+
     poset: FinitePoset
     pair_one: tuple[tuple[int, ...], tuple[int, ...]]
     pair_two: tuple[tuple[int, ...], tuple[int, ...]]

@@ -14,8 +14,12 @@ pile tops), so it stays independent of the hook and determinant routes.
 
 A Tableau's rows are a tuple of tuples (list rows are converted), so it
 cannot change, and it keeps its shape and its is_standard() answer once
-computed: rsk's assertions compute the answer and rsk_inverse's
-validation reads it.
+computed.  rsk interns the tableaux it returns on up to 9 cells: S_n
+has only as many standard tableaux as involutions (232 for n = 7,
+against 5,040 permutations), so each distinct one is built and checked
+once per process.  rsk still asserts on every call that both tableaux
+are standard, reading the answer kept from that check, and
+rsk_inverse's validation reads it too.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from operator import lt
 from typing import Iterator, Sequence
@@ -33,6 +38,8 @@ from .posets import _decreasing_reach
 
 @dataclass(frozen=True)
 class Tableau:
+    """A Young tableau: nonempty rows of weakly decreasing length."""
+
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
@@ -100,6 +107,22 @@ def schensted_insert(t: Tableau | None, x: int) -> tuple[Tableau, tuple[int, int
     return Tableau(rows), (r + 1, len(rows[r]))
 
 
+# the largest n that xi_count enumerates and that `rsk --n` walks S_n for
+ENUMERATION_CAP = 9
+# rsk interns tableaux on at most ENUMERATION_CAP cells, and all of them
+# fit at once: 3,735 (2,620 on 9 cells), about 2 MB.  Longer ones are
+# built fresh, as few repeat: 4,096 pairs on 1,000 cells would keep 140 MB.
+_INTERNED = 4096
+
+
+@lru_cache(maxsize=_INTERNED)
+def _tableau(rows: tuple[tuple[int, ...], ...]) -> Tableau:
+    """The interned Tableau on these rows, checked for standardness when built."""
+    t = Tableau(rows)
+    t.is_standard()
+    return t
+
+
 def rsk(pi: Sequence[int]) -> tuple[Tableau, Tableau]:
     """P by successive row insertion, Q by recording each landing cell."""
     _check_permutation(pi)  # distinct entries, so no insertion meets its own value
@@ -112,7 +135,8 @@ def rsk(pi: Sequence[int]) -> tuple[Tableau, Tableau]:
         if r == len(q_rows):
             q_rows.append([])
         q_rows[r].append(step)
-    p, q = Tableau(p_rows), Tableau(q_rows)
+    build = _tableau if len(pi) <= ENUMERATION_CAP else Tableau
+    p, q = build(tuple(map(tuple, p_rows))), build(tuple(map(tuple, q_rows)))
     assert p.shape == q.shape and p.is_standard() and q.is_standard()
     return p, q
 
@@ -123,21 +147,25 @@ def rsk_inverse(p: Tableau, q: Tableau) -> tuple[int, ...]:
         raise ValueError("shape mismatch")
     if not (p.is_standard() and q.is_standard()):
         raise ValueError("non-standard tableau")
+    n = p.order
     rows = [list(r) for r in p.rows]
-    row_of = {entry: r for r, row in enumerate(q.rows) for entry in row}
-    out = []
-    for step in range(p.order, 0, -1):
-        # q is standard, so its largest entry ends its row: a corner of the shape
+    row_of = [0] * (n + 1)
+    for r, row in enumerate(q.rows):
+        for entry in row:
+            row_of[entry] = r
+    out = [0] * n
+    for step in range(n, 0, -1):
+        # q is standard, so its largest entry ends its row: a corner of the
+        # shape.  rows keeps the shape of q's entries up to step, so no later
+        # step lands in a row this empties.
         r = row_of[step]
         x = rows[r].pop()
-        if not rows[r]:
-            rows.pop(r)
         for rr in range(r - 1, -1, -1):
             row = rows[rr]
             c = bisect_left(row, x) - 1  # rightmost entry below x
             x, row[c] = row[c], x
-        out.append(x)
-    return tuple(reversed(out))
+        out[step - 1] = x
+    return tuple(out)
 
 
 def _check_permutation(pi: Sequence[int]) -> None:
@@ -203,8 +231,8 @@ def xi_count(n: int, k: int, method: str = "tableaux") -> int:
     if n < 0 or k < 1:
         raise ValueError("xi_count needs n >= 0, k >= 1")
     if method == "enumerate":
-        if n > 9:
-            raise ValueError("enumeration capped at n = 9")
+        if n > ENUMERATION_CAP:
+            raise ValueError(f"enumeration capped at n = {ENUMERATION_CAP}")
         return _xi_enumerate(n, k)
     if method == "tableaux":
         if n > 12:

@@ -57,6 +57,8 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Word:
+    """A finite word: letters 1..size of its alphabet."""
+
     letters: tuple[int, ...]
     alphabet: Alphabet
 
@@ -184,6 +186,8 @@ def k_tail(w: Word, start: int, k: int) -> Word:
 
 @dataclass(frozen=True)
 class PeriodOccurrence:
+    """An occurrence of period**exponent, starting at start."""
+
     period: Word
     start: int  # 1-based position of the occurrence of period**exponent
     exponent: int
@@ -410,6 +414,8 @@ class _Bracketing:
 
 @dataclass(frozen=True)
 class Leaf(_Bracketing):
+    """A leaf of a bracketing: one letter."""
+
     letter: int
 
 
@@ -448,6 +454,8 @@ class Pair(_Bracketing):
 
 @dataclass(frozen=True)
 class BracketedWord:
+    """A word with a bracketing whose leaves spell it."""
+
     tree: Leaf | Pair
     word: Word
 

@@ -136,6 +136,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: enumeration capped at n = 9\n"
 
+    @pytest.mark.parametrize("n", [10, 11, 40])
+    def test_rsk_self_check_cap(self, n, capsys, monkeypatch):
+        # S_11 alone has 39.9 million permutations: the cap is checked before any is walked
+        from wordlab import tableaux
+
+        def walked(n):
+            raise AssertionError(f"S_{n} walked")
+
+        monkeypatch.setattr(tableaux, "permutations_of", walked)
+        code, out = run_cli("rsk", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: the S_n self-check is capped at n = 9\n"
+
     def test_empty_word_keeps_the_mode(self, capsys):
         # an empty --word is a word, not an absent one
         code, out = run_cli("rsk", "--word", "", "--n", "3")
@@ -162,6 +175,18 @@ class TestSpecExamples:
     def test_count_enumerate_at_the_cap(self):
         code, out = run_cli("count", "--n", "9", "--k", "4", "--method", "enumerate")
         assert (code, out) == (0, "n  k  method     value\n9  4  enumerate  261808\n")
+
+    def test_rsk_self_check_below_the_cap(self):
+        code, out = run_cli("rsk", "--n", "8", "--format", "jsonl")
+        assert code == 0
+        assert json.loads(out) == {
+            "n": 8,
+            "permutations": 40320,
+            "roundtrip_ok": True,
+            "hook_square_sum": 40320,
+            "factorial": 40320,
+            "hook_identity_ok": True,
+        }
 
     def test_count_routes_agree(self):
         code, out = run_cli(
@@ -600,3 +625,23 @@ class TestStartup:
         assert exc.value.code == 2
         usage = self.HELP["--help"].split("\n\n")[0]
         assert capsys.readouterr().err == usage + "\nwordlab: error: unrecognized arguments: --bogus\n"
+
+    def test_every_dataclass_has_its_own_doc(self):
+        # a dataclass without a docstring gets "Name(field: type, ...)" from
+        # inspect.signature while the class is created, at import time
+        import dataclasses
+        import importlib
+        import inspect
+        import pkgutil
+
+        import wordlab
+
+        found = []
+        for info in pkgutil.iter_modules(wordlab.__path__):
+            module = importlib.import_module(f"wordlab.{info.name}")
+            for name, obj in vars(module).items():
+                if inspect.isclass(obj) and dataclasses.is_dataclass(obj):
+                    if obj.__module__ == module.__name__:
+                        found.append(name)
+                        assert not obj.__doc__.startswith(name + "("), name
+        assert len(found) == 23

@@ -1,5 +1,6 @@
 import itertools
-from bisect import bisect_left
+import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordlab.tableaux import (
+    _INTERNED,
+    ENUMERATION_CAP,
     Tableau,
+    _tableau,
     delta_bound,
     delta_count,
     hook_count,
@@ -25,6 +29,64 @@ from wordlab.tableaux import (
 )
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
+# I(n), the involutions of n: RSK pairs them with the standard tableaux on n cells
+INVOLUTIONS = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620]
+
+
+@pytest.fixture
+def fresh_interning():
+    """rsk's interned tableaux cleared before and after the test."""
+    _tableau.cache_clear()
+    yield
+    _tableau.cache_clear()
+
+
+def reference_rsk(pi):
+    """rsk without interning: a fresh Tableau pair on every call."""
+    if sorted(pi) != list(range(1, len(pi) + 1)):
+        raise ValueError("not a permutation of 1..n")
+    if not pi:
+        raise ValueError("empty permutation")
+    p_rows = []
+    q_rows = []
+    for step, x in enumerate(pi, start=1):
+        for r, row in enumerate(p_rows):
+            c = bisect_right(row, x)
+            if c == len(row):
+                row.append(x)
+                break
+            x, row[c] = row[c], x
+        else:
+            r = len(p_rows)
+            p_rows.append([x])
+        if r == len(q_rows):
+            q_rows.append([])
+        q_rows[r].append(step)
+    p, q = Tableau(p_rows), Tableau(q_rows)
+    assert p.shape == q.shape and p.is_standard() and q.is_standard()
+    return p, q
+
+
+def reference_rsk_inverse(p, q):
+    """rsk_inverse with landing rows from a dict and emptied rows removed."""
+    if p.shape != q.shape:
+        raise ValueError("shape mismatch")
+    if not (p.is_standard() and q.is_standard()):
+        raise ValueError("non-standard tableau")
+    rows = [list(r) for r in p.rows]
+    row_of = {entry: r for r, row in enumerate(q.rows) for entry in row}
+    out = []
+    for step in range(p.order, 0, -1):
+        r = row_of[step]
+        x = rows[r].pop()
+        if not rows[r]:
+            rows.pop(r)
+        for rr in range(r - 1, -1, -1):
+            row = rows[rr]
+            c = bisect_left(row, x) - 1
+            x, row[c] = row[c], x
+        out.append(x)
+    return tuple(reversed(out))
 
 
 def reference_is_standard(t):
@@ -229,20 +291,79 @@ class TestRSK:
         assert kinds == ({"gap"} if n == 1 else {"duplicate", "gap", "row", "column"})
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_round_trip_checks_each_tableau_once(self, n, monkeypatch):
+    def test_round_trip_checks_each_tableau_once(self, n, monkeypatch, fresh_interning):
+        # each distinct tableau is checked once per process, not once per call
         calls = []
         check = Tableau._check_standard
 
         def counted(t):
-            calls.append(id(t))
+            calls.append(t.rows)
             return check(t)
 
         monkeypatch.setattr(Tableau, "_check_standard", counted)
-        for pi in permutations_of(n):
+        checks = []
+        for _ in range(2):
             calls.clear()
-            p, q = rsk(pi)
-            assert rsk_inverse(p, q) == pi
-            assert sorted(calls) == sorted({id(p), id(q)})
+            for pi in permutations_of(n):
+                p, q = rsk(pi)
+                assert rsk_inverse(p, q) == pi
+                assert p.__dict__["_standard"] is True and q.__dict__["_standard"] is True
+            checks.append(len(calls))
+        assert checks == [INVOLUTIONS[n], 0]
+
+    def test_interned_pairs_match_the_reference(self, fresh_interning):
+        rng = random.Random(24)
+        samples = [pi for n in range(1, 8) for pi in permutations_of(n)]
+        for n in range(8, 13):
+            for _ in range(300):
+                samples.append(tuple(rng.sample(range(1, n + 1), n)))
+        interned = set()
+        for pi in samples:
+            pair, ref = rsk(pi), reference_rsk(pi)
+            for t, r in zip(pair, ref):
+                fresh = Tableau(t.rows)
+                assert t.rows == r.rows
+                assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+                if len(pi) <= ENUMERATION_CAP:
+                    interned.add(t.rows)
+            assert rsk_inverse(*pair) == reference_rsk_inverse(*ref) == pi
+        # S_1..S_7 reach every tableau on up to 7 cells; those on more than
+        # ENUMERATION_CAP cells are not interned
+        assert len(interned) > sum(INVOLUTIONS[1:8])
+        assert _tableau.cache_info().currsize == len(interned)
+
+    def test_assertion_fails_on_every_call_reaching_a_bad_shape(
+        self, monkeypatch, fresh_interning
+    ):
+        bad = (3, 1, 1)
+        reaching = [pi for pi in permutations_of(5) if reference_rsk(pi)[0].shape == bad]
+        check = Tableau._check_standard
+        monkeypatch.setattr(Tableau, "_check_standard", lambda t: t.shape != bad and check(t))
+        failed = []
+        for _ in range(2):  # the second pass reads every tableau from the cache
+            for pi in permutations_of(5):
+                try:
+                    p, _ = rsk(pi)
+                except AssertionError:
+                    failed.append(pi)
+                else:
+                    assert p.shape != bad
+        assert failed == 2 * reaching and len(reaching) == hook_count(bad) ** 2
+        assert _tableau.cache_info().misses == INVOLUTIONS[5]
+
+    def test_interned_tableaux_never_exceed_the_cap(self, fresh_interning):
+        # every tableau that rsk may intern fits at once
+        assert sum(INVOLUTIONS[: ENUMERATION_CAP + 1]) - 1 <= _INTERNED
+        assert _tableau.cache_info().maxsize == _INTERNED
+        rng = random.Random(7)
+        for n in range(1, 16):
+            for pi in itertools.islice(permutations_of(n), 500):
+                rsk(pi)
+                assert _tableau.cache_info().currsize <= _INTERNED
+            for _ in range(200):
+                rsk(tuple(rng.sample(range(1, n + 1), n)))
+            info = _tableau.cache_info()
+            assert info.currsize <= _INTERNED and info.misses == info.currsize  # none evicted
 
     def test_injectivity(self):
         images = {rsk(pi) for pi in permutations_of(5)}
