@@ -346,6 +346,8 @@ def _cmd_rsk(args) -> list[dict]:
         ]
     # self-check census over S_n
     n = args.n
+    if n < 1:
+        raise ValueError(f"the S_n self-check needs n in 1..{tb.ENUMERATION_CAP}, got {n}")
     if n > tb.ENUMERATION_CAP:
         raise ValueError(f"the S_n self-check is capped at n = {tb.ENUMERATION_CAP}")
     total = 0

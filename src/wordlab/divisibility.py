@@ -49,6 +49,7 @@ from .words import (
     _pack,
     _power_blockers,
     _root_length,
+    _word,
     find_period_power,
     format_word,
     lex_compare_letters,
@@ -613,13 +614,20 @@ class FragmentDecomposition:
         return out
 
     def reconstruct(self) -> Word:
-        """Reinsert fragments in reverse order; must reproduce the original."""
-        current = list(self.residues[-1].letters) if self.fragments else list(self.original.letters)
+        """Reinsert fragments in reverse order; must reproduce the original.
+
+        The letters come from checked words; when all of them are over
+        the original's alphabet, as extract_periodic_fragments makes
+        them, the result skips the letter check."""
+        alphabet = self.original.alphabet
+        parts = (self.residues[-1], *(f.period for f in self.fragments)) if self.fragments else (self.original,)
+        current = list(parts[0].letters)
         for frag in reversed(self.fragments):
             piece = list(frag.period.letters) * frag.exponent
             at = frag.start - 1
             current[at:at] = piece
-        return Word(tuple(current), self.original.alphabet)
+        build = _word if all(part.alphabet == alphabet for part in parts) else Word
+        return build(tuple(current), alphabet)
 
 
 def extract_periodic_fragments(
@@ -629,31 +637,30 @@ def extract_periodic_fragments(
     if n < 2:
         raise ValueError("n must be at least 2")
     power = 4 * n
-    current = list(w.letters)
+    ls = w.letters
     origin = list(range(len(w)))
     fragments: list[Fragment] = []
     residues: list[Word] = []
     while max_steps is None or len(fragments) < max_steps:
-        ls = tuple(current)
         hit = _first_power(ls, power, leftmost=False)
         if hit is None:
             break
         start, zlen = hit
         z = ls[start : start + zlen]
         end = start + zlen * power
-        while start >= zlen and tuple(current[start - zlen : start]) == z:
+        while start >= zlen and ls[start - zlen : start] == z:
             start -= zlen
-        while end + zlen <= len(current) and tuple(current[end : end + zlen]) == z:
+        while ls[end : end + zlen] == z:
             end += zlen
         exponent = (end - start) // zlen
         span_origins = origin[start:end]
         pieces = 1 + sum(
             1 for a, b in zip(span_origins, span_origins[1:]) if b != a + 1
         )
-        fragments.append(Fragment(Word(z, w.alphabet), exponent, start + 1, pieces))
-        del current[start:end]
+        fragments.append(Fragment(_word(z, w.alphabet), exponent, start + 1, pieces))
+        ls = ls[:start] + ls[end:]
         del origin[start:end]
-        residues.append(Word(tuple(current), w.alphabet))
+        residues.append(_word(ls, w.alphabet))
     decomposition = FragmentDecomposition(w, power, tuple(fragments), tuple(residues))
     assert decomposition.reconstruct().letters == w.letters
     return decomposition

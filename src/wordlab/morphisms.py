@@ -100,7 +100,7 @@ def _repetition(w: Word, e: int) -> RepetitionOccurrence | None:
     if hit is None:
         return None
     start, p = hit
-    return RepetitionOccurrence(start + 1, Word(w.letters[start : start + p], w.alphabet))
+    return RepetitionOccurrence(start + 1, _word(w.letters[start : start + p], w.alphabet))
 
 
 def square_free_words(alphabet: Alphabet, max_len: int):

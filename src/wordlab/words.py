@@ -17,7 +17,8 @@ A word is regular when it is strictly greater than each of its proper
 rotations: the Lyndon words of the reversed letter order (Chen, Fox and
 Lyndon 1958).  So regularity is Duval's one-pass Lyndon test (1983) with
 the order reversed, and the Shirshov bracketing is one right-to-left
-stack pass that merges regular factors, with no regularity retest.
+stack pass that merges regular factors, held as bounds in the word, with
+no regularity retest; the word is regular when one factor is left.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def find_period_power(w: Word, d: int) -> PeriodOccurrence | None:
     if hit is None:
         return None
     start, p = hit
-    return PeriodOccurrence(Word(w.letters[start : start + p], w.alphabet), start + 1, d)
+    return PeriodOccurrence(_word(w.letters[start : start + p], w.alphabet), start + 1, d)
 
 
 def _pack(ls: Sequence[int]) -> tuple[bytes, int]:
@@ -409,7 +410,16 @@ class _Bracketing:
         )
 
     def frontier(self) -> tuple[int, ...]:
-        return tuple(x.letter for x in self._walk() if type(x) is Leaf)
+        """The letters of the leaves in order, on an explicit stack."""
+        letters: list[int] = []
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            while type(node) is Pair:
+                stack.append(node.right)
+                node = node.left
+            letters.append(node.letter)
+        return tuple(letters)
 
 
 @dataclass(frozen=True)
@@ -476,26 +486,67 @@ def shirshov_bracketing(w: Word) -> BracketedWord:
     split: after reading a suffix, the stack holds that suffix's
     factorization into nonincreasing regular words, and the last factor
     a letter absorbs is the longest regular suffix of what follows it.
+    The same pass decides regularity: the word is regular exactly when
+    it ends as a single factor.
     """
-    if not is_regular(w):
+    if len(w) == 0:
+        raise ValueError("the empty word is not regular")
+    tree = _bracket(w.letters)
+    if tree is None:
         raise ValueError(f"word {format_word(w)!r} is not regular")
-    return BracketedWord(_bracket(w.letters), w)
+    return BracketedWord(tree, w)
 
 
-def _bracket(ls: tuple[int, ...]) -> Leaf | Pair:
-    # right to left, the stack holds the factorization of the suffix read
-    # so far into nonincreasing regular words, each with its bracketing;
-    # for regular u and v, uv is regular exactly when uv > vu, so a new
-    # letter absorbs the factors on top while that holds
-    stack: list[tuple[Leaf | Pair, tuple[int, ...]]] = []
-    for x in reversed(ls):
-        cur, cur_ls = Leaf(x), (x,)
-        while stack and cur_ls + stack[-1][1] > stack[-1][1] + cur_ls:
-            top, top_ls = stack.pop()
-            cur, cur_ls = Pair(cur, top), cur_ls + top_ls
-        stack.append((cur, cur_ls))
-    assert len(stack) == 1, "a regular word is a single regular factor"
-    return stack[0][0]
+def _bracket(ls: tuple[int, ...]) -> Leaf | Pair | None:
+    """The Shirshov bracketing of ls, or None when ls is not regular.
+
+    Right to left, the stack holds the factorization of the suffix read
+    so far into nonincreasing regular words, each as its bracketing and
+    its end in ls, so a factor is its bounds and never a copy; this
+    holds for any ls, so ls is regular exactly when one factor is left.  For
+    regular u and v, uv is regular exactly when uv > vu, so the factor
+    u = ls[i:k] of the letter just read absorbs the factor v = ls[k:j]
+    on top of the stack while uv > vu.  Regular words are the Lyndon
+    words of the reversed letter order, and for Lyndon words uv < vu
+    iff u < v, a proper prefix being the smaller word (Chen, Fox and
+    Lyndon 1958).  Read in the reversed order, uv > vu holds exactly
+    when u has the larger letter at the first mismatch within
+    min(|u|, |v|) letters, or u is a proper prefix of v.  So the test
+    compares the first letters, and only on a tie the rest of the
+    shorter factor with as many letters of the other, one pair of
+    slices of ls: at most 2*min(|u|, |v|) - 1 letters besides u's first
+    letter, the letter just read.  There are at most 2|ls| - 1 tests,
+    one per merge and one that ends each letter's merging; on the comb
+    b a^k each reads one letter, where concatenating both rotations
+    copied O(k) letters.
+    Leaves are shared per letter, and pairs skip the frozen dataclass
+    __init__ the way `_word` skips the letter check.
+    """
+    leaves = {x: Leaf(x) for x in set(ls)}
+    new = object.__new__
+    stack: list[tuple[Leaf | Pair, int]] = []
+    for i in range(len(ls) - 1, -1, -1):
+        x = ls[i]
+        cur, k = leaves[x], i + 1
+        while stack:
+            top, j = stack[-1]
+            y = ls[k]
+            if x != y:
+                if x < y:
+                    break
+            elif k - i < j - k:
+                # cur is shorter: it wins on a tie, as a proper prefix of top
+                if ls[i + 1 : k] < ls[k + 1 : 2 * k - i]:
+                    break
+            elif ls[i + 1 : i + j - k] <= ls[k + 1 : j]:
+                break
+            stack.pop()
+            pair = new(Pair)
+            fields = pair.__dict__
+            fields["left"], fields["right"] = cur, top
+            cur, k = pair, j
+        stack.append((cur, k))
+    return stack[0][0] if len(stack) == 1 else None
 
 
 def _is_regular_letters(ls: tuple[int, ...]) -> bool:

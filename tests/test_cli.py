@@ -149,6 +149,21 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: the S_n self-check is capped at n = 9\n"
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rsk_self_check_below_one(self, n, capsys, monkeypatch):
+        # S_n for n <= 0 is the empty permutation alone: the range is named, nothing walked
+        from wordlab import tableaux
+
+        def walked(n):
+            raise AssertionError(f"S_{n} walked")
+
+        monkeypatch.setattr(tableaux, "permutations_of", walked)
+        code, out = run_cli("rsk", "--n", str(n))
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"error: the S_n self-check needs n in 1..{tableaux.ENUMERATION_CAP}, got {n}\n"
+        assert "Traceback" not in err
+
     def test_empty_word_keeps_the_mode(self, capsys):
         # an empty --word is a word, not an absent one
         code, out = run_cli("rsk", "--word", "", "--n", "3")

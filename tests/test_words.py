@@ -3,9 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from wordlab.morphisms import square_free_words
+from wordlab.divisibility import Fragment, FragmentDecomposition, extract_periodic_fragments
+from wordlab.morphisms import has_cube, has_square, square_free_words
 from wordlab.words import (
     Alphabet,
+    BracketedWord,
     Cmp,
     Leaf,
     Pair,
@@ -15,6 +17,7 @@ from wordlab.words import (
     _first_power,
     _is_regular_letters,
     _power_blockers,
+    _root_length,
     all_words,
     canonical_rotation,
     conjugate_classes,
@@ -193,6 +196,36 @@ class TestUncheckedWords:
             for u in square_free_words(alphabet, 8):
                 self.assert_checked(u)
 
+    @given(
+        letters_strategy(max_l=4, max_len=12),
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.integers(8, 10),
+        letters_strategy(max_l=4, max_len=12),
+    )
+    def test_fragments_residues_and_repetition_roots(self, head, z, e, tail):
+        # a planted z**e with e >= 8 gives extract_periodic_fragments(_, 2) a cut
+        l = max(head[0], tail[0], max(z))
+        w = Word(tuple(head[1]) + tuple(z) * e + tuple(tail[1]), Alphabet(l))
+        dec = extract_periodic_fragments(w, 2)
+        assert dec.fragments
+        built = [f.period for f in dec.fragments] + list(dec.residues) + [dec.reconstruct()]
+        for hit in (has_square(w), has_cube(w)):
+            built.append(hit.root)
+        for d in (2, 3, 8):
+            built.append(find_period_power(w, d).period)
+        for u in built:
+            assert u.alphabet == w.alphabet
+            self.assert_checked(u)
+        assert dec.reconstruct() == w
+
+    def test_reconstruct_checks_letters_from_another_alphabet(self):
+        # a hand-built decomposition whose fragment is over a larger alphabet
+        dec = FragmentDecomposition(
+            Word((1, 1), A2), 8, (Fragment(Word((3,), A3), 2, 1, 1),), (Word((), A2),)
+        )
+        with pytest.raises(ValueError, match="outside alphabet of size 2"):
+            dec.reconstruct()
+
     @pytest.mark.parametrize("ls", [(0,), (3,), (1, 2, 4), (-1, 1)])
     def test_public_constructor_still_checks(self, ls):
         with pytest.raises(ValueError, match="outside alphabet of size"):
@@ -308,6 +341,26 @@ def reference_is_regular(ls):
     return True
 
 
+def concat_bracket(ls):
+    """The stack pass carrying each factor's letters, testing uv > vu on both concatenations."""
+    stack = []
+    for x in reversed(ls):
+        cur, cur_ls = Leaf(x), (x,)
+        while stack and cur_ls + stack[-1][1] > stack[-1][1] + cur_ls:
+            top, top_ls = stack.pop()
+            cur, cur_ls = Pair(cur, top), cur_ls + top_ls
+        stack.append((cur, cur_ls))
+    assert len(stack) == 1
+    return stack[0][0]
+
+
+def fresh_tree(tree):
+    """A copy of tree with a new Leaf for every leaf and a new Pair for every pair."""
+    if isinstance(tree, Leaf):
+        return Leaf(tree.letter)
+    return Pair(fresh_tree(tree.left), fresh_tree(tree.right))
+
+
 def reference_bracket(ls):
     """The bracketing by trying each cut and retesting the suffix's regularity."""
     if len(ls) == 1:
@@ -359,6 +412,16 @@ class TestRegularAndBracketing:
         with pytest.raises(ValueError):
             shirshov_bracketing(word("ab"))
 
+    @pytest.mark.parametrize("text", ["ab", "aa", "abab", "baba", "bab", "cacb"])
+    def test_non_regular_rejected_by_name(self, text):
+        # the stack pass decides regularity: more than one factor is left
+        with pytest.raises(ValueError, match=f"word '{text}' is not regular"):
+            shirshov_bracketing(word(text))
+
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="the empty word is not regular"):
+            shirshov_bracketing(Word((), A2))
+
     @pytest.mark.parametrize("l", [2, 3])
     def test_unique_against_brute_force(self, l):
         alphabet = Alphabet(l)
@@ -376,28 +439,125 @@ class TestRegularAndBracketing:
 class TestRegularKernels:
     """Duval's test and the stack bracketing against the rotation and cut references."""
 
-    @pytest.mark.parametrize("l,max_len", [(2, 12), (3, 8)])
+    @staticmethod
+    def assert_same_bracketing(ls):
+        tree = _bracket(ls)
+        assert tree == concat_bracket(ls) == reference_bracket(ls), ls
+        assert repr(tree) == repr(concat_bracket(ls)), ls
+
+    @pytest.mark.parametrize("l,max_len", [(2, 12), (3, 8), (4, 6)])
     def test_every_short_word(self, l, max_len):
-        regular = 0
+        regular = [0] * (max_len + 1)
         for n in range(1, max_len + 1):
             for ls in itertools.product(range(1, l + 1), repeat=n):
                 expected = reference_is_regular(ls)
                 assert _is_regular_letters(ls) is expected, ls
                 if expected:
-                    regular += 1
-                    assert _bracket(ls) == reference_bracket(ls), ls
+                    regular[n] += 1
+                    self.assert_same_bracketing(ls)
+                else:
+                    # the stack pass ends with more than one factor
+                    assert _bracket(ls) is None, ls
         # regular words are the Lyndon words of the reversed order, so the
-        # counts per length are OEIS A001037 (l = 2) and A027376 (l = 3)
-        assert regular == {2: 747, 3: 1318}[l]
+        # counts per length are OEIS A001037 (l = 2), A027376 (l = 3) and
+        # A027377 (l = 4)
+        assert sum(regular) == {2: 747, 3: 1318, 4: 964}[l]
+        if l == 4:
+            assert regular[1:] == [4, 6, 20, 60, 204, 670]
 
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=80))
     def test_long_words(self, lv):
         ls = tuple(lv)
-        assert _is_regular_letters(ls) is reference_is_regular(ls)
+        assert _is_regular_letters(ls) is reference_is_regular(ls) is (_bracket(ls) is not None)
         top = max(ls[i:] + ls[:i] for i in range(len(ls)))
         if reference_is_regular(top):
             assert _is_regular_letters(top)
             assert _bracket(top) == reference_bracket(top)
+
+    @given(st.integers(2, 5).flatmap(lambda l: st.lists(st.integers(1, l), min_size=1, max_size=80)))
+    def test_long_words_over_up_to_five_letters(self, lv):
+        top = max(tuple(lv[i:] + lv[:i]) for i in range(len(lv)))
+        if _root_length(top) == len(top):
+            self.assert_same_bracketing(top)
+
+    def test_combs(self):
+        # b a^k is a left comb; b^j a^k merges the a's into each b in turn
+        for k in range(1, 80):
+            self.assert_same_bracketing((2,) + (1,) * k)
+        for k in (200, 500, 1000):
+            ls = (2,) + (1,) * k
+            assert repr(_bracket(ls)) == repr(concat_bracket(ls))
+        for j in range(1, 25):
+            for k in range(1, 25):
+                self.assert_same_bracketing((2,) * j + (1,) * k)
+
+    def test_merge_tests_read_linear_letters_on_combs(self):
+        # the merge test reads its factors out of the word by their bounds,
+        # never from copies: each of the k merges reads at least one letter
+        # beyond the pass's one read per letter, and the pass with all its
+        # tests reads at most 3 letters per letter of b a^k
+        class CountedLetters(tuple):
+            read = 0
+
+            def __getitem__(self, item):
+                got = tuple.__getitem__(self, item)
+                CountedLetters.read += len(got) if isinstance(item, slice) else 1
+                return got
+
+        reads = {}
+        for k in (1_000, 10_000):
+            CountedLetters.read = 0
+            tree = _bracket(CountedLetters((2,) + (1,) * k))
+            reads[k] = CountedLetters.read
+            assert 2 * k + 1 <= reads[k] <= 3 * (k + 1)
+            assert repr(tree) == "Pair(left=" * k + "Leaf(letter=2)" + ", right=Leaf(letter=1))" * k
+        assert reads[10_000] <= 10.01 * reads[1_000]
+
+    def test_long_comb_renders(self):
+        k = 20_000
+        bracketed = shirshov_bracketing(Word((2,) + (1,) * k, A2))
+        assert str(bracketed) == "[" * k + "[b]" + "[a]]" * k
+
+    def test_shared_leaves_match_fresh_trees(self):
+        alphabet = Alphabet(3)
+        for n in range(1, 8):
+            for ls in itertools.product((1, 2, 3), repeat=n):
+                if not _is_regular_letters(ls):
+                    continue
+                tree = _bracket(ls)
+                fresh = fresh_tree(tree)
+                assert tree == fresh and fresh == tree and hash(tree) == hash(fresh)
+                assert repr(tree) == repr(fresh)
+                assert tree.render(alphabet) == fresh.render(alphabet)
+                assert tree.frontier() == fresh.frontier() == ls
+        # one Leaf object per letter of the alphabet
+        tree = _bracket((3, 2, 3, 1, 2, 1))
+        leaves = []
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if type(node) is Pair:
+                stack += (node.left, node.right)
+            else:
+                leaves.append(node)
+        assert len(leaves) == 6 and len({id(x) for x in leaves}) == 3
+
+    def test_pairs_stay_frozen(self):
+        p = _bracket((2, 1))
+        assert type(p) is Pair and p == Pair(Leaf(2), Leaf(1)) and repr(p) == repr(Pair(Leaf(2), Leaf(1)))
+        with pytest.raises(AttributeError):
+            p.left = Leaf(1)
+
+    def test_bracketed_word_checks_its_tree(self):
+        BracketedWord(Pair(Leaf(2), Leaf(1)), word("ba"))
+        for tree, text in (
+            (Pair(Leaf(2), Leaf(1)), "ab"),
+            (Pair(Leaf(2), Leaf(1)), "baa"),
+            (Pair(Pair(Leaf(2), Leaf(1)), Leaf(1)), "ba"),
+            (Leaf(2), "a"),
+        ):
+            with pytest.raises(ValueError, match="does not spell the word"):
+                BracketedWord(tree, word(text, A2))
 
     @pytest.mark.parametrize("l,max_len", [(2, 12), (3, 8)])
     def test_frontier_and_render_against_recursion(self, l, max_len):
