@@ -46,9 +46,9 @@ from .words import (
     Word,
     WordCycle,
     _first_power,
+    _least_rotation,
     _pack,
     _power_blockers,
-    _root_length,
     _word,
     find_period_power,
     format_word,
@@ -504,14 +504,25 @@ class TailColoring:
         """Per color, the p-truncated most recent tail at position <= i."""
         if i not in self.positions:
             raise ValueError(f"position {i} outside the colored range")
-        out: list[Word | Theta] = []
-        for chain in self.chains:
-            latest = max((f for f in chain if f <= i), default=None)
-            if latest is None:
-                out.append(THETA)
-            else:
-                out.append(self.host[latest - 1 : latest - 1 + p])
+        alphabet = self.host.alphabet
+        return tuple(THETA if s is None else _word(s, alphabet) for s in _snapshot_key(self, p)(i))
+
+
+def _snapshot_key(tc: TailColoring, p: int) -> Callable[[int], tuple]:
+    """The snapshot at a position as letters, None for THETA: per color,
+    the p letters from the chain's latest start at or before it, found by
+    bisection on the sorted chain."""
+    ls = tc.host.letters
+    chains = [sorted(chain) for chain in tc.chains]
+
+    def key(i: int) -> tuple:
+        out = []
+        for chain in chains:
+            k = bisect_right(chain, i)
+            out.append(ls[chain[k - 1] - 1 : chain[k - 1] - 1 + p] if k else None)
         return tuple(out)
+
+    return key
 
 
 def dilworth_tail_coloring(
@@ -553,22 +564,11 @@ def snapshot_stability(tc: TailColoring, p: int) -> int:
 
     Larger p refines the snapshots, so runs can only shorten: the
     stability is nonincreasing in p.  One pass over the positions keys
-    each by the letters of its snapshot, the same slices that
-    `TailColoring.snapshot` takes, found by bisection on the sorted
-    chains, with None for THETA.
+    each by the letters of its snapshot.
     """
     if not tc.positions:
         return 0
-    ls = tc.host.letters
-    chains = [sorted(chain) for chain in tc.chains]
-
-    def key(i: int) -> tuple:
-        out = []
-        for chain in chains:
-            k = bisect_right(chain, i)
-            out.append(ls[chain[k - 1] - 1 : chain[k - 1] - 1 + p] if k else None)
-        return tuple(out)
-
+    key = _snapshot_key(tc, p)
     best, run = 1, 1
     prev = key(tc.positions[0])
     for i in tc.positions[1:]:
@@ -614,11 +614,7 @@ class FragmentDecomposition:
         return out
 
     def reconstruct(self) -> Word:
-        """Reinsert fragments in reverse order; must reproduce the original.
-
-        The letters come from checked words; when all of them are over
-        the original's alphabet, as extract_periodic_fragments makes
-        them, the result skips the letter check."""
+        """Reinsert fragments in reverse order; must reproduce the original."""
         alphabet = self.original.alphabet
         parts = (self.residues[-1], *(f.period for f in self.fragments)) if self.fragments else (self.original,)
         current = list(parts[0].letters)
@@ -679,7 +675,7 @@ def _period_blocks(ls: tuple[int, ...], t: int) -> list[tuple[int, int]]:
     k = 0
     for same, group in itertools.groupby(x == y for x, y in zip(ls, ls[t:])):
         r = sum(1 for _ in group)
-        if same and r >= t and _root_length(ls[k : k + t]) == t:
+        if same and r >= t and _least_rotation(ls[k : k + t])[1] == t:
             out.append((k, k + r + t))
         k += r
     return out
@@ -696,7 +692,8 @@ def small_selective_height(w: Word, period_len: int, boundary: int) -> int:
     cands = []
     for start, end in _period_blocks(ls, t):
         z = ls[start : start + t]
-        key = min(z[r:] + z[:r] for r in range(t))
+        r = _least_rotation(z)[0]
+        key = z[r:] + z[:r]
         cands += [(s, s + size, key) for s in range(start, end - size + 1)]
     return _selection_height(cands)
 
@@ -798,7 +795,7 @@ class CodingClass:
     def word(self, i: int, j: int) -> Word:
         """The length-t word starting at the j-th position of cycle i (1-based)."""
         rep = self.cycles[i - 1].representative.letters
-        return Word(rep[j - 1 :] + rep[: j - 1], self.alphabet)
+        return _word(rep[j - 1 :] + rep[: j - 1], self.alphabet)
 
 
 def is_n_light(c: CodingClass, n: int) -> bool:
@@ -867,7 +864,7 @@ def recode_pairs(c: CodingClass) -> CodingClass:
         merged = tuple(
             (rep[i] - 1) * l + rep[i + 1] for i in range(0, len(rep), 2)
         )
-        new_cycles.append(WordCycle.of(Word(merged, target)))
+        new_cycles.append(WordCycle.of(_word(merged, target)))
     return CodingClass(c.length // 2, target, tuple(new_cycles))
 
 
@@ -883,7 +880,7 @@ def pad_to_power_of_two(c: CodingClass, s: int) -> CodingClass:
     for cyc in c.cycles:
         shifted = tuple(x + 1 for x in cyc.representative.letters)
         padded = shifted + (1,) * (size - c.length)
-        new_cycles.append(WordCycle.of(Word(padded, target)))
+        new_cycles.append(WordCycle.of(_word(padded, target)))
     return CodingClass(size, target, tuple(new_cycles))
 
 
@@ -980,7 +977,7 @@ def primitive_cycle_classes(t: int, alphabet: Alphabet) -> tuple[WordCycle, ...]
     w = [1]
     while w:
         if len(w) == t:
-            out.append(WordCycle(Word(tuple(w), alphabet), t))
+            out.append(WordCycle(_word(tuple(w), alphabet), t))
         w = (w * (t // len(w) + 1))[:t]
         while w and w[-1] == l:
             w.pop()
@@ -1159,22 +1156,20 @@ def selective_corpus_check(
             kids = children[i] = tuple(None if s is None else number[s] for s in after)
         return kids
 
-    if strong:
-        scanned = excluded = 0
-        level = {0: 1}  # head state number -> number of words of this length
-        for k in range(max_len):
-            below = sum(l**j for j in range(max_len - k))  # a length-(k+1) word and its extensions
-            grown: dict[int, int] = {}
-            for state, count in level.items():
-                for child in step(state):
-                    if child is None:
-                        excluded += count * below
-                    else:
-                        scanned += count
-                        grown[child] = grown.get(child, 0) + count
-            level = grown
-    else:
-        scanned, excluded = sum(l**j for j in range(1, max_len + 1)), 0
+    scanned = excluded = 0
+    level = {0: 1}  # head state number -> number of words of this length
+    below = sum(l**j for j in range(max_len))  # a length-(k+1) word and its extensions
+    for k in range(max_len):
+        grown: dict[int, int] = {}
+        for state, count in level.items():
+            for child in step(state):
+                if child is None:
+                    excluded += count * below
+                else:
+                    scanned += count
+                    grown[child] = grown.get(child, 0) + count
+        level = grown
+        below -= l ** (max_len - 1 - k)
     worst = _corpus_height(step, heads, t, boundary + 1, max_len)
     return dict(
         l=l, n=n, max_len=max_len, period_len=period_len, boundary=boundary,

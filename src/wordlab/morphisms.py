@@ -58,7 +58,7 @@ def apply(m: Morphism, w: Word) -> Word:
     out: list[int] = []
     for x in w.letters:
         out.extend(m.image_of(x).letters)
-    return Word(tuple(out), m.target)
+    return _word(tuple(out), m.target)
 
 
 def iterate(m: Morphism, letter: int | str, k: int, cap: int = ITERATE_CAP) -> Word:
@@ -147,12 +147,10 @@ def crochemore_test(m: Morphism) -> CrochemoreReport:
     of another).
     """
     k = max(3, 1 + (m.max_image - 3) // m.min_image)
-    counterexample = None
-    for w in square_free_words(m.source, k):
-        if has_square(apply(m, w)) is not None:
-            counterexample = w
-            break
-    cond1 = all(
+    walk = square_free_words(m.source, k)
+    counterexample = next((w for w in walk if has_square(apply(m, w)) is not None), None)
+    # with no counterexample up to k >= 3, every image up to length 3 is square-free
+    cond1 = counterexample is None or all(
         has_square(apply(m, w)) is None for w in square_free_words(m.source, 3)
     )
     cond2 = not any(_is_factor(u.letters, v.letters) for u, v in itertools.permutations(m.images, 2))

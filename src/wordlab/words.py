@@ -19,6 +19,9 @@ Lyndon 1958).  So regularity is Duval's one-pass Lyndon test (1983) with
 the order reversed, and the Shirshov bracketing is one right-to-left
 stack pass that merges regular factors, held as bounds in the word, with
 no regularity retest; the word is regular when one factor is left.
+Duval's factorization of ww gives the least rotation of w and its
+primitive root in one pass (`_least_rotation`).  Results built from a
+checked word's letters over its alphabet skip the letter check (`_word`).
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ def comparable(u: Word, v: Word) -> bool:
 
 def tails(w: Word) -> tuple[Word, ...]:
     """All |w| suffixes ordered by start position."""
-    return tuple(Word(w.letters[i:], w.alphabet) for i in range(len(w)))
+    return tuple(_word(w.letters[i:], w.alphabet) for i in range(len(w)))
 
 
 def k_tail(w: Word, start: int, k: int) -> Word:
@@ -182,7 +185,7 @@ def k_tail(w: Word, start: int, k: int) -> Word:
     """
     if not 1 <= start <= len(w):
         raise ValueError(f"start {start} outside word of length {len(w)}")
-    return Word(w.letters[start - 1 : start - 1 + k], w.alphabet)
+    return _word(w.letters[start - 1 : start - 1 + k], w.alphabet)
 
 
 @dataclass(frozen=True)
@@ -278,16 +281,31 @@ def is_primitive(w: Word) -> bool:
     """True iff w is not a proper power v**k, k > 1."""
     if len(w) == 0:
         raise ValueError("the empty word has no primitivity")
-    return _root_length(w.letters) == len(w)
+    return _least_rotation(w.letters)[1] == len(w)
 
 
-def _root_length(ls: tuple[int, ...]) -> int:
-    """Length of the primitive root of ls: the least p with ls = ls[:p]**(|ls|/p)."""
+def _least_rotation(ls: tuple[int, ...]) -> tuple[int, int]:
+    """(start, root length) of the nonempty ls: its least rotation is
+    ls[start:] + ls[:start], and its primitive root has root length letters.
+
+    Duval's Lyndon factorization (1983) of ls + ls: each round emits the
+    copies of a Lyndon word of length j - k.  The least rotation opens at
+    the first copy of the last round that starts before |ls|, and that
+    round's word is the least rotation of the primitive root.
+    """
     n = len(ls)
-    for p in range(1, n):
-        if n % p == 0 and ls[p:] == ls[: n - p]:
-            return p
-    return n
+    if not n:
+        raise ValueError("the empty word has no cycle")
+    s = ls + ls
+    i = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start, j - k
 
 
 def _is_factor(needle: tuple[int, ...], hay: tuple[int, ...]) -> bool:
@@ -321,21 +339,25 @@ def _power_blockers(ls: tuple[int, ...], e: int) -> set[int]:
 
 def rotations(w: Word) -> tuple[Word, ...]:
     ls = w.letters
-    return tuple(Word(ls[i:] + ls[:i], w.alphabet) for i in range(len(ls)))
+    return tuple(_word(ls[i:] + ls[:i], w.alphabet) for i in range(len(ls)))
 
 
 def canonical_rotation(w: Word) -> Word:
-    return Word(min(w.letters[i:] + w.letters[:i] for i in range(len(w))), w.alphabet)
+    return WordCycle.of(w).representative
 
 
 def strongly_comparable(u: Word, v: Word) -> bool:
-    """True iff every rotation of u is comparable with every rotation of v."""
+    """True iff every rotation of u is comparable with every rotation of v.
+
+    With |u| <= |v|, a rotation of u is incomparable with a rotation of
+    v exactly when it is that rotation's prefix, one of the |v| windows
+    of length |u| of vv.
+    """
     _require_same_alphabet(u, v)
-    for ru in rotations(u):
-        for rv in rotations(v):
-            if lex_compare(ru, rv) is Cmp.INCOMPARABLE:
-                return False
-    return True
+    a, b = sorted((u.letters, v.letters), key=len)
+    bb = b + b
+    windows = {bb[i : i + len(a)] for i in range(len(b))}
+    return all(a[i:] + a[:i] not in windows for i in range(len(a)))
 
 
 @dataclass(frozen=True)
@@ -351,37 +373,25 @@ class WordCycle:
 
     @staticmethod
     def of(w: Word) -> "WordCycle":
-        if len(w) == 0:
-            raise ValueError("the empty word has no cycle")
-        rep = canonical_rotation(w)
-        return WordCycle(rep, _root_length(rep.letters))
+        start, root = _least_rotation(w.letters)
+        return WordCycle(_word(w.letters[start:] + w.letters[:start], w.alphabet), root)
 
     def __len__(self) -> int:
         return len(self.representative)
-
-    def rotations(self) -> tuple[Word, ...]:
-        return rotations(self.representative)
 
 
 def conjugate_classes(ws: Iterable[Word]) -> tuple[tuple[WordCycle, tuple[Word, ...]], ...]:
     """Partition primitive same-length words into rotation classes."""
     ws = tuple(ws)
-    if not ws:
-        return ()
-    length = len(ws[0])
+    buckets: dict[tuple[int, ...], tuple[WordCycle, list[Word]]] = {}
     for w in ws:
-        if len(w) != length:
+        if len(w) != len(ws[0]):
             raise ValueError("conjugate classes need words of one common length")
-        if not is_primitive(w):
+        cycle = WordCycle.of(w)
+        if cycle.period_length != len(w):
             raise ValueError(f"non-primitive word {format_word(w)!r}")
-    buckets: dict[tuple[int, ...], list[Word]] = {}
-    for w in ws:
-        buckets.setdefault(canonical_rotation(w).letters, []).append(w)
-    out = []
-    for key in sorted(buckets):
-        members = buckets[key]
-        out.append((WordCycle.of(members[0]), tuple(members)))
-    return tuple(out)
+        buckets.setdefault(cycle.representative.letters, (cycle, []))[1].append(w)
+    return tuple((cycle, tuple(members)) for _, (cycle, members) in sorted(buckets.items()))
 
 
 def is_regular(w: Word) -> bool:
@@ -482,12 +492,7 @@ def shirshov_bracketing(w: Word) -> BracketedWord:
 
     Split recursively at the longest proper regular suffix (the
     Chen-Fox-Lyndon factorization step, mirrored for the greater-than-
-    rotations convention).  One right-to-left stack pass finds every
-    split: after reading a suffix, the stack holds that suffix's
-    factorization into nonincreasing regular words, and the last factor
-    a letter absorbs is the longest regular suffix of what follows it.
-    The same pass decides regularity: the word is regular exactly when
-    it ends as a single factor.
+    rotations convention); `_bracket` finds every split in one pass.
     """
     if len(w) == 0:
         raise ValueError("the empty word is not regular")
@@ -608,7 +613,7 @@ def find_pattern_instance(pattern: Word, host: Word) -> dict[int, Word] | None:
     for start in range(len(hls)):
         got = match(0, start, {})
         if got is not None:
-            return {k: Word(v, host.alphabet) for k, v in got.items()}
+            return {k: _word(v, host.alphabet) for k, v in got.items()}
     return None
 
 

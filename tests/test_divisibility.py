@@ -40,6 +40,7 @@ from wordlab.divisibility import (
 from wordlab.morphisms import thue_morse
 from wordlab.posets import FinitePoset, max_antichain, min_chain_cover
 from wordlab.words import (
+    THETA,
     Alphabet,
     Cmp,
     Word,
@@ -1213,8 +1214,6 @@ class TestTailColoring:
             assert len(tc.chains) == best
 
     def test_snapshot_contains_theta_before_first_occurrence(self):
-        from wordlab.words import THETA
-
         tc = dilworth_tail_coloring(word("cba"), 10)
         snap = tc.snapshot(2, tc.positions[0])
         assert snap.count(THETA) == len(tc.chains) - 1
@@ -1264,6 +1263,17 @@ def reference_snapshot_stability(tc, p):
     return best
 
 
+def reference_snapshot(tc, p, i):
+    """The per-chain max scan that TailColoring.snapshot replaced."""
+    if i not in tc.positions:
+        raise ValueError(f"position {i} outside the colored range")
+    out = []
+    for chain in tc.chains:
+        latest = max((f for f in chain if f <= i), default=None)
+        out.append(THETA if latest is None else tc.host[latest - 1 : latest - 1 + p])
+    return tuple(out)
+
+
 @st.composite
 def hand_built_colorings(draw):
     # any positions and chains, not only Dilworth covers: unsorted chains,
@@ -1279,6 +1289,31 @@ class TestSnapshotStabilityReference:
     @given(hand_built_colorings(), st.integers(-2, 6))
     def test_hand_built_colorings(self, tc, p):
         assert snapshot_stability(tc, p) == reference_snapshot_stability(tc, p)
+
+    @given(hand_built_colorings(), st.integers(-2, 6))
+    def test_snapshot_on_hand_built_colorings(self, tc, p):
+        for i in tc.positions:
+            assert tc.snapshot(p, i) == reference_snapshot(tc, p, i)
+
+    def test_snapshot_on_unsorted_chains(self):
+        tc = TailColoring(word("abcab", A3), (1, 2, 3, 4, 5), ((4, 1, 3), (5, 2), (3,)))
+        for p in range(-1, 6):
+            for i in tc.positions:
+                assert tc.snapshot(p, i) == reference_snapshot(tc, p, i)
+        assert tc.snapshot(2, 3) == (word("ca", A3), word("bc", A3), word("ca", A3))
+        assert tc.snapshot(1, 1) == (word("a", A3), THETA, THETA)
+        with pytest.raises(ValueError, match="outside the colored range"):
+            tc.snapshot(1, 6)
+
+    def test_snapshot_on_census_colorings(self):
+        # a binary body and a fresh top letter, so every two tails compare
+        rng = random.Random(26)
+        for size in range(16, 40):
+            ls = tuple(rng.randint(1, 2) for _ in range(size)) + (3,)
+            tc = dilworth_tail_coloring(Word(ls, A3), len(ls))
+            for p in (1, 2, 3, 7):
+                for i in tc.positions:
+                    assert tc.snapshot(p, i) == reference_snapshot(tc, p, i)
 
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=30), st.sampled_from([None, 2]))
     def test_dilworth_colorings(self, lv, d):
@@ -1468,6 +1503,12 @@ class TestSelectiveHeights:
             (2, 2, 10, 1),
             (2, 3, 10, 3),
             (3, 3, 6, 2),
+            # no division is possible: fewer heads than n, or n * t > max_len
+            (2, 3, 10, 1),
+            (3, 4, 6, 1),
+            (2, 2, 3, 2),
+            (3, 3, 5, 2),
+            (1, 1, 8, 2),
         ],
     )
     def test_corpus_walk_against_reference(self, l, n, max_len, period_len):

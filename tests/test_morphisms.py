@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from wordlab import morphisms
 from wordlab.morphisms import (
+    CrochemoreReport,
     Morphism,
     RepetitionOccurrence,
     _repetition,
@@ -169,6 +171,68 @@ class TestCrochemore:
                 for w in square_free_words(src, 2 * report.k_used)
             )
             assert report.is_square_free == direct
+
+
+def reference_crochemore_test(m):
+    """The two-walk test that crochemore_test replaced: condition 1 took
+    its own walk to length 3 after the walk to k."""
+    k = max(3, 1 + (m.max_image - 3) // m.min_image)
+    counterexample = None
+    for w in square_free_words(m.source, k):
+        if has_square(apply(m, w)) is not None:
+            counterexample = w
+            break
+    cond1 = all(has_square(apply(m, w)) is None for w in square_free_words(m.source, 3))
+    cond2 = not any(
+        any(v.letters[i : i + len(u)] == u.letters for i in range(len(v) - len(u) + 1))
+        for u, v in itertools.permutations(m.images, 2)
+    )
+    return CrochemoreReport(counterexample is None, k, counterexample, cond1, cond2)
+
+
+def random_morphism(rng):
+    ls, lt = rng.randrange(1, 4), rng.randrange(1, 4)
+    tgt = Alphabet(lt)
+    images = tuple(
+        Word(tuple(rng.randrange(1, lt + 1) for _ in range(rng.randrange(1, 9))), tgt) for _ in range(ls)
+    )
+    return Morphism(Alphabet(ls), tgt, images)
+
+
+class TestCrochemoreOneWalk:
+    BUILTINS = (thue_morse_morphism, thue_ternary_morphism, fibonacci_morphism)
+
+    @pytest.mark.parametrize("make", BUILTINS)
+    def test_builtins_against_two_walks(self, make):
+        assert crochemore_test(make()) == reference_crochemore_test(make())
+
+    def test_random_morphisms_against_two_walks(self):
+        rng = random.Random(26)
+        verdicts = set()
+        for _ in range(300):
+            m = random_morphism(rng)
+            report = crochemore_test(m)
+            assert report == reference_crochemore_test(m), m
+            verdicts.add((report.is_square_free, report.thue2_condition1))
+        assert verdicts == {(True, True), (False, False)}
+
+    def test_counterexample_past_length_three(self):
+        # the walk to k reaches abac before c, whose image holds aa
+        m = parse_morphism("a -> b\nb -> a\nc -> baacacb\n")
+        report = crochemore_test(m)
+        assert report == reference_crochemore_test(m)
+        assert format_word(report.counterexample) == "abac" and not report.thue2_condition1
+
+    def test_square_free_morphism_walks_once(self, monkeypatch):
+        walks = []
+
+        def counted(alphabet, max_len):
+            walks.append(max_len)
+            return square_free_words(alphabet, max_len)
+
+        monkeypatch.setattr(morphisms, "square_free_words", counted)
+        assert crochemore_test(thue_ternary_morphism()).is_square_free
+        assert walks == [3]
 
 
 def reference_repetition(w, e):

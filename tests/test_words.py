@@ -1,11 +1,23 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wordlab.divisibility import Fragment, FragmentDecomposition, extract_periodic_fragments
-from wordlab.morphisms import has_cube, has_square, square_free_words
+from wordlab.divisibility import (
+    CodingClass,
+    Fragment,
+    FragmentDecomposition,
+    IncomparableTailsError,
+    dilworth_tail_coloring,
+    extract_periodic_fragments,
+    pad_to_power_of_two,
+    primitive_cycle_classes,
+    recode_pairs,
+)
+from wordlab.morphisms import Morphism, apply, has_cube, has_square, square_free_words
 from wordlab.words import (
+    THETA,
     Alphabet,
     BracketedWord,
     Cmp,
@@ -13,11 +25,12 @@ from wordlab.words import (
     Pair,
     PeriodOccurrence,
     Word,
+    WordCycle,
     _bracket,
     _first_power,
     _is_regular_letters,
+    _least_rotation,
     _power_blockers,
-    _root_length,
     all_words,
     canonical_rotation,
     conjugate_classes,
@@ -25,11 +38,13 @@ from wordlab.words import (
     format_word,
     is_primitive,
     is_regular,
+    find_pattern_instance,
     k_tail,
     lex_compare,
     lex_compare_letters,
     parse_word,
     pattern_occurs,
+    rotations,
     shirshov_bracketing,
     strongly_comparable,
     subword_count_period,
@@ -226,6 +241,39 @@ class TestUncheckedWords:
         with pytest.raises(ValueError, match="outside alphabet of size 2"):
             dec.reconstruct()
 
+    @given(letters_strategy(max_l=4, max_len=12), st.integers(1, 12), st.integers(0, 6))
+    def test_rotation_tail_pattern_and_cycle_sites(self, lv, start, k):
+        l, ls = lv
+        alphabet = Alphabet(l)
+        w = Word(tuple(ls), alphabet)
+        built = [*rotations(w), *tails(w)]
+        if w.letters:
+            start = min(start, len(w))
+            built += [k_tail(w, start, k), canonical_rotation(w), WordCycle.of(w).representative]
+            built += find_pattern_instance(w[start - 1 :], w).values()
+            if is_primitive(w):
+                built += [c.representative for c, _ in conjugate_classes(rotations(w))]
+            try:
+                built += [u for u in dilworth_tail_coloring(w, 100).snapshot(k, start) if u is not THETA]
+            except IncomparableTailsError:
+                pass
+        wider = Alphabet(l + 1)
+        m = Morphism(alphabet, wider, tuple(Word((x, x + 1), wider) for x in alphabet.letters()))
+        built.append(apply(m, w))
+        for u in built:
+            self.assert_checked(u)
+
+    @pytest.mark.parametrize("l,t", [(1, 1), (2, 4), (2, 5), (3, 3)])
+    def test_coding_class_sites(self, l, t):
+        alphabet = Alphabet(l)
+        c = CodingClass(t, alphabet, primitive_cycle_classes(t, alphabet))
+        built = [c.word(i, j) for i in range(1, len(c.cycles) + 1) for j in range(1, t + 1)]
+        for image in (pad_to_power_of_two(c, 3), *((recode_pairs(c),) if t % 2 == 0 else ())):
+            built += [cyc.representative for cyc in image.cycles]
+        built += [cyc.representative for cyc in c.cycles]
+        for u in built:
+            self.assert_checked(u)
+
     @pytest.mark.parametrize("ls", [(0,), (3,), (1, 2, 4), (-1, 1)])
     def test_public_constructor_still_checks(self, ls):
         with pytest.raises(ValueError, match="outside alphabet of size"):
@@ -265,6 +313,30 @@ class TestFactorCountPeriod:
                         stack.append(cand)
 
 
+def reference_root_length(ls):
+    """The divisor scan that `_least_rotation` replaced: the least p with
+    ls = ls[:p]**(|ls|/p)."""
+    n = len(ls)
+    for p in range(1, n):
+        if n % p == 0 and ls[p:] == ls[: n - p]:
+            return p
+    return n
+
+
+def reference_least_rotation(ls):
+    """The least rotation taken as the least of every rotation."""
+    return min(ls[i:] + ls[:i] for i in range(len(ls)))
+
+
+def reference_strongly_comparable(u, v):
+    """The pairwise comparison that the window test replaced."""
+    for ru in rotations(u):
+        for rv in rotations(v):
+            if lex_compare(ru, rv) is Cmp.INCOMPARABLE:
+                return False
+    return True
+
+
 class TestPrimitivity:
     @pytest.mark.parametrize(
         "text,expected", [("abab", False), ("aba", True), ("aabaab", False), ("a", True)]
@@ -275,6 +347,62 @@ class TestPrimitivity:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             is_primitive(Word((), A2))
+
+
+class TestCycleKernel:
+    """`_least_rotation` and its callers against the rotation and divisor references."""
+
+    @staticmethod
+    def assert_kernel(ls, l):
+        start, root = _least_rotation(ls)
+        least = reference_least_rotation(ls)
+        assert ls[start:] + ls[:start] == least and root == reference_root_length(ls), ls
+        w = Word(ls, Alphabet(l))
+        assert canonical_rotation(w) == WordCycle.of(w).representative == Word(least, w.alphabet)
+        assert WordCycle.of(w).period_length == root
+        assert is_primitive(w) is (root == len(ls))
+
+    @pytest.mark.parametrize("l,max_len", [(1, 10), (2, 12), (3, 8), (4, 6)])
+    def test_every_short_word(self, l, max_len):
+        for n in range(1, max_len + 1):
+            for ls in itertools.product(range(1, l + 1), repeat=n):
+                self.assert_kernel(ls, l)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda l: st.tuples(st.just(l), st.lists(st.integers(1, l), min_size=1, max_size=80))
+        )
+    )
+    def test_long_words(self, lv):
+        l, ls = lv
+        self.assert_kernel(tuple(ls), l)
+
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=8),
+        st.integers(1, 10),
+        st.integers(0, 7),
+    )
+    def test_powers(self, z, e, r):
+        ls = tuple(z) * e
+        self.assert_kernel(ls[r % len(ls) :] + ls[: r % len(ls)], 3)
+
+    def test_long_word(self):
+        rng = random.Random(26)
+        ls = tuple(rng.randint(1, 3) for _ in range(5000))
+        start, root = _least_rotation(ls)
+        assert ls[start:] + ls[:start] == reference_least_rotation(ls) and root == 5000
+        power = ls[:100] * 50
+        start, root = _least_rotation(power)
+        assert power[start:] + power[:start] == reference_least_rotation(ls[:100]) * 50
+        assert root == reference_root_length(ls[:100])
+
+    def test_empty_input_rejected(self):
+        empty = Word((), A2)
+        for call in (is_primitive, WordCycle.of, canonical_rotation, lambda w: conjugate_classes([w])):
+            with pytest.raises(ValueError):
+                call(empty)
+        with pytest.raises(ValueError):
+            _least_rotation(())
 
 
 class TestStrongComparability:
@@ -293,6 +421,39 @@ class TestStrongComparability:
             for u, v in itertools.product(prim, prim):
                 conj = canonical_rotation(u) == canonical_rotation(v)
                 assert strongly_comparable(u, v) == (not conj)
+
+    @pytest.mark.parametrize("l,max_len", [(1, 4), (2, 5), (3, 3)])
+    def test_every_short_pair_against_reference(self, l, max_len):
+        alphabet = Alphabet(l)
+        ws = [u for n in range(max_len + 1) for u in all_words(alphabet, n)]
+        for u, v in itertools.product(ws, ws):
+            assert strongly_comparable(u, v) is reference_strongly_comparable(u, v), (u, v)
+
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda l: st.tuples(
+                st.just(l),
+                st.lists(st.integers(1, l), max_size=40),
+                st.lists(st.integers(1, l), max_size=40),
+                st.integers(0, 80),
+                st.booleans(),
+            )
+        )
+    )
+    def test_long_pairs_against_reference(self, data):
+        # planting a rotation of u inside v's cycle makes both outcomes common
+        l, us, vs, r, plant = data
+        u = tuple(us)
+        if plant and u:
+            r %= len(u)
+            vs = vs[: len(vs) // 2] + list(u[r:] + u[:r]) + vs[len(vs) // 2 :]
+        u, v = Word(u, Alphabet(l)), Word(tuple(vs), Alphabet(l))
+        assert strongly_comparable(u, v) is reference_strongly_comparable(u, v)
+        assert strongly_comparable(v, u) is strongly_comparable(u, v)
+
+    def test_alphabet_mismatch(self):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            strongly_comparable(word("ab", A2), word("ab", A3))
 
 
 class TestConjugateClasses:
@@ -477,7 +638,7 @@ class TestRegularKernels:
     @given(st.integers(2, 5).flatmap(lambda l: st.lists(st.integers(1, l), min_size=1, max_size=80)))
     def test_long_words_over_up_to_five_letters(self, lv):
         top = max(tuple(lv[i:] + lv[:i]) for i in range(len(lv)))
-        if _root_length(top) == len(top):
+        if reference_root_length(top) == len(top):
             self.assert_same_bracketing(top)
 
     def test_combs(self):
