@@ -45,6 +45,7 @@ from .words import (
     Theta,
     Word,
     WordCycle,
+    _depth_first,
     _first_power,
     _least_rotation,
     _pack,
@@ -353,12 +354,12 @@ def max_nonreducible_length(
     under extension, so pruning at reducible nodes is complete.  Each
     node tests for a d-th power ending at its last letter, and for
     ordinary n-divisibility with the witness search behind
-    is_n_divisible.  The power test is one lookup: each stack entry
-    carries its word's blocked letters (`words._power_blockers` at d),
-    the last letters that close a d-th power, found once per parent.
-    Two loud guards instead of silent truncation: a node budget, and a
-    length ceiling that catches configurations whose non-reducible
-    language is infinite (they raise BudgetExceededError quickly).
+    is_n_divisible.  The power test is one lookup in the parent's blocked
+    letters (`words._power_blockers` at d), the last letters that close a
+    d-th power, found once per parent for all of its children.  Two loud
+    guards instead of silent truncation: a node budget, and a length
+    ceiling that catches configurations whose non-reducible language is
+    infinite (they raise BudgetExceededError quickly).
     """
     if l < 1:
         raise ValueError("need at least one letter")
@@ -368,33 +369,32 @@ def max_nonreducible_length(
         raise ValueError("budget must be non-negative")
     alphabet = Alphabet(l)
     nodes = 0
-    best_len = 0
     best_word: tuple[int, ...] = ()
-    stack: list[tuple[tuple[int, ...], int, set[int]]] = [((), 1, set())]
-    while stack:
-        ls, next_letter, blocked = stack.pop()
-        if next_letter > l:
-            continue
-        stack.append((ls, next_letter + 1, blocked))
-        cand = ls + (next_letter,)
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"oracle budget of {budget} nodes exhausted at depth {len(cand)}",
-                nodes,
-            )
-        if next_letter in blocked or _block_division(cand, n, 0) is not None:
-            continue
-        if len(cand) > best_len:
-            best_len, best_word = len(cand), cand
-        if len(cand) >= max_len:
+
+    def children(ls: tuple[int, ...], _):
+        nonlocal nodes
+        blocked = _power_blockers(ls, d)
+        for x in alphabet.letters():
+            cand = ls + (x,)
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"oracle budget of {budget} nodes exhausted at depth {len(cand)}", nodes
+                )
+            if x not in blocked and _block_division(cand, n, 0) is None:
+                yield cand, None
+
+    # the length guard is here; below max_len = 1 it raises at the first letter
+    for ls, _ in _depth_first(children, ((), None), max(max_len, 1)):
+        if len(ls) > len(best_word):
+            best_word = ls
+        if len(ls) >= max_len:
             raise BudgetExceededError(
                 f"non-reducible words reach the length guard of {max_len};"
                 " the language looks infinite",
                 nodes,
             )
-        stack.append((cand, 1, _power_blockers(cand, d)))
-    return OracleResult(n, d, l, best_len, Word(best_word, alphabet), nodes)
+    return OracleResult(n, d, l, len(best_word), _word(best_word, alphabet), nodes)
 
 
 # --- zero-one process sequences ---
@@ -1212,17 +1212,13 @@ def _light_classes(t: int, alphabet: Alphabet, n_max: int):
     def width(keys: list[list[int]], chosen: tuple[int, ...]) -> int:
         return _longest_nondecreasing([k for j in chosen for k in keys[j]])
 
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        chosen = stack.pop()
-        for i in range(len(own)):
-            if i in chosen:
-                continue
-            grown = chosen + (i,)
-            grown_width = width(own, grown)
-            if grown_width < n_max:
-                yield grown, grown_width, width(padded, grown), width(recoded, grown) if recoded else None
-                stack.append(grown)
+    def children(chosen: tuple[int, ...], _):
+        for grown in (chosen + (i,) for i in range(len(own)) if i not in chosen):
+            if (grown_width := width(own, grown)) < n_max:
+                yield grown, grown_width
+
+    for grown, grown_width in _depth_first(children, ((), None), len(own)):
+        yield grown, grown_width, width(padded, grown), width(recoded, grown) if recoded else None
 
 
 _CODING_BUDGET = 2_000_000  # light classes a coding check visits, as many as the oracle's default nodes

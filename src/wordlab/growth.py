@@ -13,9 +13,9 @@ live states.
 
 The subword graph has the allowed words of length m as vertices (m one
 less than the longest forbidden word) and overlap edges whose
-(m+1)-letter merge is allowed.  `subword_graph` lists the windows by a
-depth-first walk over live states that tries the letters in increasing
-order, so they come out in lexicographic order, the order of
+(m+1)-letter merge is allowed.  `subword_graph` lists the windows by
+the depth-first walk `words._depth_first` over live states, letters in
+increasing order, so they come out in lexicographic order, the order of
 `itertools.product`; window u has the edge for letter x exactly when
 the state of u steps to a live state on x.  Growth is exponential
 exactly when some vertex lies on two distinct cycles, and otherwise
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import iv_log2
-from .words import Alphabet, Word, _is_factor, _pack, format_word, parse_word
+from .words import Alphabet, Word, _depth_first, _is_factor, _pack, format_word, parse_word
 
 
 @dataclass(frozen=True)
@@ -125,27 +125,17 @@ def subword_graph(spec: MonomialAlgebraSpec) -> SubwordGraph:
     m = max(m, 1)
     delta, dead = _automaton(spec)
     letters = spec.alphabet.letters()
-    verts: list[tuple[int, ...]] = []
-    states: list[int] = []
-    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    while stack:
-        ls, s = stack.pop()
-        if len(ls) == m:
-            verts.append(ls)
-            states.append(s)
-            continue
-        row = delta[s]
-        for x in reversed(letters):  # the smallest letter is popped first
-            if not dead[row[x - 1]]:
-                stack.append((ls + (x,), row[x - 1]))
-    index = {ls: i for i, ls in enumerate(verts)}
-    edges = []
-    for i, (ls, s) in enumerate(zip(verts, states)):
-        row = delta[s]
-        for x in letters:
-            if not dead[row[x - 1]]:
-                edges.append((i, index[ls[1:] + (x,)]))
-    return SubwordGraph(m, tuple(verts), tuple(edges))
+
+    def children(ls: tuple[int, ...], s: int):
+        for x, t in zip(letters, delta[s]):
+            if not dead[t]:
+                yield ls + (x,), t
+
+    windows = [(ls, s) for ls, s in _depth_first(children, ((), 0), m) if len(ls) == m]
+    index = {ls: i for i, (ls, _) in enumerate(windows)}
+    # window u has the edge for x exactly when the walk would give u a child ux
+    edges = tuple((i, index[ux[1:]]) for i, window in enumerate(windows) for ux, _ in children(*window))
+    return SubwordGraph(m, tuple(ls for ls, _ in windows), edges)
 
 
 def count_words(spec: MonomialAlgebraSpec, n: int) -> list[int]:

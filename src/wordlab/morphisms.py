@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .words import Alphabet, Word, _first_power, _is_factor, _power_blockers, _word, format_word, parse_word
+from .words import Alphabet, Word, _depth_first, _first_power, _is_factor, _power_blockers, _word, format_word, parse_word
 
 ITERATE_CAP = 10**6
 
@@ -55,24 +55,27 @@ class Morphism:
 def apply(m: Morphism, w: Word) -> Word:
     if w.alphabet.size > m.source.size:
         raise ValueError("word letters outside the source alphabet")
+    images = ((),) + tuple(img.letters for img in m.images)  # indexed by letter
     out: list[int] = []
     for x in w.letters:
-        out.extend(m.image_of(x).letters)
+        out += images[x]
     return _word(tuple(out), m.target)
 
 
 def iterate(m: Morphism, letter: int | str, k: int, cap: int = ITERATE_CAP) -> Word:
-    """k-fold application starting from a single letter."""
+    """k-fold application starting from a single letter, given as a
+    letter index or as word text of one letter."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if m.target.size > m.source.size:
         raise ValueError("iteration needs target letters inside the source alphabet")
-    if isinstance(letter, str):
-        letter = ord(letter) - ord("a") + 1
-    w = Word((letter,), m.target)
+    start = parse_word(letter, m.source).letters if isinstance(letter, str) else (letter,)
+    if len(start) != 1:
+        raise ValueError(f"iterate starts from one letter, not {letter!r}")
+    w = Word(start, m.target)
+    lengths = (0,) + tuple(map(len, m.images))  # indexed by letter
     for _ in range(k):
-        grow = sum(len(m.image_of(x)) for x in w.letters)
-        if grow > cap:
+        if sum(map(lengths.__getitem__, w.letters)) > cap:
             raise ValueError(f"iterate would exceed the {cap}-letter cap")
         w = apply(m, w)
     return w
@@ -106,23 +109,22 @@ def _repetition(w: Word, e: int) -> RepetitionOccurrence | None:
 def square_free_words(alphabet: Alphabet, max_len: int):
     """All square-free words of length 1..max_len, by pruned extension.
 
-    Depth first, children in letter order.  A square-free word's child
-    ends with a square exactly when its last letter is one that
-    `words._power_blockers` names for the parent, so each parent is
-    scanned once for all of its children, and only the others are pushed.
+    Depth first (`words._depth_first`), children in letter order.  A
+    square-free word's child ends with a square exactly when its last
+    letter is one that `words._power_blockers` names for the parent, so
+    each parent is scanned once for all of its children, and only the
+    others are visited.
     """
-    if max_len < 1:
-        return
-    letters = tuple(reversed(alphabet.letters()))
-    stack = [(x,) for x in letters]
-    while stack:
-        ls = stack.pop()
+    letters = alphabet.letters()
+
+    def children(ls: tuple[int, ...], _):
+        blocked = _power_blockers(ls, 2)
+        for x in letters:
+            if x not in blocked:
+                yield ls + (x,), None
+
+    for ls, _ in _depth_first(children, ((), None), max_len):
         yield _word(ls, alphabet)
-        if len(ls) < max_len:
-            blocked = _power_blockers(ls, 2)
-            for x in letters:
-                if x not in blocked:
-                    stack.append(ls + (x,))
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,6 @@ def crochemore_test(m: Morphism) -> CrochemoreReport:
 def parse_morphism(text: str) -> Morphism:
     """Lines 'letter -> image' in the word text format."""
     images: dict[int, Word] = {}
-    letters: list[int] = []
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln:
@@ -171,27 +172,18 @@ def parse_morphism(text: str) -> Morphism:
         src = parse_word(left.strip())
         if len(src) != 1:
             raise ValueError(f"left side of {ln!r} must be a single letter")
-        letters.append(src.letters[0])
         images[src.letters[0]] = parse_word(right.strip())
     if not images:
         raise ValueError("empty morphism text")
-    source = Alphabet(max(letters))
+    source = Alphabet(max(images))
     if sorted(images) != list(source.letters()):
         raise ValueError("images must cover letters 1..l without gaps")
     target = Alphabet(max(max(img.letters) for img in images.values()))
-    fixed = tuple(
-        Word(images[x].letters, target) for x in source.letters()
-    )
-    return Morphism(source, target, fixed)
+    return Morphism(source, target, tuple(Word(images[x].letters, target) for x in source.letters()))
 
 
 def format_morphism(m: Morphism) -> str:
-    lines = []
-    for x in m.source.letters():
-        lines.append(
-            f"{m.source.letter_str(x)} -> {format_word(m.image_of(x))}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(f"{m.source.letter_str(x)} -> {format_word(m.image_of(x))}\n" for x in m.source.letters())
 
 
 def thue_morse_morphism() -> Morphism:
@@ -201,15 +193,7 @@ def thue_morse_morphism() -> Morphism:
 
 def thue_ternary_morphism() -> Morphism:
     a3 = Alphabet(3)
-    return Morphism(
-        a3,
-        a3,
-        (
-            parse_word("abcab", a3),
-            parse_word("acabcb", a3),
-            parse_word("acbcacb", a3),
-        ),
-    )
+    return Morphism(a3, a3, tuple(parse_word(text, a3) for text in ("abcab", "acabcb", "acbcacb")))
 
 
 def fibonacci_morphism() -> Morphism:

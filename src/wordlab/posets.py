@@ -47,6 +47,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .words import _depth_first
+
 
 @dataclass(frozen=True)
 class FinitePoset:
@@ -257,23 +259,21 @@ def max_antichain(p: FinitePoset) -> tuple[int, frozenset[int]]:
 
 
 def max_antichain_bruteforce(p: FinitePoset) -> int:
-    """Independent oracle: grow antichains element by element."""
+    """Independent oracle: grow antichains element by element, in
+    increasing order, depth first (`words._depth_first`)."""
     n = p.size
     full = (1 << n) - 1
     incomp = [
         full & ~(up | down | 1 << i)
         for i, (up, down) in enumerate(zip(p.above, _below(p)))
     ]
-    best = 0
 
-    def grow(start: int, count: int, allowed: int) -> None:
-        nonlocal best
-        best = max(best, count)
+    def children(chosen: tuple[int, ...], allowed: int):
+        start = chosen[-1] + 1 if chosen else 0
         for j in _bits(allowed >> start << start):
-            grow(j + 1, count + 1, allowed & incomp[j])
+            yield chosen + (j,), allowed & incomp[j]
 
-    grow(0, 0, full)
-    return best
+    return max((len(chosen) for chosen, _ in _depth_first(children, ((), full), n)), default=0)
 
 
 def permutation_poset(pi: Sequence[int]) -> FinitePoset:

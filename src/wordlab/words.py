@@ -13,6 +13,15 @@ Walks that grow words one letter at a time ask instead which letters
 would close a z**e at the end (`_power_blockers`), once per parent for
 all of its children.
 
+Every tree search of the package (the length oracle, the square-free
+words, the subword graph's windows, the light coding classes, the
+brute-force antichains and pattern matching) is one `children`
+generator walked by `_depth_first`, on an explicit stack.  The walk is
+lazy: it asks a node for its next child only when it is back at that
+node, so a search that tests or counts its nodes inside `children`
+does so in preorder, and one that stops early has tested nothing past
+its stop.
+
 A word is regular when it is strictly greater than each of its proper
 rotations: the Lyndon words of the reversed letter order (Chen, Fox and
 Lyndon 1958).  So regularity is Duval's one-pass Lyndon test (1983) with
@@ -337,6 +346,29 @@ def _power_blockers(ls: tuple[int, ...], e: int) -> set[int]:
     return blocked
 
 
+def _depth_first(children, root: tuple, max_len: int) -> Iterator[tuple]:
+    """Yield the (node, state) pairs below root, itself such a pair, in
+    preorder, down to nodes of max_len letters.  `children(node, state)`
+    generates the pairs (node + (x,), state of that child) in visiting
+    order; the walk holds one generator per level on an explicit stack, so
+    it has no depth limit, and resumes one only after its last child's subtree."""
+    limit = max_len - len(root[0]) - 1  # the most generators below top
+    if limit < 0:
+        return
+    top, stack = children(*root), []
+    while True:
+        for child in top:
+            yield child
+            if len(stack) < limit:
+                stack.append(top)
+                top = children(*child)
+            break
+        else:
+            if not stack:
+                return
+            top = stack.pop()
+
+
 def rotations(w: Word) -> tuple[Word, ...]:
     ls = w.letters
     return tuple(_word(ls[i:] + ls[:i], w.alphabet) for i in range(len(ls)))
@@ -589,31 +621,27 @@ def find_pattern_instance(pattern: Word, host: Word) -> dict[int, Word] | None:
         raise ValueError("patterns must be nonempty")
     pat = pattern.letters
     hls = host.letters
+    later = {x: pat.count(x) - 1 for x in set(pat)}  # occurrences after a letter's first
 
-    def match(pi: int, hi: int, bound: dict[int, tuple[int, ...]]) -> dict[int, tuple[int, ...]] | None:
-        if pi == len(pat):
-            return bound
-        remaining_min = sum(len(bound.get(x, (0,))) for x in pat[pi:])
-        if hi + remaining_min > len(hls):
-            return None
+    def children(ends: tuple[int, ...], state: tuple[dict[int, tuple[int, ...]], int]):
+        # ends = (start, end of the image of pat[0], ..., of pat[pi - 1]);
+        # need = the fewest host letters pat[pi:] spans: a bound letter's image, one per other
+        (bound, need), pi, hi = state, len(ends) - 1, ends[-1]
+        if hi + need > len(hls):
+            return
         letter = pat[pi]
         if letter in bound:
             img = bound[letter]
             if hls[hi : hi + len(img)] == img:
-                return match(pi + 1, hi + len(img), bound)
-            return None
+                yield ends + (hi + len(img),), (bound, need - len(img))
+            return
         for end in range(hi + 1, len(hls) + 1):
-            bound[letter] = hls[hi:end]
-            got = match(pi + 1, end, bound)
-            if got is not None:
-                return got
-            del bound[letter]
-        return None
+            yield ends + (end,), ({**bound, letter: hls[hi:end]}, need - 1 + (end - hi - 1) * later[letter])
 
     for start in range(len(hls)):
-        got = match(0, start, {})
-        if got is not None:
-            return {k: _word(v, host.alphabet) for k, v in got.items()}
+        for ends, (bound, _) in _depth_first(children, ((start,), ({}, len(pat))), len(pat) + 1):
+            if len(ends) > len(pat):
+                return {k: _word(v, host.alphabet) for k, v in bound.items()}
     return None
 
 

@@ -53,6 +53,10 @@ class TestExitCodes:
             ("complexity", "--word", "abacaba", "--n", "0"),
             ("complexity", "--word", "abacaba", "--n", "-2"),
             ("morphism", "--builtin", "thue-morse", "--iterate", "a", "--k", "-1"),
+            ("morphism", "--builtin", "thue-morse", "--iterate", "ab", "--k", "2"),
+            ("morphism", "--builtin", "thue-morse", "--iterate", "", "--k", "2"),
+            ("morphism", "--builtin", "thue-morse", "--iterate", "A", "--k", "2"),
+            ("morphism", "--builtin", "thue-morse", "--iterate", "i:3", "--k", "2"),
             ("complexity", "--mechanical", "1/2,0,-5"),
             ("height", "--word", "ab", "--y", "a", "--essential", "--min-power", "0"),
             ("posets", "--random", "-1"),

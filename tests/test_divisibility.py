@@ -640,6 +640,31 @@ def reference_coding_corpus_check(t_max: int, l: int, n_max: int) -> dict:
     )
 
 
+def reference_light_classes(t: int, alphabet: Alphabet, n_max: int):
+    """The light-class search on its own explicit stack before the shared
+    walker: a popped class yields all of its light children, then pushes them."""
+    s = (t - 1).bit_length()
+    every = CodingClass(t, alphabet, primitive_cycle_classes(t, alphabet))
+    own = divisibility._cycle_keys(every)
+    padded = divisibility._cycle_keys(pad_to_power_of_two(every, s))
+    recoded = divisibility._cycle_keys(recode_pairs(every)) if t % 2 == 0 else None
+
+    def width(keys, chosen):
+        return divisibility._longest_nondecreasing([k for j in chosen for k in keys[j]])
+
+    stack = [()]
+    while stack:
+        chosen = stack.pop()
+        for i in range(len(own)):
+            if i in chosen:
+                continue
+            grown = chosen + (i,)
+            grown_width = width(own, grown)
+            if grown_width < n_max:
+                yield grown, grown_width, width(padded, grown), width(recoded, grown) if recoded else None
+                stack.append(grown)
+
+
 def reference_process_sequence(p: int, k: int, budget: int = 2_000_000) -> ProcessResult:
     """Exact maximum sequence length, exhaustive over counter states: the
     memoised recursion, one Python frame per move, that the bottom-up DP
@@ -1020,6 +1045,43 @@ class TestReducibility:
         assert is_nd_reducible(word(text), n, d) is expected
 
 
+def reference_max_nonreducible_length(n, d, l, budget=2_000_000, max_len=50):
+    """The oracle's own explicit-stack walk before the shared walker:
+    each entry is (word, next letter to try, the word's blocked letters)."""
+    nodes = 0
+    best_len = 0
+    best_word = ()
+    stack = [((), 1, set())]
+    while stack:
+        ls, next_letter, blocked = stack.pop()
+        if next_letter > l:
+            continue
+        stack.append((ls, next_letter + 1, blocked))
+        cand = ls + (next_letter,)
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"oracle budget of {budget} nodes exhausted at depth {len(cand)}", nodes)
+        if next_letter in blocked or divisibility._block_division(cand, n, 0) is not None:
+            continue
+        if len(cand) > best_len:
+            best_len, best_word = len(cand), cand
+        if len(cand) >= max_len:
+            raise BudgetExceededError(
+                f"non-reducible words reach the length guard of {max_len}; the language looks infinite", nodes
+            )
+        stack.append((cand, 1, divisibility._power_blockers(cand, d)))
+    return best_len, Word(best_word, Alphabet(l)), nodes
+
+
+def _oracle_outcome(search, *args, **kwargs):
+    """(length, witness, nodes), or (error type, message, nodes)."""
+    try:
+        got = search(*args, **kwargs)
+    except BudgetExceededError as err:
+        return type(err), str(err), err.nodes
+    return got if isinstance(got, tuple) else (got.length, got.witness, got.nodes)
+
+
 class TestOracle:
     def test_square_free_binary(self):
         res = max_nonreducible_length(2, 2, 2)
@@ -1051,6 +1113,18 @@ class TestOracle:
         (3, 3, 1): (2, "aa", 3),
         (3, 3, 2): 80,
     }
+
+    @pytest.mark.parametrize("budget", [50, 200, 30_000])
+    def test_against_reference_walk(self, budget):
+        for cell in itertools.product((2, 3, 4), (2, 3, 4), (1, 2, 3)):
+            got = _oracle_outcome(max_nonreducible_length, *cell, budget=budget)
+            assert got == _oracle_outcome(reference_max_nonreducible_length, *cell, budget=budget), cell
+
+    @pytest.mark.parametrize("max_len", [3, 1, 0, -2])
+    def test_length_guard_against_reference_walk(self, max_len):
+        for cell in [(2, 2, 2), (2, 3, 2), (1, 2, 2), (3, 3, 1)]:
+            got = _oracle_outcome(max_nonreducible_length, *cell, max_len=max_len)
+            assert got == _oracle_outcome(reference_max_nonreducible_length, *cell, max_len=max_len), cell
 
     @pytest.mark.parametrize("cell", sorted(CRITERION_08))
     def test_criterion_08_cells_pinned(self, cell):
@@ -1736,10 +1810,18 @@ class TestCoding:
             counts = list(itertools.islice(divisibility._primitive_cycle_counts(l), 8))
             assert counts == [len(primitive_cycle_classes(t, Alphabet(l))) for t in range(1, 9)], l
 
-    @pytest.mark.parametrize(
-        "t, l, n_max",
-        [(1, 3, 3), (1, 5, 4), (2, 3, 4), (2, 4, 3), (3, 2, 5), (4, 2, 6), (5, 2, 7), (6, 2, 7), (3, 3, 5), (4, 3, 5)],
-    )
+    LIGHT_CELLS = [
+        (1, 3, 3), (1, 5, 4), (2, 3, 4), (2, 4, 3), (3, 2, 5), (4, 2, 6), (5, 2, 7), (6, 2, 7), (3, 3, 5), (4, 3, 5)
+    ]
+
+    @pytest.mark.parametrize("t, l, n_max", LIGHT_CELLS)
+    def test_light_classes_against_reference_stack(self, t, l, n_max):
+        # the walk is preorder and the reference's is not: the same classes, in another order
+        got = list(divisibility._light_classes(t, Alphabet(l), n_max))
+        expected = list(reference_light_classes(t, Alphabet(l), n_max))
+        assert len(got) == len(expected) and set(got) == set(expected)
+
+    @pytest.mark.parametrize("t, l, n_max", LIGHT_CELLS)
     def test_widths_on_every_visited_class(self, t, l, n_max):
         alphabet = Alphabet(l)
         s = (t - 1).bit_length()

@@ -58,6 +58,83 @@ class TestApplication:
             iterate(thue_morse_morphism(), "a", 25)
 
 
+def reference_apply(m, w):
+    """apply before its image table: one checked image_of call per letter."""
+    if w.alphabet.size > m.source.size:
+        raise ValueError("word letters outside the source alphabet")
+    out = []
+    for x in w.letters:
+        out.extend(m.image_of(x).letters)
+    return Word(tuple(out), m.target)
+
+
+def reference_iterate(m, letter, k, cap=morphisms.ITERATE_CAP):
+    """iterate before its length table: each next length summed letter by letter."""
+    w = Word((letter,), m.target)
+    for _ in range(k):
+        if sum(len(m.image_of(x)) for x in w.letters) > cap:
+            raise ValueError(f"iterate would exceed the {cap}-letter cap")
+        w = reference_apply(m, w)
+    return w
+
+
+class TestLengthTables:
+    BUILTINS = (thue_morse_morphism, thue_ternary_morphism, fibonacci_morphism)
+
+    @pytest.mark.parametrize("make", BUILTINS)
+    def test_builtins_up_to_the_cap(self, make):
+        # the loop's test is reference_iterate's cap test: the last k below the cap, then the first above
+        m, cap = make(), morphisms.ITERATE_CAP
+        expected, k = Word((1,), m.target), 0
+        while sum(len(m.image_of(x)) for x in expected.letters) <= cap:
+            if k < 12:
+                assert iterate(m, 1, k) == expected, k
+            expected, k = reference_apply(m, expected), k + 1
+        assert iterate(m, 1, k) == expected and len(expected) > cap // 10, k
+        with pytest.raises(ValueError) as info:
+            iterate(m, 1, k + 1)
+        assert str(info.value) == f"iterate would exceed the {cap}-letter cap"
+
+    @pytest.mark.parametrize("make", BUILTINS)
+    def test_every_start_letter_and_small_caps(self, make):
+        m = make()
+        for letter, k, cap in itertools.product(m.source.letters(), range(7), (1, 10, 100)):
+            try:
+                expected = reference_iterate(m, letter, k, cap)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=str(err)):
+                    iterate(m, letter, k, cap)
+            else:
+                assert iterate(m, letter, k, cap) == expected
+                if letter == 1:
+                    assert iterate(m, "a", k, cap) == expected
+
+    def test_apply_on_random_morphisms(self):
+        rng = random.Random(27)
+        for _ in range(300):
+            m = random_morphism(rng)
+            w = Word(tuple(rng.randint(1, m.source.size) for _ in range(rng.randrange(12))), m.source)
+            assert apply(m, w) == reference_apply(m, w), (m, w)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("ab", "iterate starts from one letter, not 'ab'"),
+            ("", "iterate starts from one letter, not ''"),
+            ("i:1,2", "iterate starts from one letter, not 'i:1,2'"),
+            ("A", "word text 'A' is not lowercase a-z"),
+            ("i:3", "letter 3 outside alphabet of size 2"),
+        ],
+    )
+    def test_start_text_must_be_one_source_letter(self, text, message):
+        with pytest.raises(ValueError) as info:
+            iterate(thue_morse_morphism(), text, 2)
+        assert str(info.value) == message
+
+    def test_start_text_in_index_form(self):
+        assert iterate(thue_morse_morphism(), "i:2", 2) == iterate(thue_morse_morphism(), "b", 2) == word("baab")
+
+
 def reference_square_free_words(l, max_len):
     """The walk before the last-letter filter: every period's slices compared."""
     stack = [(x,) for x in range(l, 0, -1)]

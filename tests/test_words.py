@@ -27,6 +27,7 @@ from wordlab.words import (
     Word,
     WordCycle,
     _bracket,
+    _depth_first,
     _first_power,
     _is_regular_letters,
     _least_rotation,
@@ -814,7 +815,132 @@ PATTERN_TABLE = {
 }
 
 
+def reference_find_pattern_instance(pattern, host):
+    """The recursive matcher before the shared walker: one Python frame
+    per pattern letter, one dict of bindings undone on backtrack."""
+    pat, hls = pattern.letters, host.letters
+
+    def match(pi, hi, bound):
+        if pi == len(pat):
+            return bound
+        remaining_min = sum(len(bound.get(x, (0,))) for x in pat[pi:])
+        if hi + remaining_min > len(hls):
+            return None
+        letter = pat[pi]
+        if letter in bound:
+            img = bound[letter]
+            if hls[hi : hi + len(img)] == img:
+                return match(pi + 1, hi + len(img), bound)
+            return None
+        for end in range(hi + 1, len(hls) + 1):
+            bound[letter] = hls[hi:end]
+            got = match(pi + 1, end, bound)
+            if got is not None:
+                return got
+            del bound[letter]
+        return None
+
+    for start in range(len(hls)):
+        got = match(0, start, {})
+        if got is not None:
+            return {k: Word(v, host.alphabet) for k, v in got.items()}
+    return None
+
+
+def recursive_preorder(node, tree, max_len):
+    """(node, subtree) below node in preorder, one Python frame per level."""
+    out = []
+    if len(node) < max_len:
+        for i, sub in enumerate(tree):
+            out.append((node + (i,), sub))
+            out += recursive_preorder(node + (i,), sub, max_len)
+    return out
+
+
+def subtrees(node, tree):
+    # a tree is the list of its subtrees; a child's state is its subtree
+    return ((node + (i,), sub) for i, sub in enumerate(tree))
+
+
+class TestDepthFirst:
+    def test_asks_for_a_child_only_after_the_previous_subtree(self):
+        log = []
+
+        def children(node, depth):
+            log.append(("open", node))
+            for x in (1, 2):
+                log.append(("ask", node + (x,)))
+                yield node + (x,), depth + 1
+
+        for node, depth in _depth_first(children, ((), 0), 2):
+            assert depth == len(node)
+            log.append(("visit", node))
+        assert log == [
+            ("open", ()),
+            ("ask", (1,)), ("visit", (1,)), ("open", (1,)),
+            ("ask", (1, 1)), ("visit", (1, 1)),
+            ("ask", (1, 2)), ("visit", (1, 2)),
+            ("ask", (2,)), ("visit", (2,)), ("open", (2,)),
+            ("ask", (2, 1)), ("visit", (2, 1)),
+            ("ask", (2, 2)), ("visit", (2, 2)),
+        ]
+
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_no_positive_length_yields_nothing(self, max_len):
+        calls = []
+
+        def children(node, state):
+            calls.append(node)
+            yield node + (1,), state
+
+        assert list(_depth_first(children, ((), None), max_len)) == []
+        assert calls == []
+
+    def test_deep_unary_chain(self):
+        def children(node, state):
+            yield node + (1,), state + 1
+
+        last = None
+        for last in _depth_first(children, ((), 0), 5_000):
+            pass
+        assert len(last[0]) == last[1] == 5_000
+
+    @given(
+        st.recursive(st.just([]), lambda kids: st.lists(kids, max_size=3), max_leaves=25),
+        st.integers(0, 2),
+        st.integers(-1, 6),
+    )
+    def test_against_recursive_preorder(self, tree, root_len, max_len):
+        root = (7,) * root_len
+        assert list(_depth_first(subtrees, (root, tree), max_len)) == recursive_preorder(root, tree, max_len)
+
+
 class TestZiminAndPatterns:
+    def test_against_recursive_reference_seeded(self):
+        rng = random.Random(2700)
+        found = 0
+        for _ in range(2500):
+            pat = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 6)))
+            l = rng.randint(1, 3)
+            if rng.random() < 0.5:
+                # a host around an instance of the pattern, so that many pairs match
+                images = {x: tuple(rng.randint(1, l) for _ in range(rng.randint(1, 3))) for x in set(pat)}
+                core = tuple(y for x in pat for y in images[x])
+                host = tuple(rng.randint(1, l) for _ in range(rng.randint(0, 3))) + core
+            else:
+                host = tuple(rng.randint(1, l) for _ in range(rng.randint(0, 10)))
+            pattern, hw = Word(pat, Alphabet(max(pat))), Word(host, Alphabet(l))
+            got = find_pattern_instance(pattern, hw)
+            assert got == reference_find_pattern_instance(pattern, hw), (pat, host)
+            assert got is None or list(got) == list(dict.fromkeys(pat)), (pat, host)
+            found += got is not None
+        assert found > 1000 and 2500 - found > 300  # both outcomes well represented
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_long_zimin_pattern_in_itself(self, n):
+        # 1,023 and 4,095 pattern letters, one walk level each
+        assert pattern_occurs(zimin_word(n), zimin_word(n)) is True
+
     def test_recursion(self):
         assert format_word(zimin_word(1)) == "a"
         assert format_word(zimin_word(2)) == "aba"
