@@ -4,10 +4,43 @@ The bound formulas multiply big rational constants by powers whose
 exponents contain logarithms, so the results are usually irrational.
 Asserted values must not depend on floating point: every quantity is
 bracketed between two Fractions obtained with integer arithmetic only.
-Logarithm digits come from the squaring method (each bit of log2(m) is
-an integer comparison of m^(2^j) against a power of two), fractional
-powers of two from chains of integer square roots.  Brackets shrink as
-`prec` grows; callers refine until a floor or ceiling is pinned.
+Brackets shrink as `prec` grows; callers refine until a floor or
+ceiling is pinned.
+
+Kernels.  Both transcendental kernels reduce the argument and sum a
+short series on fixed-point integers (an integer v at w bits stands for
+v / 2**w), in the manner of Brent (1976).  Every step rounds down for a
+lower end and up for an upper end, so each end stays on its side of the
+true value; the error counts below are in units of 2**-w.
+
+- `_ln_fixed`: ln m for m in [1, 2].  r integer square roots take m to
+  t = m**(2**-r), and ln m = 2**(r+1) * atanh(z) with z = (t-1)/(t+1)
+  < 2**-(r+1), so each term of z + z**3/3 + z**5/5 + ... adds 2r+2 bits.
+  Each root keeps t within 2 units (the error halves and the rounding
+  adds less than 1), z is within 2, each of the K series terms within
+  3, and the dropped tail is below 1 (an upper end adds the last power,
+  which bounds it).  So atanh z is within 3K + 8 units and ln m within
+  2**(r+1) * (3K + 8); the working precision w = bits + r + 2 +
+  bitlen(3K + 8) makes that half a unit at `bits`, so both ends lie
+  within 1.5 units of 2**bits * ln m.
+- `log2_bounds(x, prec)`: with x = 2**e * m, m in [1, 2), it brackets
+  ln m and ln 2 at prec + 32 bits and returns the dyadic cell
+  [F, F + 1] / 2**prec with F = floor(2**prec * log2 x) once both ends
+  of ln m / ln 2 give the same F; otherwise it retries at twice the
+  bits.  The retry ends because log2 of a rational that is not a power
+  of two is irrational; a power of two returns (e, e).  The result is
+  that cell exactly, whatever ran before.
+- `_pow2_fixed`: 2**y for y = c / 2**prec in [0, 1], at s = prec + 64
+  bits.  a = y ln 2 / 2**r is within 2 units (ln 2 from the same kernel,
+  within 1.5), exp(a) is summed from its Taylor series (K terms within
+  2 units each, the tail within 4), and r squarings give
+  exp(a)**(2**r) = 2**y.  A squaring doubles a relative error and adds
+  a unit, so 2**y is within 2**(r+1) * (2K + 8) units; the working
+  precision spends that many bits plus 32 more, so an end rounded to s
+  bits is on its side of 2**y and, unless 2**y sits within 2**-32 of a
+  multiple of 2**-s, is its floor or ceiling.  `pow2_bounds(x, prec)`
+  keeps the exponent rounding c = floor(2**prec * frac(x)): the lower
+  end brackets 2**(c / 2**prec), the upper end 2**((c+1) / 2**prec).
 
 Precision.  `refine_ceil` and `refine_floor` evaluate the bracket first
 at 48 bits.  When that does not pin the integer, the bracket's upper end
@@ -21,14 +54,12 @@ exact path caught.
 
 Caches.  One refinement evaluates the same logarithms several times at
 one precision (log2 of the base in every exponent, and again for every
-letter count l), and every fractional power of two at one precision
-multiplies factors from the same chain of square roots 2**(2**-i).
-The interval functions keep the last 256 `log2_bounds` results, keyed
-by (x, prec); each holds two numbers of about prec bits.  A chain holds
-prec numbers of prec bits, so `_root_chain` keeps only the last 4,
-keyed by (prec, side): both sides at the 48-bit start and at the
-precision of the latest refinement.  Cached values are the ones a fresh
-computation returns, so no bracket depends on what ran before.
+letter count l).  The interval functions keep the last 256
+`log2_bounds` results, keyed by (x, prec); each holds two numbers of
+about prec bits.  `_ln2_bounds` keeps the last 8 brackets of ln 2, keyed
+by their bits: a refinement rung asks for one for its logarithms and
+one for its powers.  Cached values are the ones a fresh computation
+returns, so no bracket depends on what ran before.
 
 An "interval" here is a pair (lo, hi) of Fractions with lo <= x <= hi;
 lo == hi marks an exact value.
@@ -44,6 +75,7 @@ Interval = tuple[Fraction, Fraction]
 
 _GUARD = 64
 _PIN_GUARD = 32
+_MARGIN = 32
 
 
 def exact_int_log(base: int, value: int) -> int | None:
@@ -82,56 +114,74 @@ def _ceil_fr(x: Fraction) -> int:
 
 
 def log2_bounds(x: Fraction, prec: int) -> Interval:
-    """Bracket log2(x) for x > 0 within roughly 2**-prec."""
+    """The dyadic cell [F, F + 1] / 2**prec holding log2(x), F = floor(2**prec * log2 x).
+
+    A power of two returns the exact (e, e).
+    """
     if x <= 0:
         raise ValueError("log2 needs a positive argument")
     num, den = x.numerator, x.denominator
-    # Integer part: 2**e <= x < 2**(e+1).
+    # 2**(e-1) < x < 2**(e+1); scale to m = num/den in [1, 2), unreduced
     e = num.bit_length() - den.bit_length()
-    while not _le_pow2(e, num, den):
-        e -= 1
-    while _le_pow2(e + 1, num, den):
-        e += 1
-    m = x / (Fraction(2) ** e)
-    if m == 1:
-        return Fraction(e), Fraction(e)
-    # Fractional bits of log2(m), m in (1, 2), by interval squaring.
-    s = 2 * prec + _GUARD
-    one = 1 << s
-    two = 2 << s
-    a_lo = (m.numerator << s) // m.denominator
-    a_hi = -((-(m.numerator << s)) // m.denominator)
-    frac_lo = 0
-    frac_hi = 1 << prec
-    for j in range(1, prec + 1):
-        a_lo = (a_lo * a_lo) >> s
-        a_hi = (-((-(a_hi * a_hi)) >> s)) + 1
-        if a_hi < two:
-            continue
-        if a_lo >= two:
-            frac_lo |= 1 << (prec - j)
-            a_lo >>= 1
-            a_hi = (a_hi + 1) >> 1
-            continue
-        # Interval straddles the bit decision: stop with a coarser bracket.
-        frac_hi = frac_lo + (1 << (prec - j + 1))
-        break
+    if e >= 0:
+        den <<= e
     else:
-        frac_hi = frac_lo + 1
-    scale = Fraction(1, 1 << prec)
-    assert a_lo >= one - 2, "lost the [1,2) normalization"
-    return Fraction(e) + frac_lo * scale, Fraction(e) + frac_hi * scale
+        num <<= -e
+    if num < den:
+        e -= 1
+        num <<= 1
+    if num == den:
+        return Fraction(e), Fraction(e)
+    bits = prec + _MARGIN
+    while True:
+        lm = _ln_fixed(num, den, bits, False), _ln_fixed(num, den, bits, True)
+        l2 = _ln2_bounds(bits)
+        f = (lm[0] << prec) // l2[1]
+        if f == (lm[1] << prec) // l2[0]:
+            f += e << prec
+            return Fraction(f, 1 << prec), Fraction(f + 1, 1 << prec)
+        bits *= 2
 
 
 # log2_bounds as the interval functions call it (see "Caches" above)
 _log2_bounds = lru_cache(maxsize=256)(log2_bounds)
 
 
-def _le_pow2(e: int, num: int, den: int) -> bool:
-    # 2**e <= num/den, exactly.
-    if e >= 0:
-        return (den << e) <= num
-    return den <= (num << (-e))
+def _shr(v: int, n: int, up: bool) -> int:
+    # v / 2**n rounded down, or up
+    return -((-v) >> n) if up else v >> n
+
+
+def _div(a: int, b: int, up: bool) -> int:
+    # a / b rounded down, or up (b > 0)
+    return -((-a) // b) if up else a // b
+
+
+def _ln_fixed(num: int, den: int, bits: int, up: bool) -> int:
+    # 2**bits * ln(num/den) rounded down or up, 1 <= num/den <= 2 (see "Kernels");
+    # r roots against about bits / 2r series terms, a root costing ~3 products
+    r = max(2, isqrt(bits) // 3)
+    terms = (bits + 2 * r + 64) // (2 * r + 2) + 3
+    w = bits + r + 2 + (3 * terms + 8).bit_length()
+    one = 1 << w
+    t = _div(num << w, den, up)
+    for _ in range(r):
+        t = isqrt((t << w) - 1) + 1 if up else isqrt(t << w)
+    z = _div((t - one) << w, t + one, up)
+    z2 = _shr(z * z, w, up)
+    power, k, total = z, 1, z
+    while power > up:  # a lower end stops at 0, an upper end at 1 unit
+        power = _shr(power * z2, w, up)
+        k += 2
+        total += _div(power, k, up)
+    if up:
+        total += power  # bounds the dropped tail
+    return _shr(total, w - bits - r - 1, up)
+
+
+@lru_cache(maxsize=8)
+def _ln2_bounds(bits: int) -> tuple[int, int]:
+    return _ln_fixed(2, 1, bits, False), _ln_fixed(2, 1, bits, True)
 
 
 def pow2_bounds(x: Fraction, prec: int) -> Interval:
@@ -148,35 +198,32 @@ def _pow2_side(x: Fraction, prec: int, lower: bool) -> Fraction:
     if f == 0:
         return Fraction(1 << k)
     c = (f.numerator << prec) // f.denominator
-    return (1 << k) * _pow2_dyadic(c if lower else c + 1, prec, lower)
-
-
-def _pow2_dyadic(c: int, prec: int, lower: bool) -> Fraction:
-    # One-sided bound on 2**(c / 2**prec), 0 <= c <= 2**prec.
     s = prec + _GUARD
+    return Fraction(_pow2_fixed(c if lower else c + 1, prec, s, not lower) << k, 1 << s)
+
+
+def _pow2_fixed(c: int, prec: int, s: int, up: bool) -> int:
+    # 2**s * 2**(c / 2**prec) rounded down or up, 0 <= c <= 2**prec (see "Kernels")
+    if c == 0:
+        return 1 << s
     if c >= 1 << prec:
-        return Fraction(2)
-    acc = 1 << s
-    for root, bit in zip(_root_chain(prec, lower), format(c, f"0{prec}b")):
-        if bit == "1":
-            if lower:
-                acc = (acc * root) >> s
-            else:
-                acc = (-((-(acc * root)) >> s)) + 1
-    return Fraction(acc, 1 << s)
-
-
-@lru_cache(maxsize=4)
-def _root_chain(prec: int, lower: bool) -> tuple[int, ...]:
-    # Entry i-1 bounds 2**(1 / 2**i) scaled by 2**s, i = 1..prec, from
-    # below or from above: each is the integer square root of the last.
-    s = prec + _GUARD
-    root = 2 << s
-    chain = []
-    for _ in range(prec):
-        root = isqrt(root << s) + (0 if lower else 1)
-        chain.append(root)
-    return tuple(chain)
+        return 2 << s
+    # r squarings against about s / r series terms
+    r = max(2, isqrt(s))
+    terms = (s + 2 * r + 96) // r + 3
+    w = s + r + 1 + (2 * terms + 8).bit_length() + _MARGIN
+    one = 1 << w
+    a = _shr(c * _ln2_bounds(w)[up], prec + r, up)  # ln 2's end on the same side
+    term, k, total = one, 0, one
+    while term > up:  # a lower end stops at 0, an upper end at 1 unit
+        k += 1
+        term = _div(_shr(term * a, w, up), k, up)
+        total += term
+    if up:
+        total += term  # bounds the dropped tail
+    for _ in range(r):
+        total = _shr(total * total, w, up)
+    return _shr(total, w - s, up)
 
 
 def iv_exact(x: Fraction | int) -> Interval:
@@ -197,12 +244,8 @@ def iv_scale(a: Interval, c: Fraction | int) -> Interval:
 
 def iv_log2(a: Interval, prec: int) -> Interval:
     if a[0] == a[1]:
-        k = exact_int_log(2, a[0].numerator)
-        if k is not None and a[0].denominator == 1:
-            return iv_exact(k)
-    lo = _log2_bounds(a[0], prec)[0]
-    hi = _log2_bounds(a[1], prec)[1]
-    return lo, hi
+        return _log2_bounds(a[0], prec)  # exact (k, k) at a power of two
+    return _log2_bounds(a[0], prec)[0], _log2_bounds(a[1], prec)[1]
 
 
 def iv_log(base: int, a: Interval, prec: int) -> Interval:

@@ -144,7 +144,12 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
     """Parse 'abc' (lowercase letters) or 'i:1,2,3' (explicit indices)."""
     if text.startswith("i:"):
         payload = text[2:]
-        letters = tuple(int(part) for part in payload.split(",")) if payload else ()
+        try:
+            letters = tuple(int(part) for part in payload.split(",")) if payload else ()
+        except ValueError:
+            raise ValueError(
+                f"word text {text!r} is not of the form i:1,2,3 (integer letter indices)"
+            ) from None
     else:
         letters = tuple(ord(ch) - ord("a") + 1 for ch in text)
         if any(x < 1 or x > 26 for x in letters):

@@ -66,6 +66,7 @@ class TestExitCodes:
             ("complexity", "--mechanical", "", "--word", "ab"),
             ("count", "--method", "multilinear", "--n", "13", "--k", "3", "--l", "20"),
             ("selective", "--coding", "--t-max", "18", "--n", "3"),
+            ("divide", "--word", "i:1,x", "--n", "2"),
         ],
     )
     def test_domain_error(self, argv):
@@ -88,6 +89,13 @@ class TestExitCodes:
         code, out = run_cli("complexity", "--mechanical", text)
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_index_word_message(self, capsys):
+        code, out = run_cli("divide", "--word", "i:1,x", "--n", "2")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: word text 'i:1,x' is not of the form i:1,2,3 (integer letter indices)\n"
+        )
 
     def test_posets_size_message(self, capsys):
         code, out = run_cli("posets", "--random", "3", "--size", "0")

@@ -976,6 +976,12 @@ class TestTextFormat:
         assert format_word(w) == "i:1,27,5"
         assert parse_word("i:1,27,5", a30) == w
 
+    @pytest.mark.parametrize("text", ["i:1,x", "i:1,,2", "i:,", "i:x", "i:1.5"])
+    def test_bad_index_names_the_form(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_word(text)
+        assert str(info.value) == f"word text {text!r} is not of the form i:1,2,3 (integer letter indices)"
+
 
 class TestTailComparability:
     @pytest.mark.parametrize("l,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
