@@ -12,8 +12,9 @@ The ordinary and strong senses share one block search,
 _block_division: depth-first on an explicit stack, so a division may
 have any number of blocks.  It tries the shortest block first and the
 heads in order, so the witness is the first division in that order
-(for the strong sense, at the shortest free prefix).  Its failure memo
-is keyed by (previous block start, block start, depth, bitmask of used
+(for the strong sense, at the shortest free prefix: one call walks the
+starts in increasing order).  One failure memo serves the whole query,
+keyed by (previous block start, block start, depth, bitmask of used
 heads); the ordinary sense opens every block with one pseudo-head, so
 its mask stays 0.
 
@@ -23,9 +24,10 @@ starts i < j exactly when rank(i) > rank(j), so a tail n-division is a
 decreasing subsequence of n ranks and the tail poset their permutation poset.
 _tail_witness reads one patience pass, posets._decreasing_reach; the
 Dilworth matching runs only in dilworth_tail_coloring, which returns
-the chains.  A coding class's width is one left-to-right patience
-pass over integer keys of its rotations, which coding_corpus_check
-takes once per cycle.
+the chains.  A coding class's width is its number of patience piles
+over integer keys of its rotations, which coding_corpus_check takes
+once per cycle; its search carries each class's piles and grows a
+child's from its parent's.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .words import (
     _pack,
     _power_blockers,
     _word,
-    find_period_power,
     format_word,
     lex_compare_letters,
 )
@@ -145,7 +146,7 @@ def is_n_divisible(
     elif sense is Sense.TAIL:
         witness = _tail_witness(w, n, d)
     else:
-        blocks = _block_division(w.letters, n, 0)
+        blocks = _block_division(w.letters, n)
         witness = None if blocks is None else DivisibilityWitness(
             Sense.ORDINARY, tuple((s + 1, e) for s, e, _ in blocks)
         )
@@ -199,42 +200,30 @@ def _tail_witness(w: Word, n: int, d: int | None) -> DivisibilityWitness | None:
 def _strong_witness(
     w: Word, n: int, Z: tuple[Word, ...], min_power: int
 ) -> DivisibilityWitness | None:
-    """First strong n-division of w, shortest free prefix first, or None.
-
-    Each free-prefix length short enough to leave room for n distinct
-    heads is handed to _block_division in increasing order, with one
-    failure memo for them all; the first division found is the witness.
-    """
+    """First strong n-division of w, shortest free prefix first, or None:
+    one _block_division over every start."""
     if any(len(z) == 0 for z in Z):
         raise ValueError("periods in Z must be nonempty")
     Z = tuple({z.letters: z for z in Z}.values())  # a repeated period is one period
     if len(Z) < n:
         return None
-    ls = w.letters
-    heads = [z.letters * min_power for z in Z]
-    # the n blocks hold n distinct heads, so they span at least this much
-    span = sum(sorted(map(len, heads))[:n])
-    failed: set[tuple[int, int, int, int]] = set()
-    for start in range(len(ls) - span + 1):
-        blocks = _block_division(ls, n, start, heads, failed)
-        if blocks is not None:
-            return DivisibilityWitness(
-                Sense.STRONG,
-                tuple((s + 1, e) for s, e, _ in blocks),
-                tuple(Z[zi] for _, _, zi in blocks),
-            )
-    return None
+    blocks = _block_division(w.letters, n, range(len(w)), [z.letters * min_power for z in Z])
+    if blocks is None:
+        return None
+    return DivisibilityWitness(
+        Sense.STRONG, tuple((s + 1, e) for s, e, _ in blocks), tuple(Z[zi] for _, _, zi in blocks)
+    )
 
 
 def _block_division(
     ls: tuple[int, ...],
     n: int,
-    start: int,
+    starts: Iterable[int] = (0,),
     heads: Sequence[tuple[int, ...]] | None = None,
-    failed: set[tuple[int, int, int, int]] | None = None,
 ) -> list[tuple[int, int, int]] | None:
-    """First division of ls[start:] into n strictly decreasing blocks,
-    as 0-based (start, end, head) triples; or None.
+    """First division of some ls[start:] into n strictly decreasing
+    blocks, the starts taken in increasing order, as 0-based (start,
+    end, head) triples; or None.
 
     With heads, each block opens with a head that no earlier block used
     and `head` is its index: the strong sense.  Without, every block
@@ -244,81 +233,83 @@ def _block_division(
     only branches that cannot succeed, so the division is the first one
     the plain search finds: the last block is pinned to end at |ls|;
     ends that would leave a block not smaller than the previous one are
-    skipped after one mismatch scan; ends that leave less room than the
-    shortest heads of the blocks still to come are not tried; and a
-    state that failed, (previous block start, block start, depth,
-    bitmask of used heads), is not searched twice.  The depth belongs
-    in that key: the same two starts with a different number of blocks
-    left are a different question.  No state depends on where the first
-    block opened, so one `failed` set may serve several starts.
+    skipped after one mismatch scan; a block opens only where the room
+    left holds the blocks still to come, reserve[j] letters for j
+    blocks (one letter each, or the j shortest heads), so the starts
+    end at the first one with less than reserve[n]; and a state that
+    failed, (previous block start, block start, depth, bitmask of used
+    heads), is not searched twice.  The depth belongs in that key: the
+    same two starts with a different number of blocks left are a
+    different question.  No state depends on where the first block
+    opened, so one memo and one head table serve every start.
     """
     L = len(ls)
-    if L - start < n:
-        return None
-    if failed is None:
-        failed = set()
     if heads is None:
         pseudo = ((0, 1, 0),)
-        reserve: Sequence[int] = range(n)  # one letter per block still to come
+        reserve: Sequence[int] = range(n + 1)
     else:
         # the heads by first letter, in head order within a letter
         table: dict[int, list] = {}
         for zi, h in enumerate(heads):
             table.setdefault(h[0], []).append((zi, h, len(h), 1 << zi))
-        # reserve[j]: the least room j more blocks need, one distinct head each
         shortest = sorted(map(len, heads))
-        reserve = [sum(shortest[:j]) for j in range(n)]
+        reserve = [sum(shortest[:j]) for j in range(n + 1)]
+    failed: set[tuple[int, int, int, int]] = set()
     # one frame per open block: [start, used heads, memo key, candidate
     # (end, head) pairs, chosen end, chosen head]
     stack: list[list] = []
-    prev = begin = start
-    mask = 0
-    first = start + 1  # the least end of the block at `begin`
-    while True:
-        # open block len(stack) at `begin`; ls[prev:begin] is the block before
-        depth = len(stack)
-        if heads is None:
-            opening = pseudo
-        else:
-            opening = [
-                (zi, size, bit)
-                for zi, h, size, bit in table.get(ls[begin], ())
-                if not mask & bit and ls[begin : begin + size] == h
-            ]
-        if opening:
-            if depth == n - 1:
-                return [(f[0], f[4], f[5]) for f in stack] + [(begin, L, opening[0][0])]
-            key = (prev, begin, depth, mask)
-            if key not in failed:
-                ends = range(first, L - reserve[n - depth - 1] + 1)
-                stack.append([begin, mask, key, itertools.product(ends, opening), 0, 0])
-        # the next end of the deepest open block after which a smaller
-        # block can open: it must run past their first mismatch
-        while stack:
-            frame = stack[-1]
-            prev = frame[0]
-            for begin, (zi, size, bit) in frame[3]:
-                if size > begin - prev:
-                    continue
-                x, y, m = ls[prev], ls[begin], 0
-                while x == y:
-                    m += 1
-                    if prev + m == begin or begin + m == L:
-                        break  # one block is a prefix of the other
-                    x, y = ls[prev + m], ls[begin + m]
-                if x > y:
-                    break
-            else:
-                failed.add(frame[2])
-                stack.pop()
-                continue
-            break
-        else:
+    for start in starts:
+        if L - start < reserve[n]:
             return None
-        frame[4] = begin
-        frame[5] = zi
-        mask = frame[1] | bit
-        first = begin + m + 1
+        prev = begin = start
+        mask = 0
+        first = start + 1  # the least end of the block at `begin`
+        while True:
+            # open block len(stack) at `begin`; ls[prev:begin] is the block before
+            depth = len(stack)
+            if heads is None:
+                opening = pseudo
+            else:
+                opening = [
+                    (zi, size, bit)
+                    for zi, h, size, bit in table.get(ls[begin], ())
+                    if not mask & bit and ls[begin : begin + size] == h
+                ]
+            if opening:
+                if depth == n - 1:
+                    return [(f[0], f[4], f[5]) for f in stack] + [(begin, L, opening[0][0])]
+                key = (prev, begin, depth, mask)
+                if key not in failed:
+                    ends = range(first, L - reserve[n - depth - 1] + 1)
+                    stack.append([begin, mask, key, itertools.product(ends, opening), 0, 0])
+            # the next end of the deepest open block after which a smaller
+            # block can open: it must run past their first mismatch
+            while stack:
+                frame = stack[-1]
+                prev = frame[0]
+                for begin, (zi, size, bit) in frame[3]:
+                    if size > begin - prev:
+                        continue
+                    x, y, m = ls[prev], ls[begin], 0
+                    while x == y:
+                        m += 1
+                        if prev + m == begin or begin + m == L:
+                            break  # one block is a prefix of the other
+                        x, y = ls[prev + m], ls[begin + m]
+                    if x > y:
+                        break
+                else:
+                    failed.add(frame[2])
+                    stack.pop()
+                    continue
+                break
+            else:
+                break  # no division from this start
+            frame[4] = begin
+            frame[5] = zi
+            mask = frame[1] | bit
+            first = begin + m + 1
+    return None
 
 
 def is_nd_reducible(w: Word, n: int, d: int) -> bool:
@@ -328,9 +319,7 @@ def is_nd_reducible(w: Word, n: int, d: int) -> bool:
     """
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
-    if find_period_power(w, d) is not None:
-        return True
-    return _block_division(w.letters, n, 0) is not None
+    return _first_power(w.letters, d, leftmost=False) is not None or _block_division(w.letters, n) is not None
 
 
 @dataclass(frozen=True)
@@ -381,7 +370,7 @@ def max_nonreducible_length(
                 raise BudgetExceededError(
                     f"oracle budget of {budget} nodes exhausted at depth {len(cand)}", nodes
                 )
-            if x not in blocked and _block_division(cand, n, 0) is None:
+            if x not in blocked and _block_division(cand, n) is None:
                 yield cand, None
 
     # the length guard is here; below max_len = 1 it raises at the first letter
@@ -812,7 +801,7 @@ def _class_width(c: CodingClass) -> int:
     an antichain is a non-increasing run: two rotations of one cycle
     never compare, and a later cycle's rotation compares with an
     earlier one exactly when it is larger."""
-    return _longest_nondecreasing([k for keys in _cycle_keys(c) for k in keys])
+    return len(_longest_nondecreasing([k for keys in _cycle_keys(c) for k in keys]))
 
 
 def _cycle_keys(c: CodingClass) -> list[list[int]]:
@@ -835,17 +824,19 @@ def _rotation_keys(z: tuple[int, ...], base: int) -> list[int]:
     return sorted(ranks)
 
 
-def _longest_nondecreasing(keys: list[int]) -> int:
-    """The most keys in a non-decreasing run, by one left-to-right
-    patience pass."""
-    piles: list[int] = []  # piles[k]: least key read that closes k + 1 keys
+def _longest_nondecreasing(keys: Iterable[int], piles: Sequence[int] = ()) -> list[int]:
+    """The patience piles after a left-to-right pass over keys that goes
+    on from `piles`: piles[k] is the least key read that closes a
+    non-decreasing run of k + 1 keys, so there are as many piles as keys
+    in the longest run."""
+    piles = list(piles)
     for x in keys:
         k = bisect_right(piles, x)
         if k == len(piles):
             piles.append(x)
         else:
             piles[k] = x
-    return len(piles)
+    return piles
 
 
 def recode_pairs(c: CodingClass) -> CodingClass:
@@ -1074,8 +1065,9 @@ def selective_corpus_check(
     and report the largest small selective height against the bound.
 
     The declared period set is every primitive word of the given length.
-    Strong divisibility is kept under right extension, so a divisible
-    word is counted in `excluded` with all its extensions up to max_len.
+    Strong divisibility is kept under right extension, so the words not
+    scanned, counted in `excluded`, are the divisible words with all
+    their extensions up to max_len.
 
     Only the last block can be new.  Every head has the same length t,
     so a block opens with its first t letters, two blocks with distinct
@@ -1156,20 +1148,18 @@ def selective_corpus_check(
             kids = children[i] = tuple(None if s is None else number[s] for s in after)
         return kids
 
-    scanned = excluded = 0
+    scanned = 0
     level = {0: 1}  # head state number -> number of words of this length
-    below = sum(l**j for j in range(max_len))  # a length-(k+1) word and its extensions
-    for k in range(max_len):
+    for _ in range(max_len):
         grown: dict[int, int] = {}
         for state, count in level.items():
             for child in step(state):
-                if child is None:
-                    excluded += count * below
-                else:
+                if child is not None:
                     scanned += count
                     grown[child] = grown.get(child, 0) + count
         level = grown
-        below -= l ** (max_len - 1 - k)
+    # every word up to max_len is scanned or excluded
+    excluded = sum(l**k for k in range(1, max_len + 1)) - scanned
     worst = _corpus_height(step, heads, t, boundary + 1, max_len)
     return dict(
         l=l, n=n, max_len=max_len, period_len=period_len, boundary=boundary,
@@ -1201,24 +1191,24 @@ def _light_classes(t: int, alphabet: Alphabet, n_max: int):
     cycle at a time and drops a class, with all its extensions, once
     its width reaches n_max.  pad_to_power_of_two and recode_pairs map
     a class cycle by cycle, in order, so each cycle's keys in the class
-    and in both images are taken once, and a width is one patience pass
-    over the chosen cycles' keys."""
+    and in both images are taken once.  A class carries its patience
+    piles and those of its images, and a child's come from pushing its
+    new cycle's keys onto them: a width is its number of piles."""
     s = (t - 1).bit_length()
     every = CodingClass(t, alphabet, primitive_cycle_classes(t, alphabet))
     own = _cycle_keys(every)
     padded = _cycle_keys(pad_to_power_of_two(every, s))
     recoded = _cycle_keys(recode_pairs(every)) if t % 2 == 0 else None
 
-    def width(keys: list[list[int]], chosen: tuple[int, ...]) -> int:
-        return _longest_nondecreasing([k for j in chosen for k in keys[j]])
+    def children(chosen: tuple[int, ...], piles: tuple):
+        own_piles, padded_piles, recoded_piles = piles
+        for i in range(len(own)):
+            if i not in chosen and len(grown := _longest_nondecreasing(own[i], own_piles)) < n_max:
+                grown_recoded = recoded and _longest_nondecreasing(recoded[i], recoded_piles)
+                yield chosen + (i,), (grown, _longest_nondecreasing(padded[i], padded_piles), grown_recoded)
 
-    def children(chosen: tuple[int, ...], _):
-        for grown in (chosen + (i,) for i in range(len(own)) if i not in chosen):
-            if (grown_width := width(own, grown)) < n_max:
-                yield grown, grown_width
-
-    for grown, grown_width in _depth_first(children, ((), None), len(own)):
-        yield grown, grown_width, width(padded, grown), width(recoded, grown) if recoded else None
+    for grown, (own_piles, padded_piles, recoded_piles) in _depth_first(children, ((), ((),) * 3), len(own)):
+        yield grown, len(own_piles), len(padded_piles), len(recoded_piles) if recoded else None
 
 
 _CODING_BUDGET = 2_000_000  # light classes a coding check visits, as many as the oracle's default nodes

@@ -24,9 +24,9 @@ returned: `min_chain_cover`, `max_antichain` (the `posets` CLI) and
 `divisibility.dilworth_tail_coloring`.  A width alone is one patience
 pass, `_decreasing_reach`, with no relation built: for `epsilon_table`,
 `tableaux.longest_decreasing` and the tail width.  The coding-class
-width is one left-to-right pass instead
-(`divisibility._longest_nondecreasing`), over integer rotation keys
-that the coding corpus search takes once per cycle.
+width is the pile count of a left-to-right pass instead
+(`divisibility._longest_nondecreasing`), whose piles the coding corpus
+search carries per class and extends by one cycle's keys per child.
 
 Every kernel reads whole rows of the relation instead of asking about
 one pair at a time.  The matching is Kuhn's augmenting-path method on

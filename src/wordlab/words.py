@@ -20,7 +20,9 @@ generator walked by `_depth_first`, on an explicit stack.  The walk is
 lazy: it asks a node for its next child only when it is back at that
 node, so a search that tests or counts its nodes inside `children`
 does so in preorder, and one that stops early has tested nothing past
-its stop.
+its stop.  Its depth counts levels and its nodes are opaque, so a node
+holds only what its search needs: pattern matching walks (pattern
+letters placed, host position) pairs in O(depth) memory.
 
 A word is regular when it is strictly greater than each of its proper
 rotations: the Lyndon words of the reversed letter order (Chen, Fox and
@@ -150,6 +152,9 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
             raise ValueError(
                 f"word text {text!r} is not of the form i:1,2,3 (integer letter indices)"
             ) from None
+        bad = next((x for x in letters if x < 1), None)
+        if bad is not None:
+            raise ValueError(f"word text {text!r} has letter index {bad}; letter indices start at 1")
     else:
         letters = tuple(ord(ch) - ord("a") + 1 for ch in text)
         if any(x < 1 or x > 26 for x in letters):
@@ -351,13 +356,14 @@ def _power_blockers(ls: tuple[int, ...], e: int) -> set[int]:
     return blocked
 
 
-def _depth_first(children, root: tuple, max_len: int) -> Iterator[tuple]:
+def _depth_first(children, root: tuple, depth: int) -> Iterator[tuple]:
     """Yield the (node, state) pairs below root, itself such a pair, in
-    preorder, down to nodes of max_len letters.  `children(node, state)`
-    generates the pairs (node + (x,), state of that child) in visiting
-    order; the walk holds one generator per level on an explicit stack, so
-    it has no depth limit, and resumes one only after its last child's subtree."""
-    limit = max_len - len(root[0]) - 1  # the most generators below top
+    preorder, down to `depth` levels below root.  Nodes are opaque: the
+    walk counts levels and never looks inside one.  `children(node,
+    state)` generates the pairs of its children in visiting order; the
+    walk holds one generator per level on an explicit stack, so it has no
+    depth limit, and resumes one only after its last child's subtree."""
+    limit = depth - 1  # the most generators below top
     if limit < 0:
         return
     top, stack = children(*root), []
@@ -628,24 +634,24 @@ def find_pattern_instance(pattern: Word, host: Word) -> dict[int, Word] | None:
     hls = host.letters
     later = {x: pat.count(x) - 1 for x in set(pat)}  # occurrences after a letter's first
 
-    def children(ends: tuple[int, ...], state: tuple[dict[int, tuple[int, ...]], int]):
-        # ends = (start, end of the image of pat[0], ..., of pat[pi - 1]);
+    def children(node: tuple[int, int], state: tuple[dict[int, tuple[int, ...]], int]):
+        # node = (pattern letters placed, host position after their images);
         # need = the fewest host letters pat[pi:] spans: a bound letter's image, one per other
-        (bound, need), pi, hi = state, len(ends) - 1, ends[-1]
+        (pi, hi), (bound, need) = node, state
         if hi + need > len(hls):
             return
         letter = pat[pi]
         if letter in bound:
             img = bound[letter]
             if hls[hi : hi + len(img)] == img:
-                yield ends + (hi + len(img),), (bound, need - len(img))
+                yield (pi + 1, hi + len(img)), (bound, need - len(img))
             return
         for end in range(hi + 1, len(hls) + 1):
-            yield ends + (end,), ({**bound, letter: hls[hi:end]}, need - 1 + (end - hi - 1) * later[letter])
+            yield (pi + 1, end), ({**bound, letter: hls[hi:end]}, need - 1 + (end - hi - 1) * later[letter])
 
     for start in range(len(hls)):
-        for ends, (bound, _) in _depth_first(children, ((start,), ({}, len(pat))), len(pat) + 1):
-            if len(ends) > len(pat):
+        for (pi, _), (bound, _) in _depth_first(children, ((0, start), ({}, len(pat))), len(pat)):
+            if pi == len(pat):
                 return {k: _word(v, host.alphabet) for k, v in bound.items()}
     return None
 

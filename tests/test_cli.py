@@ -97,6 +97,13 @@ class TestExitCodes:
             "error: word text 'i:1,x' is not of the form i:1,2,3 (integer letter indices)\n"
         )
 
+    @pytest.mark.parametrize("text, bad", [("i:0", 0), ("i:-1", -1), ("i:0,0", 0)])
+    def test_index_below_one_message(self, text, bad, capsys):
+        code, out = run_cli("divide", "--word", text, "--n", "2")
+        assert (code, out) == (2, "")
+        message = f"word text {text!r} has letter index {bad}; letter indices start at 1"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_posets_size_message(self, capsys):
         code, out = run_cli("posets", "--random", "3", "--size", "0")
         assert (code, out) == (2, "")

@@ -227,6 +227,27 @@ def recursive_strong_witness(w, n, Z, min_power):
     return None
 
 
+def per_start_strong_witness(w, n, Z, min_power):
+    """The strong witness as _strong_witness found it when the block
+    search took one start a call: each free-prefix length with room for
+    the n shortest heads, in increasing order, in a call of its own."""
+    Z = tuple({z.letters: z for z in Z}.values())
+    if len(Z) < n:
+        return None
+    ls = w.letters
+    heads = [z.letters * min_power for z in Z]
+    span = sum(sorted(map(len, heads))[:n])
+    for start in range(len(ls) - span + 1):
+        blocks = divisibility._block_division(ls, n, (start,), heads)
+        if blocks is not None:
+            return DivisibilityWitness(
+                Sense.STRONG,
+                tuple((s + 1, e) for s, e, _ in blocks),
+                tuple(Z[zi] for _, _, zi in blocks),
+            )
+    return None
+
+
 def naive_tail(ls, n):
     suffixes = [ls[i:] for i in range(len(ls))]
     for combo in itertools.combinations(range(len(ls)), n):
@@ -650,7 +671,13 @@ def reference_light_classes(t: int, alphabet: Alphabet, n_max: int):
     recoded = divisibility._cycle_keys(recode_pairs(every)) if t % 2 == 0 else None
 
     def width(keys, chosen):
-        return divisibility._longest_nondecreasing([k for j in chosen for k in keys[j]])
+        # the longest non-decreasing run of the class listing, from scratch:
+        # run[i] is the longest one that ends at listed key i
+        listing = [k for j in chosen for k in keys[j]]
+        run = []
+        for i, x in enumerate(listing):
+            run.append(1 + max((run[j] for j in range(i) if listing[j] <= x), default=0))
+        return max(run, default=0)
 
     stack = [()]
     while stack:
@@ -928,6 +955,37 @@ class TestBlockDivision:
         got = is_n_divisible(w, n, "strong", Z=Z, min_power=min_power)
         assert got == recursive_strong_witness(w, n, Z, min_power)
 
+    def test_strong_all_starts_against_one_start_a_call_seeded(self):
+        # one call over every start, one memo for them all, against one
+        # call per start, each with a memo of its own
+        rng = random.Random(2900)
+        found = 0
+        for _ in range(3000):
+            A = rng.choice((A2, A3))
+            ls = tuple(rng.randint(1, A.size) for _ in range(rng.randint(1, 28)))
+            periods = [
+                Word(z, A) for t in (1, 2, 3) for z in itertools.product(A.letters(), repeat=t) if is_primitive(z)
+            ]
+            Z = tuple(rng.sample(periods, rng.randint(1, len(periods))))
+            n, min_power = rng.randint(1, 5), rng.randint(1, 2)
+            w = Word(ls, A)
+            got = is_n_divisible(w, n, "strong", Z=Z, min_power=min_power)
+            assert got == per_start_strong_witness(w, n, Z, min_power), (ls, n, min_power)
+            found += got is not None
+        assert 500 < found < 2500  # both answers occur
+
+    @given(
+        st.lists(st.integers(1, 3), max_size=20),
+        st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3), min_size=1, max_size=6),
+        st.integers(1, 5),
+        st.integers(1, 2),
+    )
+    def test_strong_all_starts_against_one_start_a_call_hypothesis(self, letters, periods, n, min_power):
+        w = Word(tuple(letters), A3)
+        Z = [Word(tuple(z), A3) for z in periods]
+        got = is_n_divisible(w, n, "strong", Z=Z, min_power=min_power)
+        assert got == per_start_strong_witness(w, n, Z, min_power)
+
     def test_deeper_than_the_recursion_limit(self):
         # one block per letter: 1,200 blocks, one Python frame each before
         ls = tuple(range(1200, 0, -1))
@@ -1061,7 +1119,7 @@ def reference_max_nonreducible_length(n, d, l, budget=2_000_000, max_len=50):
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"oracle budget of {budget} nodes exhausted at depth {len(cand)}", nodes)
-        if next_letter in blocked or divisibility._block_division(cand, n, 0) is not None:
+        if next_letter in blocked or divisibility._block_division(cand, n) is not None:
             continue
         if len(cand) > best_len:
             best_len, best_word = len(cand), cand
@@ -1619,12 +1677,8 @@ class TestSelectiveHeights:
                         child = ls + (x,)
                         child_state = divisibility._head_step(state, x, rank, t, n)
                         if len(child) >= t:
-                            starts = range(len(child) - n * t + 1)
-                            failed = set()  # one memo for every start, as _strong_witness shares it
-                            divides = any(
-                                divisibility._block_division(child, n, s, heads, failed) is not None
-                                for s in starts
-                            )
+                            # every start with room for n heads, in one call, as _strong_witness asks
+                            divides = divisibility._block_division(child, n, range(len(child)), heads) is not None
                             assert (child_state is None) == divides, (child, n, t)
                             checked += 1
                             divisible += divides

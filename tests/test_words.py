@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -847,6 +848,33 @@ def reference_find_pattern_instance(pattern, host):
     return None
 
 
+def ends_tuple_find_pattern_instance(pattern, host):
+    """The walker's pattern search before its nodes were opaque: a node is
+    the growing tuple of image ends, so a path of depth k holds O(k**2)
+    letters on the walker's stack."""
+    pat, hls = pattern.letters, host.letters
+    later = {x: pat.count(x) - 1 for x in set(pat)}
+
+    def children(ends, state):
+        (bound, need), pi, hi = state, len(ends) - 1, ends[-1]
+        if hi + need > len(hls):
+            return
+        letter = pat[pi]
+        if letter in bound:
+            img = bound[letter]
+            if hls[hi : hi + len(img)] == img:
+                yield ends + (hi + len(img),), (bound, need - len(img))
+            return
+        for end in range(hi + 1, len(hls) + 1):
+            yield ends + (end,), ({**bound, letter: hls[hi:end]}, need - 1 + (end - hi - 1) * later[letter])
+
+    for start in range(len(hls)):
+        for ends, (bound, _) in _depth_first(children, ((start,), ({}, len(pat))), len(pat)):
+            if len(ends) > len(pat):
+                return {k: Word(v, host.alphabet) for k, v in bound.items()}
+    return None
+
+
 def recursive_preorder(node, tree, max_len):
     """(node, subtree) below node in preorder, one Python frame per level."""
     out = []
@@ -911,8 +939,18 @@ class TestDepthFirst:
         st.integers(-1, 6),
     )
     def test_against_recursive_preorder(self, tree, root_len, max_len):
+        # the walk counts levels below its root: max_len - root_len of them
         root = (7,) * root_len
-        assert list(_depth_first(subtrees, (root, tree), max_len)) == recursive_preorder(root, tree, max_len)
+        got = list(_depth_first(subtrees, (root, tree), max_len - root_len))
+        assert got == recursive_preorder(root, tree, max_len)
+
+    def test_nodes_are_opaque(self):
+        # integer nodes: the walk counts levels and never takes a length
+        def children(node, state):
+            for x in (1, 2):
+                yield 2 * node + x, state + 1
+
+        assert list(_depth_first(children, (0, 0), 2)) == [(1, 1), (3, 2), (4, 2), (2, 1), (5, 2), (6, 2)]
 
 
 class TestZiminAndPatterns:
@@ -932,6 +970,7 @@ class TestZiminAndPatterns:
             pattern, hw = Word(pat, Alphabet(max(pat))), Word(host, Alphabet(l))
             got = find_pattern_instance(pattern, hw)
             assert got == reference_find_pattern_instance(pattern, hw), (pat, host)
+            assert got == ends_tuple_find_pattern_instance(pattern, hw), (pat, host)
             assert got is None or list(got) == list(dict.fromkeys(pat)), (pat, host)
             found += got is not None
         assert found > 1000 and 2500 - found > 300  # both outcomes well represented
@@ -940,6 +979,18 @@ class TestZiminAndPatterns:
     def test_long_zimin_pattern_in_itself(self, n):
         # 1,023 and 4,095 pattern letters, one walk level each
         assert pattern_occurs(zimin_word(n), zimin_word(n)) is True
+
+    def test_long_zimin_pattern_memory(self):
+        # a node is (pattern letters placed, host position), so the 4,095
+        # levels hold O(depth) memory; end tuples per node took about 69 MB
+        z = zimin_word(12)
+        tracemalloc.start()
+        try:
+            assert pattern_occurs(z, z) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000, peak
 
     def test_recursion(self):
         assert format_word(zimin_word(1)) == "a"
@@ -981,6 +1032,14 @@ class TestTextFormat:
         with pytest.raises(ValueError) as info:
             parse_word(text)
         assert str(info.value) == f"word text {text!r} is not of the form i:1,2,3 (integer letter indices)"
+
+    @pytest.mark.parametrize("text, bad", [("i:0", 0), ("i:-1", -1), ("i:0,0", 0), ("i:2,-3,0", -3)])
+    def test_index_below_one_is_named(self, text, bad):
+        # the same message whether the alphabet is given or sized from the largest index
+        for alphabet in (None, Alphabet(3)):
+            with pytest.raises(ValueError) as info:
+                parse_word(text, alphabet)
+            assert str(info.value) == f"word text {text!r} has letter index {bad}; letter indices start at 1"
 
 
 class TestTailComparability:
