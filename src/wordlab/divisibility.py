@@ -50,6 +50,7 @@ from .words import (
     _depth_first,
     _first_power,
     _least_rotation,
+    _level_counts,
     _pack,
     _power_blockers,
     _word,
@@ -202,6 +203,8 @@ def _strong_witness(
 ) -> DivisibilityWitness | None:
     """First strong n-division of w, shortest free prefix first, or None:
     one _block_division over every start."""
+    if min_power < 1:
+        raise ValueError("min_power must be >= 1")
     if any(len(z) == 0 for z in Z):
         raise ValueError("periods in Z must be nonempty")
     Z = tuple({z.letters: z for z in Z}.values())  # a repeated period is one period
@@ -1092,12 +1095,12 @@ def selective_corpus_check(
     pending ones when a window is added and folds into M: M[r] rises
     to its chain for every r below its rank.  Chains stay below n, so
     few states exist, and two words with one state have extensions
-    that are excluded alike.  The counts are taken level by level over
-    the states, each with the number of words that reach it.  Where no
-    division is possible (fewer than n heads, or n * t > max_len),
-    every word is scanned and the head state never changes.  Each
-    state's children are taken once a call and shared with the height
-    search.
+    that are excluded alike.  So `scanned` counts the words level by
+    level over the head states (`words._level_counts`), each with the
+    number of words that reach it, the empty word left out.  Where no
+    division is possible (fewer than n heads, or n * t > max_len), every
+    word is scanned and the head state never changes.  Each state's
+    children are taken once a call and shared with the height search.
 
     A word is excluded exactly when some chain of head windows lies
     anywhere in it, so every factor of a scanned word is scanned.  A
@@ -1148,16 +1151,7 @@ def selective_corpus_check(
             kids = children[i] = tuple(None if s is None else number[s] for s in after)
         return kids
 
-    scanned = 0
-    level = {0: 1}  # head state number -> number of words of this length
-    for _ in range(max_len):
-        grown: dict[int, int] = {}
-        for state, count in level.items():
-            for child in step(state):
-                if child is not None:
-                    scanned += count
-                    grown[child] = grown.get(child, 0) + count
-        level = grown
+    scanned = sum(_level_counts(step, 0, max_len)) - 1  # the empty word is not scanned
     # every word up to max_len is scanned or excluded
     excluded = sum(l**k for k in range(1, max_len + 1)) - scanned
     worst = _corpus_height(step, heads, t, boundary + 1, max_len)

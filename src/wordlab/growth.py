@@ -7,9 +7,11 @@ Corasick 1975), the Ufnarovskii graph of the algebra (Ufnarovskii
 1982): its states are the trie nodes of the forbidden words, at most
 their total length plus one, and a state is dead when its node ends
 with a forbidden word, that is when the node is terminal or its suffix
-link is dead.  A word is allowed exactly when it passes no dead state,
-so `count_words` counts words of every length by transfer over the
-live states.
+link is dead.  `_automaton` returns one successor table: succ[s][x - 1]
+is the state after letter x, or None where that state is dead.  A word
+is allowed exactly when it passes no dead state, so `count_words`
+counts the words of every length level by level over the live states
+(`words._level_counts`), each with the number of words that reach it.
 
 The subword graph has the allowed words of length m as vertices (m one
 less than the longest forbidden word) and overlap edges whose
@@ -17,10 +19,10 @@ less than the longest forbidden word) and overlap edges whose
 the depth-first walk `words._depth_first` over live states, letters in
 increasing order, so they come out in lexicographic order, the order of
 `itertools.product`; window u has the edge for letter x exactly when
-the state of u steps to a live state on x.  Growth is exponential
-exactly when some vertex lies on two distinct cycles, and otherwise
-polynomial with degree equal to the most cycles any path through the
-cycle condensation can visit.
+the state of u has a successor on x in the same table.  Growth is
+exponential exactly when some vertex lies on two distinct cycles, and
+otherwise polynomial with degree equal to the most cycles any path
+through the cycle condensation can visit.
 
 Factor complexity sorts the word's windows once: the factors of length
 k are counted by how many sorted neighbours share a prefix of k
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import iv_log2
-from .words import Alphabet, Word, _depth_first, _is_factor, _pack, format_word, parse_word
+from .words import Alphabet, Word, _depth_first, _is_factor, _level_counts, _pack, format_word, parse_word
 
 
 @dataclass(frozen=True)
@@ -80,12 +82,12 @@ class SubwordGraph:
         return out
 
 
-def _automaton(spec: MonomialAlgebraSpec) -> tuple[list[list[int]], list[bool]]:
-    """Aho-Corasick automaton of the forbidden set: (delta, dead).
+def _automaton(spec: MonomialAlgebraSpec) -> list[list[int | None]]:
+    """Aho-Corasick automaton of the forbidden set as one successor table.
 
-    States are the trie nodes of `spec.forbidden`, root 0; delta[s][x - 1]
+    States are the trie nodes of `spec.forbidden`, root 0; succ[s][x - 1]
     is the state after letter x in state s, the longest suffix of the
-    letters read that is a trie node.
+    letters read that is a trie node, or None where that state is dead.
     """
     size = spec.alphabet.size
     delta = [[-1] * size]
@@ -117,18 +119,18 @@ def _automaton(spec: MonomialAlgebraSpec) -> tuple[list[list[int]], list[bool]]:
             else:
                 link[t] = fallback[c]
                 queue.append(t)
-    return delta, dead
+    return [[None if dead[t] else t for t in row] for row in delta]
 
 
 def subword_graph(spec: MonomialAlgebraSpec) -> SubwordGraph:
     m = max((len(f) for f in spec.forbidden), default=2) - 1
     m = max(m, 1)
-    delta, dead = _automaton(spec)
+    succ = _automaton(spec)
     letters = spec.alphabet.letters()
 
     def children(ls: tuple[int, ...], s: int):
-        for x, t in zip(letters, delta[s]):
-            if not dead[t]:
+        for x, t in zip(letters, succ[s]):
+            if t is not None:
                 yield ls + (x,), t
 
     windows = [(ls, s) for ls, s in _depth_first(children, ((), 0), m) if len(ls) == m]
@@ -139,25 +141,11 @@ def subword_graph(spec: MonomialAlgebraSpec) -> SubwordGraph:
 
 
 def count_words(spec: MonomialAlgebraSpec, n: int) -> list[int]:
-    """Allowed words per length 0..n, by transfer over the live automaton states."""
+    """Allowed words per length 0..n, counted level by level over the live
+    automaton states."""
     if n < 0:
         raise ValueError("growth length must be non-negative")
-    delta, dead = _automaton(spec)
-    live = [s for s in range(len(delta)) if not dead[s]]
-    succ = [[t for t in delta[s] if not dead[t]] for s in live]
-    vec = [0] * len(delta)
-    vec[0] = 1
-    counts = [1] + [0] * n
-    for k in range(1, n + 1):
-        nxt = [0] * len(delta)
-        for s, targets in zip(live, succ):
-            v = vec[s]
-            if v:
-                for t in targets:
-                    nxt[t] += v
-        vec = nxt
-        counts[k] = sum(vec)
-    return counts
+    return _level_counts(_automaton(spec).__getitem__, 0, n)
 
 
 def growth_function(spec: MonomialAlgebraSpec, n: int, cap: int = 10_000) -> list[int]:
@@ -168,7 +156,7 @@ def growth_function(spec: MonomialAlgebraSpec, n: int, cap: int = 10_000) -> lis
 
 
 def count_words_direct(spec: MonomialAlgebraSpec, n: int) -> list[int]:
-    """Independent enumeration used to cross-check the transfer counts.
+    """Independent enumeration used to cross-check the level counts.
 
     Every frontier word is allowed, so an extension by one letter is
     allowed exactly when no forbidden word is a suffix of it.

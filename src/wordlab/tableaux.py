@@ -7,10 +7,11 @@ subsequence of length k+1 by four independent routes that must agree:
 enumeration, hook-length summation, the exact closed form for k = 3,
 and coefficient extraction from Gessel's determinant generating
 function, computed on exponential series with integer coefficients.
-The enumeration route walks the tree of permutation prefixes under
-Schensted's patience sorting, but counts the completions of prefixes
-once per merged state (the relative order of their unused values and
-pile tops), so it stays independent of the hook and determinant routes.
+The enumeration route counts the tree of permutation prefixes under
+Schensted's patience sorting level by level on `words._level_counts`,
+with the prefixes merged by state (the relative order of their unused
+values and pile tops), so it stays independent of the hook and
+determinant routes.
 
 A Tableau's rows are a tuple of tuples (list rows are converted), so it
 cannot change, and it keeps its shape and its is_standard() answer once
@@ -34,6 +35,7 @@ from operator import lt
 from typing import Iterator, Sequence
 
 from .posets import _decreasing_reach
+from .words import _level_counts
 
 
 @dataclass(frozen=True)
@@ -263,31 +265,22 @@ def _xi_enumerate(n: int, k: int) -> int:
     later value lands depends only on how it compares with the tops at
     that moment, and buried values are never compared again, so every
     prefix with the same state has the same number of completions.
-    Merging those prefixes is therefore exact, and each state's count
-    is computed once.
+    Merging those prefixes is therefore exact: the permutations are the
+    nodes at level n of the tree of states (`words._level_counts`).
     """
-    memo: dict[str, int] = {}
 
-    def completions(s: str) -> int:
-        if "u" not in s:
-            return 1
-        total = memo.get(s)
-        if total is not None:
-            return total
-        total = 0
+    def children(s: str) -> Iterator[str]:
         room = s.count("t") < k
         j = -1  # index of the last top left of i
         for i, c in enumerate(s):
             if c == "t":
                 j = i
             elif j >= 0:
-                total += completions(s[:j] + s[j + 1 : i] + "t" + s[i + 1 :])
+                yield s[:j] + s[j + 1 : i] + "t" + s[i + 1 :]
             elif room:
-                total += completions(s[:i] + "t" + s[i + 1 :])
-        memo[s] = total
-        return total
+                yield s[:i] + "t" + s[i + 1 :]
 
-    return completions("u" * n)
+    return _level_counts(children, "u" * n, n)[n]
 
 
 def xi3_closed(n: int) -> int:

@@ -13,16 +13,24 @@ Walks that grow words one letter at a time ask instead which letters
 would close a z**e at the end (`_power_blockers`), once per parent for
 all of its children.
 
-Every tree search of the package (the length oracle, the square-free
+The tree searches of the package (the length oracle, the square-free
 words, the subword graph's windows, the light coding classes, the
-brute-force antichains and pattern matching) is one `children`
+brute-force antichains and pattern matching) are each one `children`
 generator walked by `_depth_first`, on an explicit stack.  The walk is
 lazy: it asks a node for its next child only when it is back at that
 node, so a search that tests or counts its nodes inside `children`
 does so in preorder, and one that stops early has tested nothing past
 its stop.  Its depth counts levels and its nodes are opaque, so a node
 holds only what its search needs: pattern matching walks (pattern
-letters placed, host position) pairs in O(depth) memory.
+letters placed, host position) pairs in O(depth) memory.  Two searches
+keep their own stacks, both measured slower on the walker: the block
+division of `divisibility._block_division` and the run selection of
+`divisibility._selection_height`.
+
+The second engine, `_level_counts`, counts the nodes per level of a
+tree whose nodes merge into states: the words of `growth.count_words`,
+the corpus of `divisibility.selective_corpus_check` and the
+permutations of the `tableaux` enumeration.
 
 A word is regular when it is strictly greater than each of its proper
 rotations: the Lyndon words of the reversed letter order (Chen, Fox and
@@ -380,6 +388,23 @@ def _depth_first(children, root: tuple, depth: int) -> Iterator[tuple]:
             top = stack.pop()
 
 
+def _level_counts(children, root, depth: int) -> list[int]:
+    """The nodes per level 0..depth of a tree whose nodes with one state
+    have subtrees of one shape.  `children(state)` lists the state's
+    child per branch, None for a branch that is cut; each level is one
+    dict of states with the number of nodes that reach each."""
+    level, counts = {root: 1}, [1]
+    for _ in range(depth):
+        grown: dict = {}
+        for state, count in level.items():
+            for child in children(state):
+                if child is not None:
+                    grown[child] = grown.get(child, 0) + count
+        level = grown
+        counts.append(sum(grown.values()))
+    return counts
+
+
 def rotations(w: Word) -> tuple[Word, ...]:
     ls = w.letters
     return tuple(_word(ls[i:] + ls[:i], w.alphabet) for i in range(len(ls)))
@@ -446,21 +471,21 @@ def is_regular(w: Word) -> bool:
 
 class _Bracketing:
     def _walk(self) -> Iterator["Leaf | str"]:
-        """The leaves in order, with "[" before and "]" after each pair, on
-        an explicit stack, so a tree may be deeper than the recursion limit."""
+        """The leaves in order, with "[" before each pair, "," between its
+        two subtrees and "]" after it, on an explicit stack, so a tree may
+        be deeper than the recursion limit."""
         stack: list = [self]
         while stack:
             node = stack.pop()
             while type(node) is Pair:
                 yield "["
-                stack += ("]", node.right)
+                stack += ("]", node.right, ",")
                 node = node.left
             yield node
 
     def render(self, alphabet: Alphabet) -> str:
-        return "".join(
-            f"[{alphabet.letter_str(x.letter)}]" if type(x) is Leaf else x for x in self._walk()
-        )
+        marks = (f"[{alphabet.letter_str(x.letter)}]" if type(x) is Leaf else x for x in self._walk())
+        return "".join(m for m in marks if m != ",")
 
     def frontier(self) -> tuple[int, ...]:
         """The letters of the leaves in order, on an explicit stack."""
@@ -482,29 +507,22 @@ class Leaf(_Bracketing):
     letter: int
 
 
+# the text of the generated dataclass repr at each marker of _walk
+_PAIR_REPR = {"[": "Pair(left=", ",": ", right=", "]": ")"}
+
+
 @dataclass(frozen=True, eq=False)
 class Pair(_Bracketing):
-    """An inner node.  Equality and hash read the bracketed leaf
-    sequence of _walk, which spells the tree, and repr writes the
-    generated dataclass repr's text on an explicit stack, so a tree may
-    be deeper than the recursion limit."""
+    """An inner node.  Equality, hash and repr read the bracketed leaf
+    sequence of _walk, which spells the tree, so a tree may be deeper
+    than the recursion limit; repr writes the generated dataclass
+    repr's text."""
 
     left: "Leaf | Pair"
     right: "Leaf | Pair"
 
     def __repr__(self) -> str:
-        parts: list[str] = []
-        stack: list = [self]
-        while stack:
-            node = stack.pop()
-            if type(node) is str:
-                parts.append(node)
-            elif type(node) is Pair:
-                parts.append("Pair(left=")
-                stack += (")", node.right, ", right=", node.left)
-            else:
-                parts.append(repr(node))
-        return "".join(parts)
+        return "".join(repr(x) if type(x) is Leaf else _PAIR_REPR[x] for x in self._walk())
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not Pair:

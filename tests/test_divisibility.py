@@ -39,6 +39,7 @@ from wordlab.divisibility import (
 )
 from wordlab.morphisms import thue_morse
 from wordlab.posets import FinitePoset, max_antichain, min_chain_cover
+from wordlab.tableaux import hook_count, partitions
 from wordlab.words import (
     THETA,
     Alphabet,
@@ -53,6 +54,19 @@ from wordlab.words import (
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
+
+
+def schur_at_ones(shape, l):
+    """s_shape(1^l), the semistandard tableaux of the shape over l letters,
+    by the hook-content formula: the product over the cells (i, j) of
+    (l + j - i) / hook(i, j)."""
+    num = den = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            below = sum(1 for r in shape[i + 1 :] if r > j)
+            num *= l + j - i
+            den *= row - j + below
+    return num // den
 
 
 def naive_ordinary(ls, n):
@@ -829,6 +843,15 @@ class TestWitnesses:
         witness = is_n_divisible(w, 2, "strong", Z=Z, min_power=2)
         assert witness is not None
         validate_witness(w, witness, min_power=2)
+
+    @pytest.mark.parametrize("min_power", [0, -1])
+    def test_strong_min_power_below_one(self, min_power):
+        Z = [word("a"), word("b")]
+        with pytest.raises(ValueError, match="^min_power must be >= 1$"):
+            is_n_divisible(word("ab"), 1, "strong", Z=Z, min_power=min_power)
+        # the ordinary and tail senses take no periods and ignore min_power
+        assert is_n_divisible(word("ba"), 2, min_power=min_power) is not None
+        assert is_n_divisible(word("ba"), 2, "tail", min_power=min_power) is not None
 
     def test_strong_search_against_reference(self):
         rng = random.Random(2014)
@@ -1658,6 +1681,24 @@ class TestSelectiveHeights:
     def test_corpus_walk_pinned_reports(self, l, n, max_len, period_len, report):
         r = selective_corpus_check(l, n, max_len, period_len, 1)
         assert (r["scanned"], r["excluded"], r["max_height"]) == report
+
+    def test_corpus_scanned_at_period_one_by_rsk(self):
+        # at period 1 the heads are the letters, so a word is excluded
+        # exactly when it holds a strictly decreasing subsequence of n
+        # letters.  RSK for words pairs the words of length L whose
+        # longest such subsequence is shorter than n with (semistandard
+        # tableau over l letters, standard tableau) pairs of one shape with
+        # fewer than n rows: f^shape * s_shape(1^l) of them
+        for l, n, max_len in itertools.product(range(1, 6), range(1, 5), (1, 2, 5, 8, 11, 14)):
+            expected = sum(
+                hook_count(shape) * schur_at_ones(shape, l)
+                for size in range(1, max_len + 1)
+                for shape in partitions(size)
+                if len(shape) < n
+            )
+            assert selective_corpus_check(l, n, max_len, 1, 1)["scanned"] == expected, (l, n, max_len)
+        assert selective_corpus_check(5, 3, 12, 1, 1)["scanned"] == 10_664_446
+        assert selective_corpus_check(4, 3, 14, 1, 1)["scanned"] == 11_071_486
 
     def test_head_step_against_strong_blocks_at_every_child(self):
         # each child of a scanned word, walked one word at a time with

@@ -10,6 +10,7 @@ from wordlab.growth import (
     GrowthClass,
     MonomialAlgebraSpec,
     SubwordGraph,
+    _automaton,
     classify_growth,
     complexity_function,
     count_words,
@@ -199,12 +200,54 @@ def guibas_odlyzko_counts(w, size, n):
     return counts
 
 
+def vector_count_words(spec, n):
+    """The transfer the level counter replaced: one list entry per
+    automaton state, holding the words that end in it, stepped over the
+    live successors of every state."""
+    succ = _automaton(spec)
+    live = [[t for t in row if t is not None] for row in succ]
+    vec = [1] + [0] * (len(succ) - 1)
+    counts = [1]
+    for _ in range(n):
+        nxt = [0] * len(succ)
+        for v, targets in zip(vec, live):
+            if v:
+                for t in targets:
+                    nxt[t] += v
+        vec = nxt
+        counts.append(sum(vec))
+    return counts
+
+
 class TestAutomaton:
     @pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
     def test_against_window_filter_and_enumeration(self, family):
         for spec in SPEC_FAMILIES[family]():
             assert subword_graph(spec) == reference_subword_graph(spec), spec
             assert count_words(spec, 12) == count_words_direct(spec, 12), spec
+
+    @pytest.mark.parametrize("family", sorted(SPEC_FAMILIES))
+    def test_level_counts_against_the_replaced_vector(self, family):
+        for spec in SPEC_FAMILIES[family]():
+            assert count_words(spec, 60) == vector_count_words(spec, 60), spec
+
+    def test_successor_table_cuts_exactly_the_forbidden_suffixes(self):
+        # reading a word through the table, the step on x is None exactly
+        # when the word plus x ends with a forbidden word
+        for family in ("census", "ternary-seeded", "unreduced"):
+            for spec in SPEC_FAMILIES[family]():
+                succ = _automaton(spec)
+                forbidden = [f.letters for f in spec.forbidden]
+                frontier = [((), 0)]
+                for _ in range(6):
+                    grown = []
+                    for ls, s in frontier:
+                        for x, t in zip(spec.alphabet.letters(), succ[s]):
+                            cand = ls + (x,)
+                            assert (t is None) == any(cand[-len(f) :] == f for f in forbidden), (spec, cand)
+                            if t is not None:
+                                grown.append((cand, t))
+                    frontier = grown
 
     def test_oracle_against_enumeration(self):
         rng = random.Random(1981)

@@ -163,6 +163,33 @@ def reference_xi_enumerate(n, k):
     return count
 
 
+def memo_xi_enumerate(n, k):
+    """The memoised recursion the level counter replaced: the completions
+    of each u/t patience state, computed once."""
+    memo = {}
+
+    def completions(s):
+        if "u" not in s:
+            return 1
+        total = memo.get(s)
+        if total is not None:
+            return total
+        total = 0
+        room = s.count("t") < k
+        j = -1  # index of the last top left of i
+        for i, c in enumerate(s):
+            if c == "t":
+                j = i
+            elif j >= 0:
+                total += completions(s[:j] + s[j + 1 : i] + "t" + s[i + 1 :])
+            elif room:
+                total += completions(s[:i] + "t" + s[i + 1 :])
+        memo[s] = total
+        return total
+
+    return completions("u" * n)
+
+
 def pile_tops(prefix):
     """Tops of the patience piles for decreasing subsequences, oldest pile first."""
     tops = []
@@ -512,6 +539,10 @@ class TestXi:
     def test_enumerate_matches_backtracking(self, n):
         for k in range(1, 10):
             assert xi_count(n, k, "enumerate") == reference_xi_enumerate(n, k)
+
+    def test_enumerate_matches_the_replaced_memo(self):
+        for n, k in itertools.product(range(0, 10), range(1, 6)):
+            assert xi_count(n, k, "enumerate") == memo_xi_enumerate(n, k), (n, k)
 
     @pytest.mark.parametrize("k", range(1, 10))
     def test_enumerate_matches_tableaux_at_nine(self, k):

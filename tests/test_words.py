@@ -32,6 +32,7 @@ from wordlab.words import (
     _first_power,
     _is_regular_letters,
     _least_rotation,
+    _level_counts,
     _power_blockers,
     all_words,
     canonical_rotation,
@@ -951,6 +952,44 @@ class TestDepthFirst:
                 yield 2 * node + x, state + 1
 
         assert list(_depth_first(children, (0, 0), 2)) == [(1, 1), (3, 2), (4, 2), (2, 1), (5, 2), (6, 2)]
+
+
+@st.composite
+def successor_tables(draw):
+    """A root state and a table with each state's child per branch, None
+    for a cut branch; the branches of one table are equally many."""
+    size = draw(st.integers(1, 6))
+    branches = draw(st.integers(0, 3))
+    child = st.none() | st.integers(0, size - 1)
+    row = st.lists(child, min_size=branches, max_size=branches)
+    return draw(st.integers(0, size - 1)), draw(st.lists(row, min_size=size, max_size=size))
+
+
+class TestLevelCounts:
+    @given(successor_tables(), st.integers(0, 6))
+    def test_against_the_walker_on_one_table(self, table, depth):
+        root, succ = table
+
+        def children(level, s):
+            for t in succ[s]:
+                if t is not None:
+                    yield level + 1, t
+
+        nodes = [1] + [0] * depth
+        for level, _ in _depth_first(children, (0, root), depth):
+            nodes[level] += 1
+        assert _level_counts(succ.__getitem__, root, depth) == nodes
+
+    def test_each_state_is_expanded_once_a_level(self):
+        # the free binary tree as one state: 2**60 nodes at level 60
+        calls = []
+
+        def children(state):
+            calls.append(state)
+            return (state, None, state)
+
+        assert _level_counts(children, "s", 60) == [2**k for k in range(61)]
+        assert len(calls) == 60
 
 
 class TestZiminAndPatterns:
