@@ -540,6 +540,14 @@ class TestSubcommandSurfaces:
         rec = json.loads(out)
         assert rec["max_antichain"] == 1
 
+    def test_posets_epsilon_seven(self):
+        code, out = run_cli("posets", "--epsilon", "--n", "7", "--format", "jsonl")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and all(row["ok"] for row in rows)
+        assert {row["k"]: row["epsilon"] for row in rows} == {
+            1: 1, 2: 224, 3: 999, 4: 608, 5: 112, 6: 11, 7: 1
+        }
+
     def test_posets_remark(self):
         code, out = run_cli("posets", "--remark", "--format", "jsonl")
         rec = json.loads(out)

@@ -4,6 +4,8 @@ import random
 import time
 from collections import Counter
 from contextlib import redirect_stdout
+from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,8 @@ import wordlab.posets as po
 from wordlab.cli import main
 from wordlab.posets import (
     FinitePoset,
+    _below,
+    _bits,
     _decreasing_reach,
     _dilworth,
     _max_matching,
@@ -30,11 +34,68 @@ from wordlab.posets import (
 )
 
 
+def reference_canonical_key(p):
+    """The key canonical_key replaced: the minimum relabeled relation
+    over every profile-respecting bijection, each built in full."""
+    n = p.size
+    profile = [
+        (down.bit_count(), up.bit_count()) for up, down in zip(p.above, _below(p))
+    ]
+    groups = {}
+    for i, prof in enumerate(profile):
+        groups.setdefault(prof, []).append(i)
+    slots = {}
+    offset = 0
+    for prof in sorted(groups):
+        slots[prof] = list(range(offset, offset + len(groups[prof])))
+        offset += len(groups[prof])
+    best = None
+    group_keys = sorted(groups)
+    rows = [tuple(_bits(row)) for row in p.above]
+    for assignment in itertools.product(
+        *(itertools.permutations(slots[prof]) for prof in group_keys)
+    ):
+        relabel = [0] * n
+        for prof, slot_perm in zip(group_keys, assignment):
+            for elem, slot in zip(groups[prof], slot_perm):
+                relabel[elem] = slot
+        rel = [0] * n
+        for i, row in enumerate(rows):
+            for j in row:
+                rel[relabel[i]] |= 1 << relabel[j]
+        key = tuple(rel)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def relabeled_rows(above, sigma):
+    """The relation rows with each element i renamed sigma[i]."""
+    rel = [0] * len(above)
+    for i, row in enumerate(above):
+        for j in _bits(row):
+            rel[sigma[i]] |= 1 << sigma[j]
+    return tuple(rel)
+
+
+def definitionally_isomorphic(p, q):
+    """Some bijection of the n! carries the relation of p onto that of q."""
+    return p.size == q.size and any(
+        relabeled_rows(p.above, sigma) == q.above for sigma in itertools.permutations(range(p.size))
+    )
+
+
+def profile_multiset(p):
+    """The sorted (down-set size, up-set size) profiles: equal for isomorphic posets."""
+    return sorted((down.bit_count(), up.bit_count()) for up, down in zip(p.above, _below(p)))
+
+
 def reference_epsilon_table(n):
-    """The loop epsilon_table replaced: one canonical key per permutation."""
+    """The loop epsilon_table replaced: one canonical key per permutation,
+    by the key canonical_key replaced."""
     seen = {}
     for pi in itertools.permutations(range(1, n + 1)):
-        key = canonical_key(permutation_poset(pi))
+        key = reference_canonical_key(permutation_poset(pi))
         if key not in seen:
             seen[key] = max(_decreasing_reach(pi))
     table = {k: 0 for k in range(1, n + 1)}
@@ -421,6 +482,135 @@ class TestOneDecompositionPerPoset:
         assert (code, buffer.getvalue()) == (0, stdout)
 
 
+# posets of up to 8 points under a random relabeling: (poset, a second bijection)
+relabeled_posets = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+        st.permutations(range(n)),
+        st.permutations(range(n)),
+    ).map(
+        lambda case: (
+            FinitePoset.from_relation(
+                n, [(case[1][min(i, j)], case[1][max(i, j)]) for i, j in case[0] if i != j]
+            ),
+            case[2],
+        )
+    )
+)
+
+
+def disjoint_union(*parts):
+    """The disjoint union of posets, each part's points after the last."""
+    rows, offset = [], 0
+    for part in parts:
+        rows += [row << offset for row in part.above]
+        offset += part.size
+    return FinitePoset(offset, tuple(rows))
+
+
+def relabelings_tried(p, monkeypatch):
+    """canonical_key(p) and the number of relabelings it built."""
+    tried = 0
+
+    def counted_product(*iterables):
+        nonlocal tried
+        for assignment in itertools.product(*iterables):
+            tried += 1
+            yield assignment
+
+    names = {k: v for k, v in vars(itertools).items() if not k.startswith("__")}
+    monkeypatch.setattr(po, "itertools", SimpleNamespace(**{**names, "product": counted_product}))
+    key = canonical_key(p)
+    monkeypatch.undo()
+    return key, tried
+
+
+def reference_relabelings(p):
+    """The number of bijections the reference tries: the product of the
+    profile-class factorials."""
+    tried = 1
+    for size in Counter(profile_multiset(p)).values():
+        tried *= factorial(size)
+    return tried
+
+
+class TestCanonicalKey:
+    def test_same_key_on_every_permutation_poset_up_to_seven(self):
+        for n in range(8):
+            for pi in itertools.permutations(range(1, n + 1)):
+                p = permutation_poset(pi)
+                assert canonical_key(p) == reference_canonical_key(p), pi
+
+    @given(relabeled_posets)
+    def test_same_key_on_random_posets(self, case):
+        p, _ = case
+        assert canonical_key(p) == reference_canonical_key(p)
+
+    @given(relabeled_posets)
+    def test_key_is_invariant_under_relabeling(self, case):
+        p, sigma = case
+        assert canonical_key(FinitePoset(p.size, relabeled_rows(p.above, sigma))) == canonical_key(p)
+
+    @pytest.mark.parametrize(
+        "name, p, tried, reference_tried",
+        [
+            # all 8 points are twins: one class of twins, placed once
+            ("antichain(8)", antichain(8), 1, 40320),
+            # two profile classes of three points each, no twins: every bijection
+            ("3 chains of 2", disjoint_union(chain(2), chain(2), chain(2)), 36, 36),
+            ("2 chains of 3", disjoint_union(chain(3), chain(3)), 8, 8),
+            # {a, b} < c and {d, e} < f: the class of a, b, d, e holds two
+            # twin classes, 4!/(2!2!) arrangements, times the 2 of {c, f}
+            ("two forks", FinitePoset.from_relation(6, [(0, 2), (1, 2), (3, 5), (4, 5)]), 12, 48),
+            # the same with three points under each top: 6!/(3!3!) arrangements, times 2
+            (
+                "two fans of 3",
+                FinitePoset.from_relation(8, [(0, 6), (1, 6), (2, 6), (3, 7), (4, 7), (5, 7)]),
+                40,
+                1440,
+            ),
+            # chains of 3, 5 and 7 points: every profile class is a singleton
+            ("remark poset", non_injectivity_demo().poset, 1, 1),
+        ],
+    )
+    def test_pinned_branches(self, name, p, tried, reference_tried, monkeypatch):
+        assert relabelings_tried(p, monkeypatch) == (reference_canonical_key(p), tried)
+        assert reference_relabelings(p) == reference_tried
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equal_keys_exactly_for_isomorphic_permutation_posets(self, n):
+        # up to 5 points equal profile multisets already mean isomorphic;
+        # 6 points add pairs that share one and are not isomorphic
+        posets = [permutation_poset(pi) for pi in itertools.permutations(range(1, n + 1))]
+        keys = [canonical_key(p) for p in posets]
+        profiles = [profile_multiset(p) for p in posets]
+        outcomes = set()
+        for a, b in itertools.combinations(range(len(posets)), 2):
+            if profiles[a] != profiles[b]:  # cannot be isomorphic
+                assert keys[a] != keys[b]
+                continue
+            isomorphic = definitionally_isomorphic(posets[a], posets[b])
+            assert (keys[a] == keys[b]) == isomorphic, (a, b)
+            outcomes.add(isomorphic)
+        assert outcomes == {3: {True}, 4: {True}, 5: {True}, 6: {True, False}}.get(n, set())
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_epsilon_against_definitional_classes(self, n):
+        # one representative per isomorphism class, found by trying every bijection
+        classes = []  # (profile multiset, representative, width)
+        for pi in itertools.permutations(range(1, n + 1)):
+            p = permutation_poset(pi)
+            profile = profile_multiset(p)
+            if not any(
+                profile == seen and definitionally_isomorphic(p, rep) for seen, rep, _ in classes
+            ):
+                classes.append((profile, p, max_antichain_bruteforce(p)))
+        table = {k: 0 for k in range(1, n + 1)}
+        for _, _, width in classes:
+            table[width] += 1
+        assert epsilon_table(n) == table
+
+
 class TestAgainstReference:
     def test_seeded_posets_up_to_forty_points(self):
         rng = random.Random(1950)
@@ -509,6 +699,9 @@ class TestPermutationPosets:
                 assert canonical_key(permutation_poset(pi)) == canonical_key(
                     permutation_poset(inverse)
                 ), pi
+
+    def test_epsilon_seven(self):
+        assert epsilon_table(7) == {1: 1, 2: 224, 3: 999, 4: 608, 5: 112, 6: 11, 7: 1}
 
     def test_epsilon_small_values(self):
         assert epsilon_table(2) == {1: 1, 2: 1}
