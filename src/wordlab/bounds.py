@@ -114,7 +114,11 @@ def beth_bound(which: str, l: int, n: int) -> int:
 
     `which` selects the variant: "t2", "t3" or "large" (period n-1); the
     numeric period cannot choose since 2 or 3 may coincide with n-1.
+    "large" needs l >= 2, where (l - 2) * (n - 1) is not negative.
     """
+    if which == "large":
+        _check(n >= 3 and l >= 2, "beth large needs n >= 3, l >= 2")
+        return (l - 2) * (n - 1)
     _check(n >= 3 and l >= 1, "beth needs n >= 3, l >= 1")
     if which == "t2":
         num = (2 * l - 1) * (n - 1) * (n - 2)
@@ -122,8 +126,6 @@ def beth_bound(which: str, l: int, n: int) -> int:
         return num // 2
     if which == "t3":
         return (2 * l - 1) * (n - 1) * (n - 2)
-    if which == "large":
-        return (l - 2) * (n - 1)
     raise ValueError(f"unknown beth selector {which!r}")
 
 

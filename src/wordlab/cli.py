@@ -224,13 +224,16 @@ _BOUNDS = {
 def _bounds_args(p: argparse.ArgumentParser) -> None:
     _common(p, "n", "d", "l")
     p.add_argument("--which", choices=tuple(_BOUNDS), required=True)
-    p.set_defaults(l=1)
 
 
 def _cmd_bounds(args) -> list[dict]:
     from . import bounds as bnd
 
     which = args.which
+    if args.l is None:
+        if which in ("beth-large", "alpha"):  # their domains exclude the default l = 1
+            raise ValueError(f"--which {which} needs --l")
+        args.l = 1
     rec = {"which": which, "n": args.n, "value": _bound_text(_BOUNDS[which](bnd, args))}
     if which in ("psi", "psi-log2", "p-nd"):
         rec["d"] = args.d

@@ -441,6 +441,13 @@ class TestSmallFormulas:
         assert bounds.beth_bound("t2", 2, 3) == 3
         assert bounds.beth_bound("t3", 2, 3) == 6
         assert bounds.beth_bound("large", 3, 4) == 3
+        assert bounds.beth_bound("large", 2, 5) == 0
+
+    @pytest.mark.parametrize("l", [1, 0, -3])
+    def test_beth_large_rejects_l_below_two(self, l):
+        # (l - 2)(n - 1) would be a negative height ceiling
+        with pytest.raises(ValueError, match=r"^beth large needs n >= 3, l >= 2$"):
+            bounds.beth_bound("large", l, 3)
 
     def test_alpha(self):
         assert bounds.alpha_lower(4, 10) == 2

@@ -38,6 +38,7 @@ class TestExitCodes:
             ("selective", "--n", "3"),
             ("complexity", "--mechanical", "1/0,0,10"),
             ("bounds", "--which", "alpha", "--n", "30", "--l", "2"),
+            ("bounds", "--which", "beth-large", "--n", "3", "--l", "1"),
             ("divide", "--word", "bacab", "--n", "2", "--sense", "tail", "--d", "-1"),
             ("divide", "--word", "bacab", "--n", "2", "--sense", "tail", "--d", "0"),
             ("selective", "--corpus", "--l", "2", "--n", "3", "--max-len", "-1",
@@ -289,6 +290,21 @@ class TestSpecExamples:
         assert code == 0 and (Decimal(rec["recode_checked"]), Decimal(rec["pad_checked"])) == (
             report["recode_checked"], report["pad_checked"]
         )
+
+    def test_bounds_beth_large_names_its_domain(self, capsys):
+        # (l - 2)(n - 1) is negative at l = 1: no height ceiling there
+        code, out = run_cli("bounds", "--which", "beth-large", "--n", "3", "--l", "1")
+        assert (code, out) == (2, "") and "beth large needs n >= 3, l >= 2" in capsys.readouterr().err
+        code, out = run_cli("bounds", "--which", "beth-large", "--n", "3", "--l", "2", "--format", "jsonl")
+        assert code == 0 and json.loads(out)["value"] == "0"
+
+    @pytest.mark.parametrize("which", ["beth-large", "alpha"])
+    def test_bounds_without_l_where_one_is_out_of_range(self, which, capsys):
+        # the default l = 1 lies outside both domains, so --l must be given
+        code, out = run_cli("bounds", "--which", which, "--n", "5")
+        assert (code, out) == (2, "") and f"--which {which} needs --l" in capsys.readouterr().err
+        code, out = run_cli("bounds", "--which", "beth-2", "--n", "3", "--format", "jsonl")
+        assert code == 0 and json.loads(out)["l"] == 1
 
     def test_bounds_upsilon(self):
         code, out = run_cli("bounds", "--n", "3", "--l", "2", "--which", "upsilon")

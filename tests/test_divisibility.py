@@ -1,8 +1,9 @@
 import itertools
 import random
-from typing import Sequence
 
+import definitions as D
 import pytest
+from definitions import binary_and_ternary_words, corpus_book  # noqa: F401 (module fixtures)
 from hypothesis import assume, given, strategies as st
 
 from wordlab import divisibility
@@ -46,7 +47,6 @@ from wordlab.words import (
     Cmp,
     Word,
     WordCycle,
-    canonical_rotation,
     lex_compare_letters,
     parse_word,
     word,
@@ -54,253 +54,6 @@ from wordlab.words import (
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
-
-
-def schur_at_ones(shape, l):
-    """s_shape(1^l), the semistandard tableaux of the shape over l letters,
-    by the hook-content formula: the product over the cells (i, j) of
-    (l + j - i) / hook(i, j)."""
-    num = den = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            below = sum(1 for r in shape[i + 1 :] if r > j)
-            num *= l + j - i
-            den *= row - j + below
-    return num // den
-
-
-def naive_ordinary(ls, n):
-    for cuts in itertools.combinations(range(1, len(ls)), n - 1):
-        bounds = (0,) + cuts + (len(ls),)
-        blocks = [ls[bounds[i] : bounds[i + 1]] for i in range(n)]
-        if all(
-            lex_compare_letters(a, b) is Cmp.GREATER for a, b in zip(blocks, blocks[1:])
-        ):
-            return True
-    return False
-
-
-def _divisible_whole(ls, n):
-    """Reference DP: a partition of the whole letter tuple into n strictly
-    decreasing blocks."""
-    L = len(ls)
-    if L < n:
-        return False
-    if n == 1:
-        return True
-    # last_starts[e] lists the starts s of possible last blocks ls[s:e]
-    # among splits of ls[:e] into j blocks; grow j block by block.
-    last_starts = {e: [0] for e in range(1, L)}
-    for _ in range(n - 2):
-        nxt = {}
-        for e, starts in last_starts.items():
-            for e2 in range(e + 1, L):
-                for s in starts:
-                    if lex_compare_letters(ls[s:e], ls[e:e2]) is Cmp.GREATER:
-                        nxt.setdefault(e2, []).append(e)
-                        break
-        last_starts = nxt
-    for e, starts in last_starts.items():
-        for s in starts:
-            if lex_compare_letters(ls[s:e], ls[e:]) is Cmp.GREATER:
-                return True
-    return False
-
-
-# The two recursive searches that divisibility._block_division replaced,
-# one Python frame per block, kept as references for its witnesses.
-
-
-def reference_ordinary_witness(ls: tuple[int, ...], n: int) -> DivisibilityWitness | None:
-    """First n-division of ls into strictly decreasing blocks, or None.
-
-    Depth-first over block ends, shortest block first.  Three cuts
-    keep it fast, and each only drops branches that cannot succeed, so
-    the witness is the one the plain search finds: the last block is
-    pinned to end at |ls|; ends that would leave a block not smaller
-    than the previous one are skipped after one mismatch scan; and a
-    failed state (previous block start, current start, depth) is never
-    searched twice.  The depth belongs in that key: the same two starts
-    with a different number of blocks left are a different question.
-    """
-    L = len(ls)
-    if L < n:
-        return None
-    failed: set[tuple[int, int, int]] = set()
-    ends: list[int] = []  # block ends of the witness, filled last block first
-
-    def extend(prev: int, start: int, depth: int) -> bool:
-        # place block `depth` at `start`; ls[prev:start] is block depth - 1
-        first = start + 1
-        if depth:
-            # the new block is smaller than the previous one iff it runs
-            # past their first mismatch and is smaller there
-            m = 0
-            while start + m < L and prev + m < start and ls[prev + m] == ls[start + m]:
-                m += 1
-            if start + m == L or prev + m == start or ls[prev + m] < ls[start + m]:
-                return False
-            first = start + m + 1
-        if depth == n - 1:
-            ends.append(L)
-            return True
-        key = (prev, start, depth)
-        if key in failed:
-            return False
-        for end in range(first, L - (n - depth - 1) + 1):
-            if extend(start, end, depth + 1):
-                ends.append(end)
-                return True
-        failed.add(key)
-        return False
-
-    if not extend(0, 0, 0):
-        return None
-    ends.reverse()
-    starts = [0] + ends[:-1]
-    return DivisibilityWitness(Sense.ORDINARY, tuple((s + 1, e) for s, e in zip(starts, ends)))
-
-
-def reference_strong_blocks(
-    ls: tuple[int, ...], n: int, heads: Sequence[tuple[int, ...]], start: int
-) -> list[tuple[int, int, int]] | None:
-    """First division of ls[start:] into n strictly decreasing blocks,
-    each opening with a head not used by an earlier block, as 0-based
-    (start, end, head index) triples; or None.
-
-    Depth-first over block ends, shortest block first, heads in order.
-    The cuts drop only branches that cannot succeed, so the division is
-    the one the plain search finds: the last block is pinned to end at
-    |ls|; ends that would leave a block not smaller than the previous
-    one are skipped after one mismatch scan; ends that leave too little
-    room for the shortest heads of the blocks still to come are not
-    tried; and the heads that open a block are found once per block
-    start, not once per candidate end.
-    """
-    L = len(ls)
-    used: list[int] = []
-    blocks: list[tuple[int, int, int]] = []  # filled last block first
-    # reserve[j]: the least room j more blocks need, one distinct head each
-    shortest = sorted(map(len, heads))
-    reserve = [sum(shortest[:j]) for j in range(n)]
-
-    def place(prev: int, begin: int, depth: int) -> bool:
-        # place block `depth` at `begin`; ls[prev:begin] is block depth - 1
-        first = begin + 1
-        if depth:
-            m = 0
-            while begin + m < L and prev + m < begin and ls[prev + m] == ls[begin + m]:
-                m += 1
-            if begin + m == L or prev + m == begin or ls[prev + m] < ls[begin + m]:
-                return False
-            first = begin + m + 1
-        opening = [
-            (zi, len(h))
-            for zi, h in enumerate(heads)
-            if zi not in used and ls[begin : begin + len(h)] == h
-        ]
-        if not opening:
-            return False
-        if depth == n - 1:
-            blocks.append((begin, L, opening[0][0]))
-            return True
-        for end in range(first, L - reserve[n - depth - 1] + 1):
-            for zi, size in opening:
-                if size > end - begin:
-                    continue
-                used.append(zi)
-                if place(begin, end, depth + 1):
-                    blocks.append((begin, end, zi))
-                    return True
-                used.pop()
-        return False
-
-    if not place(start, start, 0):
-        return None
-    blocks.reverse()
-    return blocks
-
-
-def recursive_strong_witness(w, n, Z, min_power):
-    """The strong witness as the recursive search gave it: the free-prefix
-    lengths in increasing order, each searched by reference_strong_blocks."""
-    Z = tuple({z.letters: z for z in Z}.values())
-    if len(Z) < n:
-        return None
-    ls = w.letters
-    heads = [z.letters * min_power for z in Z]
-    span = sum(sorted(map(len, heads))[:n])
-    for start in range(len(ls) - span + 1):
-        blocks = reference_strong_blocks(ls, n, heads, start)
-        if blocks is not None:
-            return DivisibilityWitness(
-                Sense.STRONG,
-                tuple((s + 1, e) for s, e, _ in blocks),
-                tuple(Z[zi] for _, _, zi in blocks),
-            )
-    return None
-
-
-def per_start_strong_witness(w, n, Z, min_power):
-    """The strong witness as _strong_witness found it when the block
-    search took one start a call: each free-prefix length with room for
-    the n shortest heads, in increasing order, in a call of its own."""
-    Z = tuple({z.letters: z for z in Z}.values())
-    if len(Z) < n:
-        return None
-    ls = w.letters
-    heads = [z.letters * min_power for z in Z]
-    span = sum(sorted(map(len, heads))[:n])
-    for start in range(len(ls) - span + 1):
-        blocks = divisibility._block_division(ls, n, (start,), heads)
-        if blocks is not None:
-            return DivisibilityWitness(
-                Sense.STRONG,
-                tuple((s + 1, e) for s, e, _ in blocks),
-                tuple(Z[zi] for _, _, zi in blocks),
-            )
-    return None
-
-
-def naive_tail(ls, n):
-    suffixes = [ls[i:] for i in range(len(ls))]
-    for combo in itertools.combinations(range(len(ls)), n):
-        if all(
-            lex_compare_letters(suffixes[a], suffixes[b]) is Cmp.GREATER
-            for a, b in zip(combo, combo[1:])
-        ):
-            return True
-    return False
-
-
-def reference_tail_witness(w, n, d):
-    """Reference tail search: depth first over chains of starts, each
-    later tail compared in full with the one before; the first chain of
-    n starts found is the witness."""
-    ls = w.letters
-    L = len(ls)
-    limit = L // d if d else L
-    if limit < n:
-        return None
-    suffixes = [ls[i:] for i in range(limit)]
-    chain = []
-
-    def grow(i):
-        chain.append(i)
-        if len(chain) == n:
-            return True
-        for j in range(i + 1, limit):
-            if lex_compare_letters(suffixes[i], suffixes[j]) is Cmp.GREATER:
-                if grow(j):
-                    return True
-        chain.pop()
-        return False
-
-    for i0 in range(limit):
-        chain.clear()
-        if grow(i0):
-            return DivisibilityWitness(Sense.TAIL, tuple((i + 1, L) for i in chain))
-    return None
 
 
 def reference_tail_coloring(w, n_colors_cap, d=None):
@@ -331,104 +84,6 @@ def _coloring_or_error(coloring, w, d):
         return str(e)
 
 
-def _exhaustive_words():
-    """Every binary word up to 10 letters and ternary word up to 7."""
-    for alphabet, max_len in ((A2, 10), (A3, 7)):
-        for length in range(max_len + 1):
-            for ls in itertools.product(alphabet.letters(), repeat=length):
-                yield Word(ls, alphabet)
-
-
-def is_primitive(ls):
-    return all(ls != ls[r:] + ls[:r] for r in range(1, len(ls)))
-
-
-def reference_strong_witness(w, n, Z, min_power):
-    """Reference strong search: every block end is tried and compared in
-    full, and the heads are matched again for every end."""
-    ls = w.letters
-    L = len(ls)
-    heads = []
-    for z in Z:
-        if len(z) == 0:
-            raise ValueError("periods in Z must be nonempty")
-        heads.append(z.letters * min_power)
-    if len({z.letters for z in Z}) < n:
-        return None
-
-    def search(blocks, zs, start):
-        depth = len(blocks)
-        if depth == n:
-            return (blocks, zs) if start == L else None
-        for end in range(start + 1, L - (n - depth - 1) + 1):
-            if depth and lex_compare_letters(
-                ls[blocks[-1][0] : blocks[-1][1]], ls[start:end]
-            ) is not Cmp.GREATER:
-                continue
-            for zi, head in enumerate(heads):
-                if zi in zs or len(head) > end - start:
-                    continue
-                if ls[start : start + len(head)] != head:
-                    continue
-                got = search(blocks + [(start, end)], zs + [zi], end)
-                if got is not None:
-                    return got
-        return None
-
-    for w0_len in range(0, L - n + 1):
-        got = search([], [], w0_len)
-        if got is not None:
-            blocks, zs = got
-            return DivisibilityWitness(
-                Sense.STRONG,
-                tuple((s + 1, e) for s, e in blocks),
-                tuple(Z[zi] for zi in zs),
-            )
-    return None
-
-
-def reference_candidate_run(ls, end, period_len, boundary):
-    """The z**(boundary+1) occurrence ending at `end`, z primitive of
-    length period_len, as (start, end, class key), 0-based; or None.
-    The per-end scan that _period_blocks replaced for the small height."""
-    t = period_len
-    start = end - t * (boundary + 1)
-    if start < 0 or ls[start + t : end] != ls[start : end - t]:
-        return None
-    z = ls[start : start + t]
-    if not is_primitive(z):
-        return None
-    return (start, end, min(z[r:] + z[:r] for r in range(t)))
-
-
-def reference_small_selective_height(w, period_len, boundary):
-    """The small height from one reference_candidate_run per end position."""
-    runs = (reference_candidate_run(w.letters, end, period_len, boundary) for end in range(len(w) + 1))
-    return divisibility._selection_height([run for run in runs if run is not None])
-
-
-def reference_maximal_runs(w, period_len, boundary):
-    """The runs of whole copies of a primitive z, not extendable by a
-    copy on the left, with more than `boundary` copies, as (start, end,
-    z): the per-start scan that _period_blocks replaced for the large
-    height."""
-    ls = w.letters
-    t = period_len
-    out = []
-    for i in range(0, len(ls) - t + 1):
-        z = ls[i : i + t]
-        if not is_primitive(z):
-            continue
-        if i >= t and ls[i - t : i] == z:
-            continue  # not maximal on the left
-        m = 1
-        while ls[i + m * t : i + (m + 1) * t] == z:
-            m += 1
-        if m > boundary:
-            out.append((i, i + m * t, z))
-    return out
-
-
 def planted_run_word(rng, length):
     """A word built from short powers and separators, so it holds many runs."""
     l = rng.randint(2, 3)
@@ -437,43 +92,6 @@ def planted_run_word(rng, length):
         z = [rng.randint(1, l) for _ in range(rng.randint(1, 3))]
         ls += z * rng.randint(1, 6) + [rng.randint(1, l) for _ in range(rng.randint(0, 3))]
     return Word(tuple(ls[: rng.randint(length // 4, length)]), Alphabet(l))
-
-
-def reference_corpus_check(l, n, max_len, period_len, bound):
-    """Reference corpus sweep: every word up to max_len is built, tested
-    with reference_strong_witness and measured on its own."""
-    alphabet = Alphabet(l)
-    Z = [
-        Word(ls, alphabet)
-        for ls in itertools.product(alphabet.letters(), repeat=period_len)
-        if is_primitive(ls)
-    ]
-    boundary = 2 * n
-    scanned = excluded = worst = 0
-    for length in range(1, max_len + 1):
-        for ls in itertools.product(alphabet.letters(), repeat=length):
-            w = Word(ls, alphabet)
-            if (
-                length >= n * period_len
-                and len(Z) >= n
-                and reference_strong_witness(w, n, tuple(Z), 1) is not None
-            ):
-                excluded += 1
-                continue
-            scanned += 1
-            worst = max(worst, small_selective_height(w, period_len, boundary))
-    return {
-        "l": l,
-        "n": n,
-        "max_len": max_len,
-        "period_len": period_len,
-        "boundary": boundary,
-        "scanned": scanned,
-        "excluded": excluded,
-        "max_height": worst,
-        "bound": bound,
-        "ok": worst <= bound,
-    }
 
 
 def reference_head_chain(ls, chains, rank, t):
@@ -493,10 +111,11 @@ def reference_corpus_walk(l, n, max_len, period_len, bound):
     """The corpus walk that selective_corpus_check replaced: depth-first
     over every scanned word, each node carrying its candidate runs and
     one head-table entry per window, and the height taken at every
-    maximal scanned word."""
+    maximal scanned word.  It stays for the cells where `definitions.Corpus`,
+    testing every child word for a division, takes seconds to minutes."""
     t = period_len
     letters = range(1, l + 1)
-    heads = [z for z in itertools.product(letters, repeat=t) if is_primitive(z)]
+    heads = D.primitive_words(l, t)
     rank = {z: i for i, z in enumerate(heads)}
     boundary = 2 * n
     scanned = excluded = worst = 0
@@ -518,8 +137,9 @@ def reference_corpus_walk(l, n, max_len, period_len, bound):
                 child_chains = chains
             scanned += 1
             maximal = False
-            run = reference_candidate_run(child, k + 1, t, boundary)
-            child_runs = runs + (run,) if run else runs
+            start = k + 1 - t * (boundary + 1)  # of the one window that ends at the new letter
+            run = D.candidate_runs(child[start:], t, boundary) if start >= 0 else []
+            child_runs = runs + tuple((start + s, start + e, c) for s, e, c in run)
             if k + 1 < max_len:
                 stack.append((child, child_runs, child_chains))
             elif child_runs:
@@ -530,6 +150,7 @@ def reference_corpus_walk(l, n, max_len, period_len, bound):
         l=l, n=n, max_len=max_len, period_len=period_len, boundary=boundary,
         scanned=scanned, excluded=excluded, max_height=worst, bound=bound, ok=worst <= bound,
     )
+
 
 
 # (l, n, max_len, period_len): every cell with l <= 3, n <= 4 and
@@ -553,62 +174,6 @@ CORPUS_HIGH = [
     ((4, 2, 20, 1), 4), ((3, 2, 15, 1), 3), ((2, 2, 24, 1), 2), ((5, 2, 18, 1), 3),
     ((2, 2, 20, 2), 0),
 ]
-
-
-def reference_large_selective_height(
-    w: Word, period_len: int, boundary: int, gap_len: int | None = None
-) -> int:
-    """Most disjoint maximal z**m fragments, m > boundary, where each
-    consecutive pair is separated by a gap longer than gap_len that is
-    comparable with the earlier fragment's period.
-
-    The recursive enumeration of every chain of compatible runs that the
-    longest-path DP replaced; exponential in the number of runs."""
-    if gap_len is None:
-        gap_len = boundary // 2
-    runs = reference_maximal_runs(w, period_len, boundary)
-    ls = w.letters
-    best = 0
-
-    def grow(idx: int, last_end: int, last_z: tuple[int, ...] | None, count: int) -> None:
-        nonlocal best
-        best = max(best, count)
-        for j in range(idx, len(runs)):
-            s, e, z = runs[j]
-            if s < last_end:
-                continue
-            if last_z is not None:
-                gap = ls[last_end:s]
-                if len(gap) <= gap_len:
-                    continue
-                if lex_compare_letters(gap, last_z) is Cmp.INCOMPARABLE:
-                    continue
-            grow(j + 1, e, z, count + 1)
-
-    grow(0, 0, None, 0)
-    return best
-
-
-def recursive_selection_height(cands):
-    """Most pairwise disjoint candidate runs with pairwise distinct classes:
-    the recursive search that the explicit stack replaced.  It recurses
-    once per chosen run, and its bound rebuilds the set of remaining
-    unused classes at every node."""
-    best = 0
-
-    def grow(idx, last_end, used, count):
-        nonlocal best
-        best = max(best, count)
-        remaining_classes = {c for _, _, c in cands[idx:] if c not in used}
-        if count + len(remaining_classes) <= best:
-            return
-        for j in range(idx, len(cands)):
-            s, e, cls = cands[j]
-            if s >= last_end and cls not in used:
-                grow(j + 1, e, used | {cls}, count + 1)
-
-    grow(0, 0, frozenset(), 0)
-    return best
 
 
 def reference_coding_poset(c: CodingClass) -> FinitePoset:
@@ -859,17 +424,12 @@ class TestWitnesses:
         for _ in range(2000):
             A = rng.choice((A2, A3))
             ls = tuple(rng.randint(1, A.size) for _ in range(rng.randint(1, 24)))
-            periods = [
-                Word(z, A)
-                for t in (1, 2, 3)
-                for z in itertools.product(A.letters(), repeat=t)
-                if is_primitive(z)
-            ]
+            periods = [Word(z, A) for t in (1, 2, 3) for z in D.primitive_words(A.size, t)]
             Z = tuple(rng.sample(periods, rng.randint(1, len(periods))))
             n, min_power = rng.randint(1, 4), rng.randint(1, 2)
             w = Word(ls, A)
             got = is_n_divisible(w, n, "strong", Z=Z, min_power=min_power)
-            assert got == reference_strong_witness(w, n, Z, min_power)
+            assert got == D.strong_witness(w, n, Z, min_power)
             found += got is not None
         assert found > 500
 
@@ -887,18 +447,16 @@ class TestWitnesses:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_cross_check_naive_enumerators(self, n):
+        # the yes/no answers: a division exists, and (n, d)-reducible is
+        # divisible or holding a d-th power; the witnesses are compared
+        # in TestBlockDivision and TestTailSense
         for length in range(1, 11):
             for ls in itertools.product((1, 2), repeat=length):
                 w = Word(ls, A2)
-                ordinary = is_n_divisible(w, n, "ordinary")
-                assert (ordinary is not None) == naive_ordinary(ls, n)
-                if ordinary is not None:
-                    validate_witness(w, ordinary)
-                tail = is_n_divisible(w, n, "tail")
-                assert (tail is not None) == naive_tail(ls, n)
-                if tail is not None:
-                    validate_witness(w, tail)
-
+                divisible = D.divisible(ls, n)
+                assert (is_n_divisible(w, n) is not None) == divisible, ls
+                for d in (2, 3):
+                    assert is_nd_reducible(w, n, d) == (divisible or D.has_power(ls, d)), (ls, d)
 
     def test_witness_search_against_reference_dp(self):
         # Thue-Morse 2^7 at n = 10 catches a failed-state memo keyed
@@ -911,30 +469,28 @@ class TestWitnesses:
             cases.append((Word(ls, A3), rng.randint(2, 5)))
         for w, n in cases:
             witness = is_n_divisible(w, n, "ordinary")
-            assert (witness is not None) == _divisible_whole(w.letters, n)
+            assert witness == D.ordinary_witness(w.letters, n)
             assert is_nd_reducible(w, n, len(w) + 1) == (witness is not None)
-            if witness is not None:
-                validate_witness(w, witness)
 
 
 PERIOD_SETS = {
     # every primitive period of length 1 and 2, and of length 1 to 3
-    "t<=2": [z for t in (1, 2) for z in itertools.product((1, 2), repeat=t) if is_primitive(z)],
-    "t<=3": [z for t in (1, 2, 3) for z in itertools.product((1, 2), repeat=t) if is_primitive(z)],
+    "t<=2": [z for t in (1, 2) for z in D.primitive_words(2, t)],
+    "t<=3": [z for t in (1, 2, 3) for z in D.primitive_words(2, t)],
     # heads of mixed lengths out of order, one a prefix of another
     "mixed": [(1, 2), (2, 1), (2,), (1, 1, 2)],
 }
 
 
 class TestBlockDivision:
-    """The one iterative block search against the two recursive searches
-    it replaced: the same witness, block for block, in both senses."""
+    """The one iterative block search against the least of every block
+    division: the same witness, block for block, in both senses."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_ordinary_every_binary_word(self, n):
         for length in range(12):
             for ls in itertools.product((1, 2), repeat=length):
-                assert is_n_divisible(Word(ls, A2), n) == reference_ordinary_witness(ls, n), ls
+                assert is_n_divisible(Word(ls, A2), n) == D.ordinary_witness(ls, n), ls
 
     def test_ordinary_seeded_and_thue_morse(self):
         # Thue-Morse 2^7 at n = 10 catches a failed-state memo keyed without the depth
@@ -947,14 +503,14 @@ class TestBlockDivision:
         found = 0
         for w, n in cases:
             got = is_n_divisible(w, n)
-            assert got == reference_ordinary_witness(w.letters, n), (w, n)
+            assert got == D.ordinary_witness(w.letters, n), (w, n)
             found += got is not None
         assert 200 < found < len(cases) - 200  # both answers occur
 
     @given(st.lists(st.integers(1, 3), max_size=18), st.integers(1, 7))
     def test_ordinary_hypothesis(self, letters, n):
         ls = tuple(letters)
-        assert is_n_divisible(Word(ls, A3), n) == reference_ordinary_witness(ls, n)
+        assert is_n_divisible(Word(ls, A3), n) == D.ordinary_witness(ls, n)
 
     @pytest.mark.parametrize("periods", sorted(PERIOD_SETS))
     def test_strong_every_binary_word(self, periods):
@@ -964,7 +520,7 @@ class TestBlockDivision:
                 w = Word(ls, A2)
                 for n, min_power in itertools.product((1, 2, 3), (1, 2)):
                     got = is_n_divisible(w, n, "strong", Z=Z, min_power=min_power)
-                    assert got == recursive_strong_witness(w, n, Z, min_power), (ls, n, min_power)
+                    assert got == D.strong_witness(w, n, Z, min_power), (ls, n, min_power)
 
     @given(
         st.lists(st.integers(1, 3), max_size=16),
@@ -976,24 +532,23 @@ class TestBlockDivision:
         w = Word(tuple(letters), A3)
         Z = [Word(tuple(z), A3) for z in periods]
         got = is_n_divisible(w, n, "strong", Z=Z, min_power=min_power)
-        assert got == recursive_strong_witness(w, n, Z, min_power)
+        assert got == D.strong_witness(w, n, Z, min_power)
 
     def test_strong_all_starts_against_one_start_a_call_seeded(self):
-        # one call over every start, one memo for them all, against one
-        # call per start, each with a memo of its own
+        # one call over every start, one memo for them all, against the
+        # divisions listed one start at a call, the least from the first
+        # start that has any
         rng = random.Random(2900)
         found = 0
         for _ in range(3000):
             A = rng.choice((A2, A3))
             ls = tuple(rng.randint(1, A.size) for _ in range(rng.randint(1, 28)))
-            periods = [
-                Word(z, A) for t in (1, 2, 3) for z in itertools.product(A.letters(), repeat=t) if is_primitive(z)
-            ]
+            periods = [Word(z, A) for t in (1, 2, 3) for z in D.primitive_words(A.size, t)]
             Z = tuple(rng.sample(periods, rng.randint(1, len(periods))))
             n, min_power = rng.randint(1, 5), rng.randint(1, 2)
             w = Word(ls, A)
             got = is_n_divisible(w, n, "strong", Z=Z, min_power=min_power)
-            assert got == per_start_strong_witness(w, n, Z, min_power), (ls, n, min_power)
+            assert got == D.strong_witness(w, n, Z, min_power), (ls, n, min_power)
             found += got is not None
         assert 500 < found < 2500  # both answers occur
 
@@ -1007,7 +562,7 @@ class TestBlockDivision:
         w = Word(tuple(letters), A3)
         Z = [Word(tuple(z), A3) for z in periods]
         got = is_n_divisible(w, n, "strong", Z=Z, min_power=min_power)
-        assert got == per_start_strong_witness(w, n, Z, min_power)
+        assert got == D.strong_witness(w, n, Z, min_power)
 
     def test_deeper_than_the_recursion_limit(self):
         # one block per letter: 1,200 blocks, one Python frame each before
@@ -1032,14 +587,15 @@ class TestBlockDivision:
 
 
 class TestTailSense:
-    """The suffix-rank tail witness and coloring against the pairwise
-    references, and the sentinel (prefix) case at scale."""
+    """The suffix-rank tail witness against the least of every chain of
+    descending tails, the coloring against the pairwise reference, and
+    the sentinel (prefix) case at scale."""
 
-    def test_witness_against_reference_exhaustive(self):
-        for w in _exhaustive_words():
+    def test_witness_against_reference_exhaustive(self, binary_and_ternary_words):
+        for w in binary_and_ternary_words:
             for d in (None, 2, 3):
                 for n in range(1, 6):
-                    assert is_n_divisible(w, n, "tail", d=d) == reference_tail_witness(w, n, d), (w, n, d)
+                    assert is_n_divisible(w, n, "tail", d=d) == D.tail_witness(w, n, d), (w, n, d)
 
     def test_witness_against_reference_seeded(self):
         rng = random.Random(1950)
@@ -1049,7 +605,7 @@ class TestTailSense:
             w = Word(tuple(rng.randint(1, A.size) for _ in range(rng.randint(10, 40))), A)
             for n in (2, 4, 8):
                 got = is_n_divisible(w, n, "tail")
-                assert got == reference_tail_witness(w, n, None), (w, n)
+                assert got == D.tail_witness(w, n, None), (w, n)
                 found += got is not None
         assert 100 < found < 900  # both answers occur
 
@@ -1060,7 +616,7 @@ class TestTailSense:
     )
     def test_witness_against_reference_hypothesis(self, letters, n, d):
         w = Word(tuple(letters), A3)
-        assert is_n_divisible(w, n, "tail", d=d) == reference_tail_witness(w, n, d)
+        assert is_n_divisible(w, n, "tail", d=d) == D.tail_witness(w, n, d)
 
     def test_suffix_ranks_against_the_tuple_sort(self):
         # the packed byte slices rank the closed suffixes as their letter
@@ -1077,8 +633,8 @@ class TestTailSense:
                 for limit in {0, len(ls) // 2, len(ls)}:
                     assert divisibility._suffix_ranks(ls, limit) == reference_suffix_ranks(ls, limit), ls
 
-    def test_coloring_against_reference_exhaustive(self):
-        for w in _exhaustive_words():
+    def test_coloring_against_reference_exhaustive(self, binary_and_ternary_words):
+        for w in binary_and_ternary_words:
             for d in (None, 2):
                 got = _coloring_or_error(dilworth_tail_coloring, w, d)
                 assert got == _coloring_or_error(reference_tail_coloring, w, d), (w, d)
@@ -1560,11 +1116,11 @@ class TestSelectiveHeights:
         assert large_selective_height(w, 2, self.BOUNDARY, gap_len=3) == 1
 
     @pytest.mark.parametrize("period_len,boundary", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    def test_large_against_reference_exhaustive(self, period_len, boundary):
-        for w in _exhaustive_words():
+    def test_large_against_reference_exhaustive(self, period_len, boundary, binary_and_ternary_words):
+        for w in binary_and_ternary_words:
             for gap_len in (None, -1, 0, 1, 2):
                 got = large_selective_height(w, period_len, boundary, gap_len)
-                assert got == reference_large_selective_height(w, period_len, boundary, gap_len), (w, gap_len)
+                assert got == D.large_height(w, period_len, boundary, gap_len), (w, gap_len)
 
     def test_large_against_reference_seeded(self):
         # words built from short powers and separators hold many runs
@@ -1580,15 +1136,15 @@ class TestSelectiveHeights:
             period_len, boundary = rng.randint(1, 3), rng.randint(1, 3)
             gap_len = rng.choice((None, 0, 1, 2, 3))
             got = large_selective_height(w, period_len, boundary, gap_len)
-            assert got == reference_large_selective_height(w, period_len, boundary, gap_len), (w, gap_len)
+            assert got == D.large_height(w, period_len, boundary, gap_len), (w, gap_len)
             found += got >= 3
         assert found > 100
 
     @pytest.mark.parametrize("period_len,boundary", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
-    def test_small_against_reference_exhaustive(self, period_len, boundary):
-        for w in _exhaustive_words():
+    def test_small_against_reference_exhaustive(self, period_len, boundary, binary_and_ternary_words):
+        for w in binary_and_ternary_words:
             got = small_selective_height(w, period_len, boundary)
-            assert got == reference_small_selective_height(w, period_len, boundary), w
+            assert got == D.small_height(w.letters, period_len, boundary), w
 
     def test_both_heights_against_references_on_planted_runs(self):
         rng = random.Random(1999)
@@ -1597,19 +1153,19 @@ class TestSelectiveHeights:
             w = planted_run_word(rng, 40)
             period_len, boundary = rng.randint(1, 3), rng.randint(1, 3)
             small = small_selective_height(w, period_len, boundary)
-            assert small == reference_small_selective_height(w, period_len, boundary), w
+            assert small == D.small_height(w.letters, period_len, boundary), w
             gap_len = rng.choice((None, -1, 0, 1, 2, 3, 4, 5))
             large = large_selective_height(w, period_len, boundary, gap_len)
-            assert large == reference_large_selective_height(w, period_len, boundary, gap_len), (w, gap_len)
+            assert large == D.large_height(w, period_len, boundary, gap_len), (w, gap_len)
             found += small >= 2 and large >= 3
         assert found > 50
 
-    def test_blocks_hold_the_scanned_windows_and_runs(self):
+    def test_blocks_hold_the_scanned_windows_and_runs(self, binary_and_ternary_words):
         # the small height's windows are every z**(boundary+1) window of a
         # block, and the large height's runs open at a block's first t
         # starts and take as many whole copies as fit before its end
         rng = random.Random(2017)
-        for w in itertools.chain(_exhaustive_words(), (planted_run_word(rng, 80) for _ in range(500))):
+        for w in itertools.chain(binary_and_ternary_words, (planted_run_word(rng, 80) for _ in range(500))):
             for t, boundary in itertools.product((1, 2, 3), (1, 2)):
                 size = t * (boundary + 1)
                 blocks = divisibility._period_blocks(w.letters, t)
@@ -1619,9 +1175,8 @@ class TestSelectiveHeights:
                     for start, end in blocks
                     for s in range(start, min(start + t, end - size + 1))
                 ]
-                cands = (reference_candidate_run(w.letters, e, t, boundary) for e in range(len(w) + 1))
-                assert windows == [c[:2] for c in cands if c], (w, t, boundary)
-                assert runs == [r[:2] for r in reference_maximal_runs(w, t, boundary)], (w, t, boundary)
+                assert windows == [c[:2] for c in D.candidate_runs(w.letters, t, boundary)], (w, t, boundary)
+                assert runs == [r[:2] for r in D.maximal_runs(w.letters, t, boundary)], (w, t, boundary)
 
     def test_large_on_1500_classes(self):
         # 1,500 touching runs x^3 of distinct letters: a gap longer than
@@ -1666,9 +1221,9 @@ class TestSelectiveHeights:
             (1, 1, 8, 2),
         ],
     )
-    def test_corpus_walk_against_reference(self, l, n, max_len, period_len):
+    def test_corpus_walk_against_reference(self, l, n, max_len, period_len, corpus_book):
         report = selective_corpus_check(l, n, max_len, period_len, 1)
-        assert report == reference_corpus_check(l, n, max_len, period_len, 1)
+        assert report == corpus_book.report(l, n, max_len, period_len, 1)
 
     @pytest.mark.parametrize(
         "l,n,max_len,period_len,report",
@@ -1691,7 +1246,7 @@ class TestSelectiveHeights:
         # fewer than n rows: f^shape * s_shape(1^l) of them
         for l, n, max_len in itertools.product(range(1, 6), range(1, 5), (1, 2, 5, 8, 11, 14)):
             expected = sum(
-                hook_count(shape) * schur_at_ones(shape, l)
+                hook_count(shape) * D.schur_at_ones(shape, l)
                 for size in range(1, max_len + 1)
                 for shape in partitions(size)
                 if len(shape) < n
@@ -1703,11 +1258,11 @@ class TestSelectiveHeights:
     def test_head_step_against_strong_blocks_at_every_child(self):
         # each child of a scanned word, walked one word at a time with
         # its head state, is excluded by _head_step exactly when some
-        # suffix of it has a strong division by _block_division
+        # suffix of it has a strong division
         checked = divisible = 0
         for l, top in ((2, 10), (3, 7)):
             for n, t, max_len in itertools.product(range(1, 5), range(1, 4), range(1, top + 1)):
-                heads = [z for z in itertools.product(range(1, l + 1), repeat=t) if is_primitive(z)]
+                heads = D.primitive_words(l, t)
                 if len(heads) < n or n * t > max_len:
                     continue  # no division is possible, and the corpus check tests no child
                 rank = {z: i for i, z in enumerate(heads)}
@@ -1718,8 +1273,7 @@ class TestSelectiveHeights:
                         child = ls + (x,)
                         child_state = divisibility._head_step(state, x, rank, t, n)
                         if len(child) >= t:
-                            # every start with room for n heads, in one call, as _strong_witness asks
-                            divides = divisibility._block_division(child, n, range(len(child)), heads) is not None
+                            divides = D.divisible(child, n, heads, range(len(child)))
                             assert (child_state is None) == divides, (child, n, t)
                             checked += 1
                             divisible += divides
@@ -1740,7 +1294,8 @@ class TestSelectiveHeights:
         assert (report["scanned"], report["excluded"], report["max_height"]) == (62, 448, 1)
 
     def test_corpus_check_against_the_replaced_walk(self):
-        for cell in CORPUS_GRID + CORPUS_RUNGS + CORPUS_PINNED:
+        # the grid and the rungs are checked against every word below
+        for cell in CORPUS_PINNED:
             assert selective_corpus_check(*cell, 3) == reference_corpus_walk(*cell, 3), cell
 
     @pytest.mark.parametrize("cell, height", CORPUS_HIGH)
@@ -1779,7 +1334,7 @@ class TestSelectiveHeights:
         # one class each
         reached = set()
         for l, t in itertools.product((1, 2, 3, 4), (1, 2, 3)):
-            heads = sum(1 for z in itertools.product(range(1, l + 1), repeat=t) if is_primitive(z))
+            heads = len(D.primitive_words(l, t))
             classes = len(primitive_cycle_classes(t, Alphabet(l)))
             for n, max_len in itertools.product(range(1, 8), range(1, 61, 3)):
                 if heads >= n and n * t <= max_len:
@@ -1791,17 +1346,16 @@ class TestSelectiveHeights:
         assert reached == {0, 1, 2, 3, 4}
 
     @pytest.mark.parametrize("l", [1, 2, 3])
-    def test_corpus_check_against_reference_on_the_grid(self, l):
+    def test_corpus_check_against_reference_on_the_grid(self, l, corpus_book):
         for cell in CORPUS_GRID:
             if cell[0] == l:
-                assert selective_corpus_check(*cell, 3) == reference_corpus_check(*cell, 3), cell
+                assert selective_corpus_check(*cell, 3) == corpus_book.report(*cell, 3), cell
 
-    def test_corpus_check_against_reference_on_the_rungs(self):
-        # the per-word reference takes up to a third of a second a rung,
-        # and 4 to 9 s on each of the two acceptance-suite cells, which
-        # are left to the replaced walk
+    def test_corpus_check_against_reference_on_the_rungs(self, corpus_book):
+        # every word takes 1.5 to 2.5 s on each of the two acceptance-suite
+        # cells, which are left to the replaced walk
         for cell in CORPUS_RUNGS:
-            assert selective_corpus_check(*cell, 3) == reference_corpus_check(*cell, 3), cell
+            assert selective_corpus_check(*cell, 3) == corpus_book.report(*cell, 3), cell
 
     @pytest.mark.parametrize(
         "l,n,max_len,period_len",
@@ -1818,7 +1372,7 @@ class TestSelectiveHeights:
             classes = [(x,) for x in range(rng.randrange(1, 7))]
             ends = sorted(rng.randrange(width, 40) for _ in range(rng.randrange(0, 14)))
             cands = [(e - width, e, rng.choice(classes)) for e in ends]
-            assert divisibility._selection_height(cands) == recursive_selection_height(cands), cands
+            assert divisibility._selection_height(cands) == D.selection_height(cands), cands
 
     def test_selection_height_past_the_recursion_limit(self):
         # 1,500 disjoint runs of 1,500 distinct classes: the recursive
@@ -2105,14 +1659,12 @@ class TestCycleClasses:
         assert len(primitive_cycle_classes(3, A3)) == 8
 
     def test_against_rotation_filter(self):
-        # the enumeration that Duval's generator replaced
+        # every primitive word that is its own least rotation
         for t in range(1, 9):
             for l in range(1, 4):
                 alphabet = Alphabet(l)
                 expected = tuple(
-                    WordCycle(Word(ls, alphabet), t)
-                    for ls in itertools.product(alphabet.letters(), repeat=t)
-                    if all(ls < ls[i:] + ls[:i] for i in range(1, t))
+                    WordCycle(Word(ls, alphabet), t) for ls in D.primitive_words(l, t) if D.least_rotation(ls) == ls
                 )
                 assert primitive_cycle_classes(t, alphabet) == expected, (t, l)
 
@@ -2124,13 +1676,7 @@ class TestCycleClasses:
     @pytest.mark.parametrize("l,t", [(1, 1), (1, 3), (2, 6), (3, 4), (4, 3)])
     def test_one_class_per_primitive_rotation_set(self, l, t):
         alphabet = Alphabet(l)
-        reps = sorted(
-            {
-                canonical_rotation(Word(ls, alphabet)).letters
-                for ls in itertools.product(alphabet.letters(), repeat=t)
-                if is_primitive(ls)
-            }
-        )
+        reps = sorted({D.least_rotation(ls) for ls in D.primitive_words(l, t)})
         classes = primitive_cycle_classes(t, alphabet)
         assert [c.representative.letters for c in classes] == reps
         assert all(c.period_length == t for c in classes)

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import definitions as D
 import pytest
 from hypothesis import given, strategies as st
 
@@ -278,33 +279,6 @@ class TestAutomaton:
         assert values == list(itertools.accumulate(counts))
 
 
-def reference_is_balanced(w):
-    """The O(n**3) check the prefix-sum pass replaced: recount every factor."""
-    ls = w.letters
-    for k in range(1, len(ls) + 1):
-        counts = {sum(1 for x in ls[i : i + k] if x == 2) for i in range(len(ls) - k + 1)}
-        if max(counts) - min(counts) > 1:
-            return False
-    return True
-
-
-def prefix_sum_is_balanced(w):
-    """The O(n**2) check the palindromic tree replaced: one prefix-sum pass
-    per factor length, for inputs too long for `reference_is_balanced`."""
-    prefix = [0, *itertools.accumulate(x == 2 for x in w.letters)]
-    for k in range(1, len(w) + 1):
-        counts = [b - a for a, b in zip(prefix, prefix[k:])]
-        if max(counts) - min(counts) > 1:
-            return False
-    return True
-
-
-def reference_complexity_function(w, n):
-    """The set-of-slices count the window sort replaced."""
-    ls = w.letters
-    return [len({ls[i : i + k] for i in range(len(ls) - k + 1)}) for k in range(1, n + 1)]
-
-
 def _flip(w, i):
     ls = list(w.letters)
     ls[i] = 3 - ls[i]
@@ -324,24 +298,21 @@ class TestComplexity:
         assert is_balanced(iterate(fibonacci_morphism(), "a", 9)) is True
 
     def test_balance_against_reference(self):
-        for n in range(13):
-            for ls in itertools.product((1, 2), repeat=n):
-                w = Word(ls, A2)
-                assert is_balanced(w) == reference_is_balanced(w), ls
+        # every binary word up to 14 letters is in test_balance_against_prefix_sums
         for alpha in (Fraction(89, 144), Fraction(1, 3), Fraction(2, 5), Fraction(7, 10)):
             for rho in (Fraction(0), Fraction(1, 2)):
                 w = mechanical_word(alpha, rho, 60)
-                assert is_balanced(w) == reference_is_balanced(w)
+                assert is_balanced(w) == D.is_balanced(w.letters)
         fib = iterate(fibonacci_morphism(), "a", 9)
         for end in range(0, len(fib), 5):
             unbalanced = fib[0:end] + word("bb")
-            assert is_balanced(unbalanced) == reference_is_balanced(unbalanced)
+            assert is_balanced(unbalanced) == D.is_balanced(unbalanced.letters)
 
     def test_balance_against_prefix_sums(self):
         for n in range(15):
             for ls in itertools.product((1, 2), repeat=n):
                 w = Word(ls, A2)
-                assert is_balanced(w) == prefix_sum_is_balanced(w), ls
+                assert is_balanced(w) == D.is_balanced(w.letters), ls
         assert is_balanced(Word((1,), Alphabet(1))) and is_balanced(Word((1, 1, 1), Alphabet(1)))
         assert is_balanced(Word((1,), A2)) and is_balanced(Word((2,), A2))
         rng = random.Random(13)
@@ -350,9 +321,9 @@ class TestComplexity:
             b = rng.randint(1, 60)
             alpha = Fraction(rng.randint(0, b), b)
             w = mechanical_word(alpha, Fraction(rng.randint(0, 7), 8), rng.randint(1, 300))
-            assert is_balanced(w) and prefix_sum_is_balanced(w)
+            assert is_balanced(w) and D.is_balanced(w.letters)
             flipped = _flip(w, rng.randrange(len(w)))
-            assert is_balanced(flipped) == prefix_sum_is_balanced(flipped), (w, flipped)
+            assert is_balanced(flipped) == D.is_balanced(flipped.letters), (w, flipped)
             unbalanced += not is_balanced(flipped)
         assert unbalanced > 200  # the flips do exercise the False answer
 
@@ -364,7 +335,7 @@ class TestComplexity:
         for length in range(13):
             for ls in itertools.product((1, 2), repeat=length):
                 w = Word(ls, A2)
-                ref = reference_complexity_function(w, 14)
+                ref = D.factor_counts(w.letters, 14)
                 for n in range(15):
                     assert complexity_function(w, n) == ref[:n], (ls, n)
 
@@ -372,7 +343,7 @@ class TestComplexity:
         w = word("abaababaab")
         assert complexity_function(w, 0) == [] == complexity_function(w, -3)
         assert complexity_function(Word((), A2), 3) == [0, 0, 0]
-        assert complexity_function(w, 13) == reference_complexity_function(w, 13)
+        assert complexity_function(w, 13) == D.factor_counts(w.letters, 13)
         assert complexity_function(w, 13)[10:] == [0, 0, 0]
         assert complexity_function(word("aaaa"), 6) == [1, 1, 1, 1, 0, 0]
 
@@ -384,7 +355,7 @@ class TestComplexity:
         pool = [1, 2, size - 1, size] + [rng.randint(1, size) for _ in range(4)]
         w = Word(tuple(rng.choice(pool) for _ in range(120)), alphabet)
         for n in (1, 2, 5, 40, 120, 123):
-            assert complexity_function(w, n) == reference_complexity_function(w, n)
+            assert complexity_function(w, n) == D.factor_counts(w.letters, n)
 
     @given(
         st.integers(1, 5).flatmap(
@@ -394,7 +365,7 @@ class TestComplexity:
     )
     def test_complexity_random_words(self, lw, n):
         w = Word(tuple(lw[1]), Alphabet(lw[0]))
-        assert complexity_function(w, n) == reference_complexity_function(w, n)
+        assert complexity_function(w, n) == D.factor_counts(w.letters, n)
 
     def test_mechanical_word_sturmian_shape(self):
         w = mechanical_word(Fraction(89, 144), Fraction(0), 120)

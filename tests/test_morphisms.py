@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import definitions as D
 import pytest
 from hypothesis import given, strategies as st
 
@@ -135,20 +136,6 @@ class TestLengthTables:
         assert iterate(thue_morse_morphism(), "i:2", 2) == iterate(thue_morse_morphism(), "b", 2) == word("baab")
 
 
-def reference_square_free_words(l, max_len):
-    """The walk before the last-letter filter: every period's slices compared."""
-    stack = [(x,) for x in range(l, 0, -1)]
-    while stack:
-        ls = stack.pop()
-        yield ls
-        if len(ls) < max_len:
-            for x in range(l, 0, -1):
-                cand = ls + (x,)
-                n = len(cand)
-                if not any(cand[n - 2 * p : n - p] == cand[n - p :] for p in range(1, n // 2 + 1)):
-                    stack.append(cand)
-
-
 class TestRepetitions:
     def test_square_found(self):
         occ = has_square(word("abab"))
@@ -176,7 +163,7 @@ class TestRepetitions:
     def test_square_free_walk_matches_reference(self, l, max_len):
         alphabet = Alphabet(l)
         got = [w.letters for w in square_free_words(alphabet, max_len)]
-        assert got == list(reference_square_free_words(l, max_len))
+        assert got == D.square_free_words(l, max_len)
 
     @pytest.mark.parametrize("max_len", [0, -1])
     def test_square_free_no_positive_length(self, max_len):
@@ -313,15 +300,12 @@ class TestCrochemoreOneWalk:
 
 
 def reference_repetition(w, e):
-    """The slice-compare scanner the packed engine replaced: leftmost start, then shortest root."""
-    ls = w.letters
-    n = len(ls)
-    for start in range(n):
-        for rlen in range(1, (n - start) // e + 1):
-            root = ls[start : start + rlen]
-            if ls[start : start + rlen * e] == root * e:
-                return RepetitionOccurrence(start + 1, Word(root, w.alphabet))
-    return None
+    """The least z**e occurrence by start and then |z|, as a RepetitionOccurrence."""
+    least = D.least_power(w.letters, e, shortest_first=False)
+    if least is None:
+        return None
+    start, p = least
+    return RepetitionOccurrence(start + 1, Word(w.letters[start : start + p], w.alphabet))
 
 
 # letters above 255 pack several bytes wide; these share and differ in single bytes

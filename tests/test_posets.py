@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 from math import factorial
 from types import SimpleNamespace
 
+import definitions as D
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,8 +15,6 @@ import wordlab.posets as po
 from wordlab.cli import main
 from wordlab.posets import (
     FinitePoset,
-    _below,
-    _bits,
     _decreasing_reach,
     _dilworth,
     _max_matching,
@@ -34,74 +33,9 @@ from wordlab.posets import (
 )
 
 
-def reference_canonical_key(p):
-    """The key canonical_key replaced: the minimum relabeled relation
-    over every profile-respecting bijection, each built in full."""
-    n = p.size
-    profile = [
-        (down.bit_count(), up.bit_count()) for up, down in zip(p.above, _below(p))
-    ]
-    groups = {}
-    for i, prof in enumerate(profile):
-        groups.setdefault(prof, []).append(i)
-    slots = {}
-    offset = 0
-    for prof in sorted(groups):
-        slots[prof] = list(range(offset, offset + len(groups[prof])))
-        offset += len(groups[prof])
-    best = None
-    group_keys = sorted(groups)
-    rows = [tuple(_bits(row)) for row in p.above]
-    for assignment in itertools.product(
-        *(itertools.permutations(slots[prof]) for prof in group_keys)
-    ):
-        relabel = [0] * n
-        for prof, slot_perm in zip(group_keys, assignment):
-            for elem, slot in zip(groups[prof], slot_perm):
-                relabel[elem] = slot
-        rel = [0] * n
-        for i, row in enumerate(rows):
-            for j in row:
-                rel[relabel[i]] |= 1 << relabel[j]
-        key = tuple(rel)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def relabeled_rows(above, sigma):
-    """The relation rows with each element i renamed sigma[i]."""
-    rel = [0] * len(above)
-    for i, row in enumerate(above):
-        for j in _bits(row):
-            rel[sigma[i]] |= 1 << sigma[j]
-    return tuple(rel)
-
-
-def definitionally_isomorphic(p, q):
-    """Some bijection of the n! carries the relation of p onto that of q."""
-    return p.size == q.size and any(
-        relabeled_rows(p.above, sigma) == q.above for sigma in itertools.permutations(range(p.size))
-    )
-
-
 def profile_multiset(p):
     """The sorted (down-set size, up-set size) profiles: equal for isomorphic posets."""
-    return sorted((down.bit_count(), up.bit_count()) for up, down in zip(p.above, _below(p)))
-
-
-def reference_epsilon_table(n):
-    """The loop epsilon_table replaced: one canonical key per permutation,
-    by the key canonical_key replaced."""
-    seen = {}
-    for pi in itertools.permutations(range(1, n + 1)):
-        key = reference_canonical_key(permutation_poset(pi))
-        if key not in seen:
-            seen[key] = max(_decreasing_reach(pi))
-    table = {k: 0 for k in range(1, n + 1)}
-    for anti in seen.values():
-        table[anti] += 1
-    return table
+    return sorted(D.profiles(p))
 
 
 def chain(n):
@@ -539,17 +473,17 @@ class TestCanonicalKey:
         for n in range(8):
             for pi in itertools.permutations(range(1, n + 1)):
                 p = permutation_poset(pi)
-                assert canonical_key(p) == reference_canonical_key(p), pi
+                assert canonical_key(p) == D.least_relabeled_relation(p), pi
 
     @given(relabeled_posets)
     def test_same_key_on_random_posets(self, case):
         p, _ = case
-        assert canonical_key(p) == reference_canonical_key(p)
+        assert canonical_key(p) == D.least_relabeled_relation(p)
 
     @given(relabeled_posets)
     def test_key_is_invariant_under_relabeling(self, case):
         p, sigma = case
-        assert canonical_key(FinitePoset(p.size, relabeled_rows(p.above, sigma))) == canonical_key(p)
+        assert canonical_key(FinitePoset(p.size, D.relabeled_rows(p.above, sigma))) == canonical_key(p)
 
     @pytest.mark.parametrize(
         "name, p, tried, reference_tried",
@@ -574,7 +508,7 @@ class TestCanonicalKey:
         ],
     )
     def test_pinned_branches(self, name, p, tried, reference_tried, monkeypatch):
-        assert relabelings_tried(p, monkeypatch) == (reference_canonical_key(p), tried)
+        assert relabelings_tried(p, monkeypatch) == (D.least_relabeled_relation(p), tried)
         assert reference_relabelings(p) == reference_tried
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -589,7 +523,7 @@ class TestCanonicalKey:
             if profiles[a] != profiles[b]:  # cannot be isomorphic
                 assert keys[a] != keys[b]
                 continue
-            isomorphic = definitionally_isomorphic(posets[a], posets[b])
+            isomorphic = D.isomorphic(posets[a], posets[b])
             assert (keys[a] == keys[b]) == isomorphic, (a, b)
             outcomes.add(isomorphic)
         assert outcomes == {3: {True}, 4: {True}, 5: {True}, 6: {True, False}}.get(n, set())
@@ -602,7 +536,7 @@ class TestCanonicalKey:
             p = permutation_poset(pi)
             profile = profile_multiset(p)
             if not any(
-                profile == seen and definitionally_isomorphic(p, rep) for seen, rep, _ in classes
+                profile == seen and D.isomorphic(p, rep) for seen, rep, _ in classes
             ):
                 classes.append((profile, p, max_antichain_bruteforce(p)))
         table = {k: 0 for k in range(1, n + 1)}
@@ -644,17 +578,9 @@ class TestAgainstReference:
 
 class TestPermutationPosets:
     def test_bridge_to_decreasing_subsequences(self):
-        def lds(pi):
-            best = [1] * len(pi)
-            for i in range(len(pi)):
-                for j in range(i):
-                    if pi[j] > pi[i]:
-                        best[i] = max(best[i], best[j] + 1)
-            return max(best, default=0)
-
         for n in range(1, 7):
             for pi in itertools.permutations(range(1, n + 1)):
-                assert max_antichain(permutation_poset(pi))[0] == lds(pi)
+                assert max_antichain(permutation_poset(pi))[0] == D.longest_decreasing(pi)
 
     def test_decreasing_reach_against_brute_force(self):
         # every sequence over three values, ties included, and every
@@ -689,7 +615,7 @@ class TestPermutationPosets:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_epsilon_against_every_permutation(self, n):
-        assert epsilon_table(n) == reference_epsilon_table(n)
+        assert epsilon_table(n) == D.epsilon_by_least_relation(n)
 
     def test_inverse_permutation_poset_is_isomorphic(self):
         # the property that lets epsilon_table skip a permutation whose inverse came first

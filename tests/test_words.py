@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import definitions as D
 import pytest
 from hypothesis import given, strategies as st
 
@@ -128,15 +129,12 @@ class TestPeriodPower:
 
 
 def reference_find_period_power(w, d):
-    """The slice-compare scanner the packed engine replaced: shortest root, then leftmost."""
-    ls = w.letters
-    n = len(ls)
-    for zlen in range(1, n // d + 1):
-        for start in range(0, n - zlen * d + 1):
-            z = ls[start : start + zlen]
-            if ls[start : start + zlen * d] == z * d and is_primitive(Word(z, w.alphabet)):
-                return PeriodOccurrence(Word(z, w.alphabet), start + 1, d)
-    return None
+    """The least z**d occurrence by |z| and then start, as a PeriodOccurrence."""
+    least = D.least_power(w.letters, d, shortest_first=True)
+    if least is None:
+        return None
+    start, p = least
+    return PeriodOccurrence(Word(w.letters[start : start + p], w.alphabet), start + 1, d)
 
 
 # letters above 255 pack several bytes wide; these share and differ in single bytes
@@ -316,21 +314,6 @@ class TestFactorCountPeriod:
                         stack.append(cand)
 
 
-def reference_root_length(ls):
-    """The divisor scan that `_least_rotation` replaced: the least p with
-    ls = ls[:p]**(|ls|/p)."""
-    n = len(ls)
-    for p in range(1, n):
-        if n % p == 0 and ls[p:] == ls[: n - p]:
-            return p
-    return n
-
-
-def reference_least_rotation(ls):
-    """The least rotation taken as the least of every rotation."""
-    return min(ls[i:] + ls[:i] for i in range(len(ls)))
-
-
 def reference_strongly_comparable(u, v):
     """The pairwise comparison that the window test replaced."""
     for ru in rotations(u):
@@ -353,13 +336,14 @@ class TestPrimitivity:
 
 
 class TestCycleKernel:
-    """`_least_rotation` and its callers against the rotation and divisor references."""
+    """`_least_rotation` and its callers against the least of every rotation
+    and the least rotation that gives the word back."""
 
     @staticmethod
     def assert_kernel(ls, l):
         start, root = _least_rotation(ls)
-        least = reference_least_rotation(ls)
-        assert ls[start:] + ls[:start] == least and root == reference_root_length(ls), ls
+        least = D.least_rotation(ls)
+        assert ls[start:] + ls[:start] == least and root == D.root_length(ls), ls
         w = Word(ls, Alphabet(l))
         assert canonical_rotation(w) == WordCycle.of(w).representative == Word(least, w.alphabet)
         assert WordCycle.of(w).period_length == root
@@ -393,11 +377,11 @@ class TestCycleKernel:
         rng = random.Random(26)
         ls = tuple(rng.randint(1, 3) for _ in range(5000))
         start, root = _least_rotation(ls)
-        assert ls[start:] + ls[:start] == reference_least_rotation(ls) and root == 5000
+        assert ls[start:] + ls[:start] == D.least_rotation(ls) and root == 5000
         power = ls[:100] * 50
         start, root = _least_rotation(power)
-        assert power[start:] + power[:start] == reference_least_rotation(ls[:100]) * 50
-        assert root == reference_root_length(ls[:100])
+        assert power[start:] + power[:start] == D.least_rotation(ls[:100]) * 50
+        assert root == D.root_length(ls[:100])
 
     def test_empty_input_rejected(self):
         empty = Word((), A2)
@@ -497,14 +481,6 @@ def _le_anti_lyndon(a, b):
     return len(a) >= len(b)
 
 
-def reference_is_regular(ls):
-    """Regularity by building every proper rotation."""
-    for i in range(1, len(ls)):
-        if not ls[i:] + ls[:i] < ls:
-            return False
-    return True
-
-
 def concat_bracket(ls):
     """The stack pass carrying each factor's letters, testing uv > vu on both concatenations."""
     stack = []
@@ -525,21 +501,10 @@ def fresh_tree(tree):
     return Pair(fresh_tree(tree.left), fresh_tree(tree.right))
 
 
-def reference_bracket(ls):
-    """The bracketing by trying each cut and retesting the suffix's regularity."""
-    if len(ls) == 1:
-        return Leaf(ls[0])
-    for cut in range(1, len(ls)):
-        suffix = ls[cut:]
-        if reference_is_regular(suffix):
-            return Pair(reference_bracket(ls[:cut]), reference_bracket(suffix))
-    raise AssertionError("a regular word always has a regular proper suffix")
-
-
 def _regular_nonassoc(tree):
     if isinstance(tree, Leaf):
         return True
-    if not reference_is_regular(tree.frontier()):
+    if not D.is_regular(tree.frontier()):
         return False
     if not (_regular_nonassoc(tree.left) and _regular_nonassoc(tree.right)):
         return False
@@ -591,7 +556,7 @@ class TestRegularAndBracketing:
         alphabet = Alphabet(l)
         for n in range(1, 8):
             for ls in itertools.product(range(1, l + 1), repeat=n):
-                if not reference_is_regular(ls):
+                if not D.is_regular(ls):
                     continue
                 valid = [
                     b for b in _brute_force_bracketings(ls) if _regular_nonassoc(b)
@@ -601,12 +566,14 @@ class TestRegularAndBracketing:
 
 
 class TestRegularKernels:
-    """Duval's test and the stack bracketing against the rotation and cut references."""
+    """Duval's test against every rotation, and the stack bracketing
+    against the cut at the longest regular suffix and against the pass
+    that tests uv > vu on the letters themselves."""
 
     @staticmethod
     def assert_same_bracketing(ls):
         tree = _bracket(ls)
-        assert tree == concat_bracket(ls) == reference_bracket(ls), ls
+        assert tree == concat_bracket(ls) == D.bracket(ls), ls
         assert repr(tree) == repr(concat_bracket(ls)), ls
 
     @pytest.mark.parametrize("l,max_len", [(2, 12), (3, 8), (4, 6)])
@@ -614,7 +581,7 @@ class TestRegularKernels:
         regular = [0] * (max_len + 1)
         for n in range(1, max_len + 1):
             for ls in itertools.product(range(1, l + 1), repeat=n):
-                expected = reference_is_regular(ls)
+                expected = D.is_regular(ls)
                 assert _is_regular_letters(ls) is expected, ls
                 if expected:
                     regular[n] += 1
@@ -632,16 +599,16 @@ class TestRegularKernels:
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=80))
     def test_long_words(self, lv):
         ls = tuple(lv)
-        assert _is_regular_letters(ls) is reference_is_regular(ls) is (_bracket(ls) is not None)
+        assert _is_regular_letters(ls) is D.is_regular(ls) is (_bracket(ls) is not None)
         top = max(ls[i:] + ls[:i] for i in range(len(ls)))
-        if reference_is_regular(top):
+        if D.is_regular(top):
             assert _is_regular_letters(top)
-            assert _bracket(top) == reference_bracket(top)
+            assert _bracket(top) == D.bracket(top)
 
     @given(st.integers(2, 5).flatmap(lambda l: st.lists(st.integers(1, l), min_size=1, max_size=80)))
     def test_long_words_over_up_to_five_letters(self, lv):
         top = max(tuple(lv[i:] + lv[:i]) for i in range(len(lv)))
-        if reference_root_length(top) == len(top):
+        if D.root_length(top) == len(top):
             self.assert_same_bracketing(top)
 
     def test_combs(self):
@@ -817,65 +784,6 @@ PATTERN_TABLE = {
 }
 
 
-def reference_find_pattern_instance(pattern, host):
-    """The recursive matcher before the shared walker: one Python frame
-    per pattern letter, one dict of bindings undone on backtrack."""
-    pat, hls = pattern.letters, host.letters
-
-    def match(pi, hi, bound):
-        if pi == len(pat):
-            return bound
-        remaining_min = sum(len(bound.get(x, (0,))) for x in pat[pi:])
-        if hi + remaining_min > len(hls):
-            return None
-        letter = pat[pi]
-        if letter in bound:
-            img = bound[letter]
-            if hls[hi : hi + len(img)] == img:
-                return match(pi + 1, hi + len(img), bound)
-            return None
-        for end in range(hi + 1, len(hls) + 1):
-            bound[letter] = hls[hi:end]
-            got = match(pi + 1, end, bound)
-            if got is not None:
-                return got
-            del bound[letter]
-        return None
-
-    for start in range(len(hls)):
-        got = match(0, start, {})
-        if got is not None:
-            return {k: Word(v, host.alphabet) for k, v in got.items()}
-    return None
-
-
-def ends_tuple_find_pattern_instance(pattern, host):
-    """The walker's pattern search before its nodes were opaque: a node is
-    the growing tuple of image ends, so a path of depth k holds O(k**2)
-    letters on the walker's stack."""
-    pat, hls = pattern.letters, host.letters
-    later = {x: pat.count(x) - 1 for x in set(pat)}
-
-    def children(ends, state):
-        (bound, need), pi, hi = state, len(ends) - 1, ends[-1]
-        if hi + need > len(hls):
-            return
-        letter = pat[pi]
-        if letter in bound:
-            img = bound[letter]
-            if hls[hi : hi + len(img)] == img:
-                yield ends + (hi + len(img),), (bound, need - len(img))
-            return
-        for end in range(hi + 1, len(hls) + 1):
-            yield ends + (end,), ({**bound, letter: hls[hi:end]}, need - 1 + (end - hi - 1) * later[letter])
-
-    for start in range(len(hls)):
-        for ends, (bound, _) in _depth_first(children, ((start,), ({}, len(pat))), len(pat)):
-            if len(ends) > len(pat):
-                return {k: Word(v, host.alphabet) for k, v in bound.items()}
-    return None
-
-
 def recursive_preorder(node, tree, max_len):
     """(node, subtree) below node in preorder, one Python frame per level."""
     out = []
@@ -1008,8 +916,7 @@ class TestZiminAndPatterns:
                 host = tuple(rng.randint(1, l) for _ in range(rng.randint(0, 10)))
             pattern, hw = Word(pat, Alphabet(max(pat))), Word(host, Alphabet(l))
             got = find_pattern_instance(pattern, hw)
-            assert got == reference_find_pattern_instance(pattern, hw), (pat, host)
-            assert got == ends_tuple_find_pattern_instance(pattern, hw), (pat, host)
+            assert got == D.least_pattern_instance(pattern, hw), (pat, host)
             assert got is None or list(got) == list(dict.fromkeys(pat)), (pat, host)
             found += got is not None
         assert found > 1000 and 2500 - found > 300  # both outcomes well represented
@@ -1099,25 +1006,16 @@ class TestTailComparability:
                 continue
             for x in range(1, l + 1):
                 cand = ls + (x,)
-                if not reference_power_suffix(cand, d):
+                if not D.ends_with_power(cand, d):
                     stack.append(cand)
 
 
-def reference_power_suffix(ls, d):
-    """True iff ls ends with some z**d, z nonempty: every period compared."""
-    n = len(ls)
-    for zlen in range(1, n // d + 1):
-        if ls[n - zlen * d :] == ls[n - zlen :] * d:
-            return True
-    return False
-
-
 class TestPowerSuffix:
-    """`words._power_blockers` against `reference_power_suffix` on every child."""
+    """`words._power_blockers` against every power that ends a child."""
 
     @staticmethod
     def blocked(ls, e, l):
-        return {x for x in range(1, l + 1) if reference_power_suffix(ls + (x,), e)}
+        return {x for x in range(1, l + 1) if D.ends_with_power(ls + (x,), e)}
 
     @pytest.mark.parametrize("e", [2, 3, 4])
     def test_all_short_words(self, e):
