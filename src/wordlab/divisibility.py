@@ -593,9 +593,6 @@ class FragmentDecomposition:
     fragments: tuple[Fragment, ...]
     residues: tuple[Word, ...]  # word after each cut
 
-    def piece_counts(self) -> tuple[int, ...]:
-        return tuple(f.pieces for f in self.fragments)
-
     def tally(self, t: int) -> dict[int, int]:
         """s(k) over the first 4t fragments: how many split into k pieces."""
         if 4 * t > len(self.fragments):
@@ -618,9 +615,7 @@ class FragmentDecomposition:
         return build(tuple(current), alphabet)
 
 
-def extract_periodic_fragments(
-    w: Word, n: int, max_steps: int | None = None
-) -> FragmentDecomposition:
+def extract_periodic_fragments(w: Word, n: int) -> FragmentDecomposition:
     """Repeatedly cut out maximal z**(4n+r1+r2) fragments until none remain."""
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -629,10 +624,7 @@ def extract_periodic_fragments(
     origin = list(range(len(w)))
     fragments: list[Fragment] = []
     residues: list[Word] = []
-    while max_steps is None or len(fragments) < max_steps:
-        hit = _first_power(ls, power, leftmost=False)
-        if hit is None:
-            break
+    while (hit := _first_power(ls, power, leftmost=False)) is not None:
         start, zlen = hit
         z = ls[start : start + zlen]
         end = start + zlen * power
@@ -776,18 +768,6 @@ class CodingClass:
             if c.representative.letters in reps:
                 raise ValueError("cycles must be pairwise non-conjugate")
             reps.add(c.representative.letters)
-
-    @staticmethod
-    def of(words: Sequence[Word]) -> "CodingClass":
-        if not words:
-            raise ValueError("use CodingClass(length, alphabet, ()) for an empty class")
-        cycles = tuple(WordCycle.of(w) for w in words)
-        return CodingClass(len(words[0]), words[0].alphabet, cycles)
-
-    def word(self, i: int, j: int) -> Word:
-        """The length-t word starting at the j-th position of cycle i (1-based)."""
-        rep = self.cycles[i - 1].representative.letters
-        return _word(rep[j - 1 :] + rep[: j - 1], self.alphabet)
 
 
 def is_n_light(c: CodingClass, n: int) -> bool:

@@ -38,7 +38,7 @@ true value; the error counts below are in units of 2**-w.
   a unit, so 2**y is within 2**(r+1) * (2K + 8) units; the working
   precision spends that many bits plus 32 more, so an end rounded to s
   bits is on its side of 2**y and, unless 2**y sits within 2**-32 of a
-  multiple of 2**-s, is its floor or ceiling.  `pow2_bounds(x, prec)`
+  multiple of 2**-s, is its floor or ceiling.  `_pow2_side(x, prec, lower)`
   keeps the exponent rounding c = floor(2**prec * frac(x)): the lower
   end brackets 2**(c / 2**prec), the upper end 2**((c+1) / 2**prec).
 
@@ -184,15 +184,9 @@ def _ln2_bounds(bits: int) -> tuple[int, int]:
     return _ln_fixed(2, 1, bits, False), _ln_fixed(2, 1, bits, True)
 
 
-def pow2_bounds(x: Fraction, prec: int) -> Interval:
-    """Bracket 2**x for x >= 0 within relative error about 2**-prec."""
-    if x < 0:
-        raise ValueError("pow2_bounds needs a nonnegative exponent")
-    return _pow2_side(x, prec, lower=True), _pow2_side(x, prec, lower=False)
-
-
 def _pow2_side(x: Fraction, prec: int, lower: bool) -> Fraction:
-    # The lower or the upper end of pow2_bounds(x, prec).
+    # The lower or the upper end of a bracket of 2**x, x >= 0, within
+    # relative error about 2**-prec.
     k = _floor_fr(x)
     f = x - k
     if f == 0:

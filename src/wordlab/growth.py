@@ -37,7 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import iv_log2
-from .words import Alphabet, Word, _depth_first, _is_factor, _level_counts, _pack, format_word, parse_word
+from .words import Alphabet, Word, _depth_first, _is_factor, _level_counts, _pack, parse_word
+
+_GROWTH_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,6 @@ class MonomialAlgebraSpec:
             if not any(_is_factor(k.letters, w) for k in kept):
                 kept.append(Word(w, alphabet))
         return MonomialAlgebraSpec(alphabet, tuple(kept))
-
-    def allows(self, letters: tuple[int, ...]) -> bool:
-        return not any(_is_factor(f.letters, letters) for f in self.forbidden)
 
 
 @dataclass(frozen=True)
@@ -148,10 +147,10 @@ def count_words(spec: MonomialAlgebraSpec, n: int) -> list[int]:
     return _level_counts(_automaton(spec).__getitem__, 0, n)
 
 
-def growth_function(spec: MonomialAlgebraSpec, n: int, cap: int = 10_000) -> list[int]:
+def growth_function(spec: MonomialAlgebraSpec, n: int) -> list[int]:
     """Cumulative counts V(0..n): words of length at most k, empty word included."""
-    if n > cap:
-        raise ValueError(f"growth cap {cap} exceeded")
+    if n > _GROWTH_CAP:
+        raise ValueError(f"growth cap {_GROWTH_CAP} exceeded")
     return list(itertools.accumulate(count_words(spec, n)))
 
 
@@ -407,15 +406,14 @@ def mechanical_word(alpha: Fraction, rho: Fraction, length: int) -> Word:
 
 def parse_algebra_spec(text: str) -> MonomialAlgebraSpec:
     """First line: alphabet size; following lines: forbidden words."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty algebra spec")
-    alphabet = Alphabet(int(lines[0]))
-    forbidden = [parse_word(ln, alphabet) for ln in lines[1:]]
+    no, first = lines[0]
+    try:
+        size = int(first)
+    except ValueError:
+        raise ValueError(f"line {no}: alphabet size {first!r} is not an integer") from None
+    alphabet = Alphabet(size)
+    forbidden = [parse_word(ln, alphabet) for _, ln in lines[1:]]
     return MonomialAlgebraSpec.of(alphabet, forbidden)
-
-
-def format_algebra_spec(spec: MonomialAlgebraSpec) -> str:
-    lines = [str(spec.alphabet.size)]
-    lines += [format_word(w) for w in spec.forbidden]
-    return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .words import Alphabet, Word, _depth_first, _first_power, _is_factor, _power_blockers, _word, format_word, parse_word
+from .words import Alphabet, Word, _depth_first, _first_power, _is_factor, _power_blockers, _word, parse_word
 
 ITERATE_CAP = 10**6
 
@@ -37,11 +37,6 @@ class Morphism:
                 raise ValueError("images must be nonempty")
             if img.alphabet != self.target:
                 raise ValueError("image over the wrong alphabet")
-
-    def image_of(self, letter: int) -> Word:
-        if not 1 <= letter <= self.source.size:
-            raise ValueError(f"letter {letter} outside the source alphabet")
-        return self.images[letter - 1]
 
     @property
     def max_image(self) -> int:
@@ -160,7 +155,7 @@ def crochemore_test(m: Morphism) -> CrochemoreReport:
 
 
 def parse_morphism(text: str) -> Morphism:
-    """Lines 'letter -> image' in the word text format."""
+    """Lines 'letter -> image' in the word text format, one per source letter."""
     images: dict[int, Word] = {}
     for ln in text.splitlines():
         ln = ln.strip()
@@ -172,7 +167,12 @@ def parse_morphism(text: str) -> Morphism:
         src = parse_word(left.strip())
         if len(src) != 1:
             raise ValueError(f"left side of {ln!r} must be a single letter")
-        images[src.letters[0]] = parse_word(right.strip())
+        if src.letters[0] in images:
+            raise ValueError(f"second image of {left.strip()!r} in morphism line {ln!r}")
+        image = parse_word(right.strip())
+        if len(image) == 0:
+            raise ValueError(f"empty image in morphism line {ln!r}")
+        images[src.letters[0]] = image
     if not images:
         raise ValueError("empty morphism text")
     source = Alphabet(max(images))
@@ -180,10 +180,6 @@ def parse_morphism(text: str) -> Morphism:
         raise ValueError("images must cover letters 1..l without gaps")
     target = Alphabet(max(max(img.letters) for img in images.values()))
     return Morphism(source, target, tuple(Word(images[x].letters, target) for x in source.letters()))
-
-
-def format_morphism(m: Morphism) -> str:
-    return "".join(f"{m.source.letter_str(x)} -> {format_word(m.image_of(x))}\n" for x in m.source.letters())
 
 
 def thue_morse_morphism() -> Morphism:

@@ -105,16 +105,6 @@ class FinitePoset:
                     rel[i] |= rel[k]
         return FinitePoset(n, tuple(rel))
 
-    def covering_pairs(self) -> tuple[tuple[int, int], ...]:
-        above = self.above
-        out = []
-        for i, row in enumerate(above):
-            beyond = 0  # elements above something above i
-            for k in _bits(row):
-                beyond |= above[k]
-            out.extend((i, j) for j in _bits(row & ~beyond))
-        return tuple(out)
-
 
 def _check_pairs(rel: tuple[int, ...]) -> None:
     """Antisymmetry and transitivity over every pair, rows in index order."""
@@ -174,12 +164,6 @@ def _integer(field: str, no: int, what: str) -> int:
         return int(field)
     except ValueError:
         raise ValueError(f"line {no}: {what} {field!r} is not an integer") from None
-
-
-def format_poset(p: FinitePoset) -> str:
-    lines = [str(p.size)]
-    lines += [f"{i + 1} {j + 1}" for i, j in p.covering_pairs()]
-    return "\n".join(lines) + "\n"
 
 
 def _max_matching(p: FinitePoset) -> tuple[int, list[int]]:
@@ -411,10 +395,6 @@ def epsilon_table(n: int) -> dict[int, int]:
     for anti in seen.values():
         table[anti] += 1
     return table
-
-
-def count_permutation_posets(n: int, k: int) -> int:
-    return epsilon_table(n).get(k, 0)
 
 
 def epsilon_bound(n: int, k: int) -> int:

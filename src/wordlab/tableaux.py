@@ -100,15 +100,6 @@ def _bump(rows: list[list[int]], x: int) -> int:
     return len(rows) - 1
 
 
-def schensted_insert(t: Tableau | None, x: int) -> tuple[Tableau, tuple[int, int]]:
-    """Row-insert x; returns the new tableau and the landing cell (1-based)."""
-    rows = [list(r) for r in t.rows] if t is not None else []
-    if any(x in row for row in rows):
-        raise ValueError(f"entry {x} already present")
-    r = _bump(rows, x)
-    return Tableau(rows), (r + 1, len(rows[r]))
-
-
 # the largest n that xi_count enumerates and that `rsk --n` walks S_n for
 ENUMERATION_CAP = 9
 # rsk interns tableaux on at most ENUMERATION_CAP cells, and all of them

@@ -114,9 +114,6 @@ class Word:
     def __mul__(self, k: int) -> "Word":
         return _word(self.letters * k, self.alphabet)
 
-    def is_empty(self) -> bool:
-        return not self.letters
-
 
 def _word(letters: tuple[int, ...], alphabet: Alphabet) -> Word:
     """A Word whose letters are known to lie in the alphabet: they come
@@ -194,10 +191,6 @@ def lex_compare_letters(a: Sequence[int], b: Sequence[int]) -> Cmp:
         if x != y:
             return Cmp.LESS if x < y else Cmp.GREATER
     return Cmp.INCOMPARABLE
-
-
-def comparable(u: Word, v: Word) -> bool:
-    return lex_compare(u, v) is not Cmp.INCOMPARABLE
 
 
 def tails(w: Word) -> tuple[Word, ...]:
@@ -403,11 +396,6 @@ def _level_counts(children, root, depth: int) -> list[int]:
         level = grown
         counts.append(sum(grown.values()))
     return counts
-
-
-def rotations(w: Word) -> tuple[Word, ...]:
-    ls = w.letters
-    return tuple(_word(ls[i:] + ls[:i], w.alphabet) for i in range(len(ls)))
 
 
 def canonical_rotation(w: Word) -> Word:
@@ -672,9 +660,3 @@ def find_pattern_instance(pattern: Word, host: Word) -> dict[int, Word] | None:
             if pi == len(pat):
                 return {k: _word(v, host.alphabet) for k, v in bound.items()}
     return None
-
-
-def all_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
-    """Every word of exactly the given length, lexicographic order."""
-    for ls in itertools.product(alphabet.letters(), repeat=length):
-        yield _word(ls, alphabet)

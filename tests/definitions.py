@@ -544,8 +544,18 @@ def decreasing_histogram(n: int) -> Counter:
     return Counter(longest_decreasing(pi) for pi in itertools.permutations(range(1, n + 1)))
 
 
+def involution_histogram(n: int) -> Counter:
+    """How many involutions of 1..n (pi(pi(i)) = i) have each longest
+    decreasing subsequence length."""
+    return Counter(
+        longest_decreasing(pi)
+        for pi in itertools.permutations(range(1, n + 1))
+        if all(pi[x - 1] == i for i, x in enumerate(pi, 1))
+    )
+
+
 def xi(histogram: Counter, k: int) -> int:
-    """The permutations with no decreasing subsequence longer than k."""
+    """The permutations of a histogram with no decreasing subsequence longer than k."""
     return sum(count for length, count in histogram.items() if length <= k)
 
 
@@ -556,9 +566,10 @@ def relabeled_rows(above: Sequence[int], sigma: Sequence[int]) -> tuple[int, ...
     """The relation rows with each element i renamed sigma[i]."""
     rel = [0] * len(above)
     for i, row in enumerate(above):
-        for j in range(len(above)):
-            if row >> j & 1:
-                rel[sigma[i]] |= 1 << sigma[j]
+        while row:  # each set bit j of the row, lowest first
+            low = row & -row
+            rel[sigma[i]] |= 1 << sigma[low.bit_length() - 1]
+            row ^= low
     return tuple(rel)
 
 

@@ -14,6 +14,8 @@ import sys
 import time
 from math import factorial
 
+import definitions as D
+
 from wordlab import bounds
 from wordlab import divisibility as dv
 from wordlab import growth as gr
@@ -81,6 +83,33 @@ def test_criterion_04_xi_census_bound():
         "the classical census bound fails at the degenerate cell(s) "
         f"{failures}: 4**2 = 16 < 36 = (3!)**2 while xi_4(1) = 1"
     )
+
+
+def test_delta_census_report():
+    # by RSK an involution is one tableau P = Q, with as many rows as its
+    # longest decreasing subsequence, so Delta_k(n) counts the involutions
+    # of S_n with no decreasing subsequence longer than k
+    mismatches = []
+    for n in range(1, 9):
+        involutions = D.involution_histogram(n)
+        mismatches += [(n, k) for k in range(1, 9) if tb.delta_count(n, k) != D.xi(involutions, k)]
+    # Delta_k(n) <= k^n/(k-1)!: where n < k, Delta_k(n) counts tableaux of any
+    # shape while the right side can fall below 1
+    failing = [
+        (n, k, tb.delta_count(n, k), tb.delta_bound(n, k))
+        for k in range(1, 9)
+        for n in range(1, 25)
+        if tb.delta_count(n, k) > tb.delta_bound(n, k)
+    ]
+    below_k = all(n < k for n, k, _, _ in failing)
+    ok = not mismatches and below_k
+    print(
+        f"delta census {'PASS' if ok else 'FAIL'}: Delta_k(n) = involutions of S_n without a "
+        f"decreasing subsequence longer than k on n, k <= 8, mismatches {mismatches}; "
+        f"Delta_k(n) <= floor(k^n/(k-1)!) on n <= 24, k <= 8 fails at {len(failing)} "
+        f"(n, k, Delta, bound) cells {failing}; every failing cell has n < k: {below_k}"
+    )
+    assert ok
 
 
 def test_criterion_05_epsilon_bound():

@@ -8,13 +8,13 @@ from fractions import Fraction
 from wordlab import bounds, exactmath, growth
 from wordlab.words import Alphabet, parse_word
 from wordlab.exactmath import (
+    _pow2_side,
     ceil_log,
     exact_int_log,
     floor_log,
     integer_root,
     iv_pow,
     log2_bounds,
-    pow2_bounds,
     refine_ceil,
 )
 
@@ -87,6 +87,11 @@ def reference_pow2_dyadic(c, prec, lower):
     return Fraction(acc, 1 << s)
 
 
+def pow2_sides(x, prec):
+    """The two ends of a bracket of 2**x, as iv_pow takes them."""
+    return _pow2_side(x, prec, lower=True), _pow2_side(x, prec, lower=False)
+
+
 def reference_pow2_bounds(x, prec):
     """2**x bracketed with a fresh square-root chain for each side."""
     k = x.numerator // x.denominator
@@ -106,13 +111,13 @@ def dyadic_cell(bracket, prec):
 
 
 def assert_pow2_nests(x, prec, finer=200):
-    """Each end of pow2_bounds lies inside the chain's bracket and on its side of 2**y.
+    """Each end of pow2_sides lies inside the chain's bracket and on its side of 2**y.
 
     The lower end bounds 2**(k + c/2**prec) and the upper end 2**(k + (c+1)/2**prec),
     c = floor(2**prec * frac(x)); both exponents are exact at prec + finer bits, where
     the chain brackets the same two values far more tightly.
     """
-    lo, hi = pow2_bounds(x, prec)
+    lo, hi = pow2_sides(x, prec)
     ref = reference_pow2_bounds(x, prec)
     assert ref[0] <= lo <= hi <= ref[1]
     k = x.numerator // x.denominator
@@ -192,7 +197,7 @@ class TestExactHelpers:
 
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(41, 7)])
     def test_pow2_brackets_enclose(self, x):
-        lo, hi = pow2_bounds(x, 96)
+        lo, hi = pow2_sides(x, 96)
         true = 2.0 ** float(x)
         assert float(lo) <= true * (1 + 1e-12)
         assert true <= float(hi) * (1 + 1e-12)
@@ -210,8 +215,8 @@ class TestExactHelpers:
         lg = log2_bounds(Fraction(base), prec)
         for expo in [(Fraction(5, 3), Fraction(7, 4)), (Fraction(9, 7), Fraction(9, 7) + Fraction(1, 2**prec))]:
             lo, hi = iv_pow(base, expo, prec)
-            assert lo == pow2_bounds(expo[0] * lg[0], prec)[0]
-            assert hi == pow2_bounds(expo[1] * lg[1], prec)[1]
+            assert lo == pow2_sides(expo[0] * lg[0], prec)[0]
+            assert hi == pow2_sides(expo[1] * lg[1], prec)[1]
 
 
 # the seed-0 census inputs of log2_bounds(x, 40)

@@ -140,6 +140,23 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("growth", "x\nab\n", "line 1: alphabet size 'x' is not an integer"),
+            ("growth", "\n2.5\nab\n", "line 2: alphabet size '2.5' is not an integer"),
+            ("morphism", "a -> ab\nb -> \n", "empty image in morphism line 'b ->'"),
+            ("morphism", "a -> \n", "empty image in morphism line 'a ->'"),
+            ("morphism", "a -> ab\nb -> ba\na -> b\n", "second image of 'a' in morphism line 'a -> b'"),
+        ],
+    )
+    def test_spec_files_name_the_bad_line(self, command, text, message, tmp_path, capsys):
+        path = tmp_path / "spec.txt"
+        path.write_text(text)
+        code, out = run_cli(command, "--in", str(path))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("period, n", [(1, 3), (4, 3), (2, 2)])
     def test_corpus_without_a_default_bound(self, period, n, capsys):
         code, out = run_cli(

@@ -179,7 +179,7 @@ CORPUS_HIGH = [
 def reference_coding_poset(c: CodingClass) -> FinitePoset:
     """The two-coordinate order as a relation: rotation u of cycle i below
     rotation v of cycle j when i < j and u < v."""
-    items = [(i, c.word(i, j).letters) for i in range(1, len(c.cycles) + 1) for j in range(1, c.length + 1)]
+    items = [(i, rot) for i, cyc in enumerate(c.cycles) for rot in D.rotations(cyc.representative.letters)]
     pairs = [
         (a, b) for a, (ia, wa) in enumerate(items) for b, (ib, wb) in enumerate(items) if ia < ib and wa < wb
     ]
@@ -190,6 +190,11 @@ def reference_class_width(c: CodingClass) -> int:
     """The width by a Dilworth matching on the whole relation, which the
     one patience pass of _class_width replaced."""
     return max_antichain(reference_coding_poset(c))[0] if c.cycles else 0
+
+
+def coding_class(*words: Word) -> CodingClass:
+    """The class of the cycles of the given words, all of one length."""
+    return CodingClass(len(words[0]), words[0].alphabet, tuple(WordCycle.of(w) for w in words))
 
 
 def seeded_coding_class(rng: random.Random) -> CodingClass:
@@ -1043,8 +1048,8 @@ class TestFragmentExtraction:
         dec = extract_periodic_fragments(w, n)
         assert len(dec.fragments) == 1
         assert dec.fragments[0].exponent == 8 * n
-        assert dec.piece_counts() == (1,)
-        assert dec.residues[-1].is_empty()
+        assert tuple(f.pieces for f in dec.fragments) == (1,)
+        assert len(dec.residues[-1]) == 0
 
     def test_no_fragment(self):
         w = word("abc", A3)
@@ -1055,7 +1060,7 @@ class TestFragmentExtraction:
         w = (word("ab", A3) * 4) + (word("c", A3) * 8) + (word("ab", A3) * 4)
         dec = extract_periodic_fragments(w, 2)
         assert [str(f.period) for f in dec.fragments] == ["c", "ab"]
-        assert dec.piece_counts() == (1, 2)
+        assert tuple(f.pieces for f in dec.fragments) == (1, 2)
         assert dec.reconstruct().letters == w.letters
 
     def test_exponent_floor_and_reconstruction(self):
@@ -1078,16 +1083,11 @@ class TestFragmentExtraction:
         # the separators collapse into one final c**8 fragment of 8 pieces
         assert len(dec.fragments) == 10
         assert dec.fragments[-2].pieces == 8
-        assert dec.residues[-1].is_empty()
+        assert len(dec.residues[-1]) == 0
         for t in (1, 2):
             tally = dec.tally(t)
             assert tally.get(1, 0) + tally.get(2, 0) >= 2 * t
             assert sum(k * v for k, v in tally.items()) <= 10 * t
-
-    def test_max_steps(self):
-        w = (word("a", A2) * 8) + word("b", A2) + (word("a", A2) * 8)
-        dec = extract_periodic_fragments(w, 2, max_steps=1)
-        assert len(dec.fragments) == 1
 
 
 class TestSelectiveHeights:
@@ -1395,39 +1395,39 @@ class TestSelectiveHeights:
 
 class TestCoding:
     def test_single_cycle_light_iff_n_exceeds_length(self):
-        c = CodingClass.of([word("ab")])
+        c = coding_class(word("ab"))
         assert is_n_light(c, 3) and not is_n_light(c, 2)
 
     def test_empty_class_is_light(self):
         assert is_n_light(CodingClass(2, A2, ()), 1)
 
     def test_two_cycle_class(self):
-        c = CodingClass.of([word("ab", A3), word("ac", A3)])
+        c = coding_class(word("ab", A3), word("ac", A3))
         # rotations ba and ca sit in one antichain with any cross pair
         assert not is_n_light(c, 2)
         assert is_n_light(c, 4)
 
     def test_recode_example(self):
-        rec = recode_pairs(CodingClass.of([parse_word("abab", A2)]))
+        rec = recode_pairs(coding_class(parse_word("abab", A2)))
         assert rec.length == 2
         assert rec.cycles[0].representative.letters == (2, 2)
 
     def test_recode_needs_even_length(self):
         with pytest.raises(ValueError):
-            recode_pairs(CodingClass.of([word("aab")]))
+            recode_pairs(coding_class(word("aab")))
 
     def test_pad_example(self):
-        padded = pad_to_power_of_two(CodingClass.of([word("aab")]), 2)
+        padded = pad_to_power_of_two(coding_class(word("aab")), 2)
         assert padded.length == 4 and padded.alphabet.size == 3
         assert padded.cycles[0].representative.letters[0] == 1
 
     def test_pad_identity_when_length_matches(self):
-        c = CodingClass.of([word("aaab")])
+        c = coding_class(word("aaab"))
         assert pad_to_power_of_two(c, 2) is c
 
     def test_pad_too_small(self):
         with pytest.raises(ValueError):
-            pad_to_power_of_two(CodingClass.of([word("aab")]), 1)
+            pad_to_power_of_two(coding_class(word("aab")), 1)
 
     def test_corpus_transfers(self):
         report = coding_corpus_check(4, 2, 3)
@@ -1571,7 +1571,7 @@ class TestCoding:
 
     def test_pad_nonvacuous_case(self):
         # a light class at t = 3 exists once n exceeds the cycle length
-        c = CodingClass.of([word("aab")])
+        c = coding_class(word("aab"))
         n = 4
         assert is_n_light(c, n)
         padded = pad_to_power_of_two(c, 2)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import definitions as D
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import wordlab.posets as po
 from wordlab.cli import main
@@ -19,10 +19,8 @@ from wordlab.posets import (
     _dilworth,
     _max_matching,
     canonical_key,
-    count_permutation_posets,
     epsilon_bound,
     epsilon_table,
-    format_poset,
     max_antichain,
     max_antichain_bruteforce,
     min_chain_cover,
@@ -327,19 +325,6 @@ class TestConstruction:
         assert FinitePoset(p.size, CountedRows(p.above)) == p
         assert CountedRows.lookups < 20 * p.size
 
-    def test_covering_pairs_against_pairwise_definition(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            p = random_poset(rng, max_size=16, density=rng.choice((0.1, 0.3)))
-            n = p.size
-            want = tuple(
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if p.less(i, j) and not any(p.less(i, k) and p.less(k, j) for k in range(n))
-            )
-            assert p.covering_pairs() == want
-
 
 class TestDilworth:
     def test_chain(self):
@@ -475,6 +460,8 @@ class TestCanonicalKey:
                 p = permutation_poset(pi)
                 assert canonical_key(p) == D.least_relabeled_relation(p), pi
 
+    # the reference tries every profile-respecting bijection: 8! on an antichain of 8
+    @settings(deadline=None)
     @given(relabeled_posets)
     def test_same_key_on_random_posets(self, case):
         p, _ = case
@@ -633,7 +620,6 @@ class TestPermutationPosets:
         assert epsilon_table(2) == {1: 1, 2: 1}
         assert epsilon_table(3) == {1: 1, 2: 3, 3: 1}
         assert sum(epsilon_table(3).values()) == 5
-        assert count_permutation_posets(2, 1) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_epsilon_bounds(self, n):
@@ -677,15 +663,6 @@ class TestRemarkDemo:
 
 
 class TestExchangeFormat:
-    def test_round_trip(self):
-        p = FinitePoset.from_relation(4, [(0, 1), (1, 2), (0, 3)])
-        text = format_poset(p)
-        assert parse_poset(text).above == p.above
-
-    def test_format_lists_covering_pairs_only(self):
-        text = format_poset(chain(3))
-        assert text.splitlines() == ["3", "1 2", "2 3"]
-
     @pytest.mark.parametrize(
         "text, message",
         [

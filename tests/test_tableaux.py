@@ -24,7 +24,6 @@ from wordlab.tableaux import (
     permutations_of,
     rsk,
     rsk_inverse,
-    schensted_insert,
     xi3_closed,
     xi_count,
 )
@@ -150,16 +149,18 @@ def completions(prefix, rest, k):
 
 class TestInsertion:
     def test_append_case(self):
-        t, cell = schensted_insert(Tableau(((1, 2),)), 3)
-        assert t.rows == ((1, 2, 3),) and cell == (1, 3)
+        # 3 lands at the end of row 1, so Q records step 3 in cell (1, 3)
+        p, q = rsk((1, 2, 3))
+        assert p.rows == ((1, 2, 3),) and q.rows == ((1, 2, 3),)
 
     def test_bump_case(self):
-        t, cell = schensted_insert(Tableau(((2,),)), 1)
-        assert t.rows == ((1,), (2,)) and cell == (2, 1)
+        # 1 bumps 2 into row 2, so Q records step 2 in cell (2, 1)
+        p, q = rsk((2, 1))
+        assert p.rows == ((1,), (2,)) and q.rows == ((1,), (2,))
 
     def test_duplicate_rejected(self):
-        with pytest.raises(ValueError):
-            schensted_insert(Tableau(((1, 3),)), 3)
+        with pytest.raises(ValueError, match="^not a permutation of 1..n$"):
+            rsk((1, 3, 3))
 
     def test_against_naive_insertion(self):
         def naive(rows, x):
@@ -178,12 +179,10 @@ class TestInsertion:
                 r += 1
 
         for pi in itertools.permutations(range(1, 6)):
-            t = None
             rows = []
             for x in pi:
-                t, _ = schensted_insert(t, x)
                 rows = naive(rows, x)
-            assert [list(r) for r in t.rows] == rows
+            assert [list(r) for r in rsk(pi)[0].rows] == rows
 
 
 class TestRSK:

@@ -35,7 +35,6 @@ from wordlab.words import (
     _least_rotation,
     _level_counts,
     _power_blockers,
-    all_words,
     canonical_rotation,
     conjugate_classes,
     find_period_power,
@@ -48,7 +47,6 @@ from wordlab.words import (
     lex_compare_letters,
     parse_word,
     pattern_occurs,
-    rotations,
     shirshov_bracketing,
     strongly_comparable,
     subword_count_period,
@@ -205,11 +203,7 @@ class TestUncheckedWords:
 
     def test_enumerations(self):
         for l in (1, 2, 3):
-            alphabet = Alphabet(l)
-            for n in range(5):
-                for u in all_words(alphabet, n):
-                    self.assert_checked(u)
-            for u in square_free_words(alphabet, 8):
+            for u in square_free_words(Alphabet(l), 8):
                 self.assert_checked(u)
 
     @given(
@@ -247,13 +241,13 @@ class TestUncheckedWords:
         l, ls = lv
         alphabet = Alphabet(l)
         w = Word(tuple(ls), alphabet)
-        built = [*rotations(w), *tails(w)]
+        built = list(tails(w))
         if w.letters:
             start = min(start, len(w))
             built += [k_tail(w, start, k), canonical_rotation(w), WordCycle.of(w).representative]
             built += find_pattern_instance(w[start - 1 :], w).values()
             if is_primitive(w):
-                built += [c.representative for c, _ in conjugate_classes(rotations(w))]
+                built += [c.representative for c, _ in conjugate_classes(Word(r, alphabet) for r in D.rotations(w.letters))]
             try:
                 built += [u for u in dilworth_tail_coloring(w, 100).snapshot(k, start) if u is not THETA]
             except IncomparableTailsError:
@@ -268,10 +262,9 @@ class TestUncheckedWords:
     def test_coding_class_sites(self, l, t):
         alphabet = Alphabet(l)
         c = CodingClass(t, alphabet, primitive_cycle_classes(t, alphabet))
-        built = [c.word(i, j) for i in range(1, len(c.cycles) + 1) for j in range(1, t + 1)]
+        built = [cyc.representative for cyc in c.cycles]
         for image in (pad_to_power_of_two(c, 3), *((recode_pairs(c),) if t % 2 == 0 else ())):
             built += [cyc.representative for cyc in image.cycles]
-        built += [cyc.representative for cyc in c.cycles]
         for u in built:
             self.assert_checked(u)
 
@@ -316,9 +309,9 @@ class TestFactorCountPeriod:
 
 def reference_strongly_comparable(u, v):
     """The pairwise comparison that the window test replaced."""
-    for ru in rotations(u):
-        for rv in rotations(v):
-            if lex_compare(ru, rv) is Cmp.INCOMPARABLE:
+    for ru in D.rotations(u.letters):
+        for rv in D.rotations(v.letters):
+            if lex_compare_letters(ru, rv) is Cmp.INCOMPARABLE:
                 return False
     return True
 
@@ -404,7 +397,8 @@ class TestStrongComparability:
 
     def test_equals_nonconjugacy_for_primitive_equal_length(self):
         for length in (2, 3, 4):
-            prim = [w for w in all_words(A2, length) if is_primitive(w)]
+            words = [Word(ls, A2) for ls in itertools.product(A2.letters(), repeat=length)]
+            prim = [w for w in words if is_primitive(w)]
             for u, v in itertools.product(prim, prim):
                 conj = canonical_rotation(u) == canonical_rotation(v)
                 assert strongly_comparable(u, v) == (not conj)
@@ -412,7 +406,7 @@ class TestStrongComparability:
     @pytest.mark.parametrize("l,max_len", [(1, 4), (2, 5), (3, 3)])
     def test_every_short_pair_against_reference(self, l, max_len):
         alphabet = Alphabet(l)
-        ws = [u for n in range(max_len + 1) for u in all_words(alphabet, n)]
+        ws = [Word(ls, alphabet) for n in range(max_len + 1) for ls in itertools.product(alphabet.letters(), repeat=n)]
         for u, v in itertools.product(ws, ws):
             assert strongly_comparable(u, v) is reference_strongly_comparable(u, v), (u, v)
 
