@@ -6,55 +6,3 @@ selective and essential heights with the letter-coding lemmas, the
 Schensted correspondence with permutation censuses, square/cube-free
 substitutions, and monomial-algebra growth classification.
 """
-
-from .words import (
-    Alphabet,
-    BracketedWord,
-    Cmp,
-    Theta,
-    THETA,
-    Word,
-    WordCycle,
-    conjugate_classes,
-    find_period_power,
-    format_word,
-    is_primitive,
-    is_regular,
-    k_tail,
-    lex_compare,
-    parse_word,
-    pattern_occurs,
-    shirshov_bracketing,
-    strongly_comparable,
-    subword_count_period,
-    tails,
-    word,
-    zimin_word,
-)
-
-__all__ = [
-    "Alphabet",
-    "BracketedWord",
-    "Cmp",
-    "THETA",
-    "Theta",
-    "Word",
-    "WordCycle",
-    "conjugate_classes",
-    "find_period_power",
-    "format_word",
-    "is_primitive",
-    "is_regular",
-    "k_tail",
-    "lex_compare",
-    "parse_word",
-    "pattern_occurs",
-    "shirshov_bracketing",
-    "strongly_comparable",
-    "subword_count_period",
-    "tails",
-    "word",
-    "zimin_word",
-]
-
-__version__ = "0.1.0"

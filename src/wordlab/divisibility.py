@@ -337,9 +337,10 @@ class OracleResult:
     nodes: int
 
 
-def max_nonreducible_length(
-    n: int, d: int, l: int, budget: int = 2_000_000, max_len: int = 50
-) -> OracleResult:
+_LENGTH_GUARD = 50  # letters at which the oracle calls the non-reducible language infinite
+
+
+def max_nonreducible_length(n: int, d: int, l: int, budget: int = 2_000_000) -> OracleResult:
     """Exact maximum length of a word over l letters that is not (n,d)-reducible.
 
     Depth-first search over the word tree; reducibility is monotone
@@ -376,13 +377,12 @@ def max_nonreducible_length(
             if x not in blocked and _block_division(cand, n) is None:
                 yield cand, None
 
-    # the length guard is here; below max_len = 1 it raises at the first letter
-    for ls, _ in _depth_first(children, ((), None), max(max_len, 1)):
+    for ls, _ in _depth_first(children, ((), None), _LENGTH_GUARD):
         if len(ls) > len(best_word):
             best_word = ls
-        if len(ls) >= max_len:
+        if len(ls) >= _LENGTH_GUARD:
             raise BudgetExceededError(
-                f"non-reducible words reach the length guard of {max_len};"
+                f"non-reducible words reach the length guard of {_LENGTH_GUARD};"
                 " the language looks infinite",
                 nodes,
             )
@@ -628,8 +628,7 @@ def extract_periodic_fragments(w: Word, n: int) -> FragmentDecomposition:
         start, zlen = hit
         z = ls[start : start + zlen]
         end = start + zlen * power
-        while start >= zlen and ls[start - zlen : start] == z:
-            start -= zlen
+        # no z ends at start: that copy would begin an earlier z**power of the shortest period
         while ls[end : end + zlen] == z:
             end += zlen
         exponent = (end - start) // zlen

@@ -261,13 +261,8 @@ def iv_pow(base: int, expo: Interval, prec: int) -> Interval:
     """base**expo for an integer base >= 2 and a nonnegative exponent."""
     if base < 2:
         raise ValueError("iv_pow needs base >= 2")
-    if expo[0] == expo[1]:
-        e = expo[0]
-        if e.denominator == 1:
-            return iv_exact(Fraction(base) ** e.numerator)
-        root = _exact_root(base ** e.numerator, e.denominator)
-        if root is not None:
-            return iv_exact(Fraction(root))
+    if expo[0] == expo[1] and expo[0].denominator == 1:
+        return iv_exact(Fraction(base) ** expo[0].numerator)
     lg = _log2_bounds(Fraction(base), prec)
     return (
         _pow2_side(expo[0] * lg[0], prec, lower=True),
@@ -287,13 +282,6 @@ def integer_root(value: int, k: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-def _exact_root(value: int, k: int) -> int | None:
-    if value < 0 or k < 1:
-        return None
-    r = integer_root(value, k)
-    return r if r**k == value else None
 
 
 def refine_ceil(make: "callable[[int], Interval]") -> int:

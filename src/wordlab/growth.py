@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import iv_log2
-from .words import Alphabet, Word, _depth_first, _is_factor, _level_counts, _pack, parse_word
+from .words import Alphabet, Word, _depth_first, _is_factor, _level_counts, _pack, _parse_line_word
 
 _GROWTH_CAP = 10_000
 
@@ -415,5 +415,5 @@ def parse_algebra_spec(text: str) -> MonomialAlgebraSpec:
     except ValueError:
         raise ValueError(f"line {no}: alphabet size {first!r} is not an integer") from None
     alphabet = Alphabet(size)
-    forbidden = [parse_word(ln, alphabet) for _, ln in lines[1:]]
+    forbidden = [_parse_line_word(no, ln, alphabet) for no, ln in lines[1:]]
     return MonomialAlgebraSpec.of(alphabet, forbidden)

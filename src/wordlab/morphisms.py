@@ -16,7 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .words import Alphabet, Word, _depth_first, _first_power, _is_factor, _power_blockers, _word, parse_word
+from .words import (
+    Alphabet, Word, _depth_first, _first_power, _is_factor, _parse_line_word, _power_blockers, _word, parse_word,
+)
 
 ITERATE_CAP = 10**6
 
@@ -57,7 +59,7 @@ def apply(m: Morphism, w: Word) -> Word:
     return _word(tuple(out), m.target)
 
 
-def iterate(m: Morphism, letter: int | str, k: int, cap: int = ITERATE_CAP) -> Word:
+def iterate(m: Morphism, letter: int | str, k: int) -> Word:
     """k-fold application starting from a single letter, given as a
     letter index or as word text of one letter."""
     if k < 0:
@@ -70,8 +72,8 @@ def iterate(m: Morphism, letter: int | str, k: int, cap: int = ITERATE_CAP) -> W
     w = Word(start, m.target)
     lengths = (0,) + tuple(map(len, m.images))  # indexed by letter
     for _ in range(k):
-        if sum(map(lengths.__getitem__, w.letters)) > cap:
-            raise ValueError(f"iterate would exceed the {cap}-letter cap")
+        if sum(map(lengths.__getitem__, w.letters)) > ITERATE_CAP:
+            raise ValueError(f"iterate would exceed the {ITERATE_CAP}-letter cap")
         w = apply(m, w)
     return w
 
@@ -157,19 +159,19 @@ def crochemore_test(m: Morphism) -> CrochemoreReport:
 def parse_morphism(text: str) -> Morphism:
     """Lines 'letter -> image' in the word text format, one per source letter."""
     images: dict[int, Word] = {}
-    for ln in text.splitlines():
+    for no, ln in enumerate(text.splitlines(), 1):
         ln = ln.strip()
         if not ln:
             continue
         left, arrow, right = ln.partition("->")
         if not arrow:
             raise ValueError(f"malformed morphism line {ln!r}")
-        src = parse_word(left.strip())
+        src = _parse_line_word(no, left.strip())
         if len(src) != 1:
             raise ValueError(f"left side of {ln!r} must be a single letter")
         if src.letters[0] in images:
             raise ValueError(f"second image of {left.strip()!r} in morphism line {ln!r}")
-        image = parse_word(right.strip())
+        image = _parse_line_word(no, right.strip())
         if len(image) == 0:
             raise ValueError(f"empty image in morphism line {ln!r}")
         images[src.letters[0]] = image

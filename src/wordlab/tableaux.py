@@ -83,10 +83,6 @@ class Tableau:
                 return False
         return True
 
-    def __str__(self) -> str:
-        width = max((len(str(x)) for row in self.rows for x in row), default=1)
-        return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in self.rows)
-
 
 def _bump(rows: list[list[int]], x: int) -> int:
     """Row-insert x into mutable rows in place; returns the 0-based landing row."""
@@ -230,8 +226,6 @@ def xi_count(n: int, k: int, method: str = "tableaux") -> int:
     if method == "tableaux":
         if n > 12:
             raise ValueError("tableaux route capped at n = 12")
-        if n == 0:
-            return 1
         return sum(hook_count(shape) ** 2 for shape in partitions_max_rows(n, k))
     if method == "closed3":
         if k != 3:

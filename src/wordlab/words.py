@@ -142,11 +142,6 @@ class Theta:
 THETA = Theta()
 
 
-def word(text: str, alphabet: Alphabet | None = None) -> Word:
-    """Parse the word text format; see `parse_word`."""
-    return parse_word(text, alphabet)
-
-
 def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
     """Parse 'abc' (lowercase letters) or 'i:1,2,3' (explicit indices)."""
     if text.startswith("i:"):
@@ -167,6 +162,14 @@ def parse_word(text: str, alphabet: Alphabet | None = None) -> Word:
     if alphabet is None:
         alphabet = Alphabet(max(letters, default=1))
     return Word(letters, alphabet)
+
+
+def _parse_line_word(no: int, text: str, alphabet: Alphabet | None = None) -> Word:
+    """parse_word on line `no` of a spec file, naming the line in its errors."""
+    try:
+        return parse_word(text, alphabet)
+    except ValueError as err:
+        raise ValueError(f"line {no}: {err}") from None
 
 
 def format_word(w: Word) -> str:
@@ -431,9 +434,6 @@ class WordCycle:
     def of(w: Word) -> "WordCycle":
         start, root = _least_rotation(w.letters)
         return WordCycle(_word(w.letters[start:] + w.letters[:start], w.alphabet), root)
-
-    def __len__(self) -> int:
-        return len(self.representative)
 
 
 def conjugate_classes(ws: Iterable[Word]) -> tuple[tuple[WordCycle, tuple[Word, ...]], ...]:

@@ -22,7 +22,7 @@ from wordlab import growth as gr
 from wordlab import morphisms as mo
 from wordlab import posets as po
 from wordlab import tableaux as tb
-from wordlab.words import Alphabet, word
+from wordlab.words import Alphabet, parse_word
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
@@ -225,7 +225,7 @@ def test_criterion_10_morphisms():
 
 def test_criterion_11_growth():
     a2 = Alphabet(2)
-    staircase = gr.MonomialAlgebraSpec.of(a2, [word("ba")])
+    staircase = gr.MonomialAlgebraSpec.of(a2, [parse_word("ba")])
     values = gr.growth_function(staircase, 12)
     ok = all(values[n] == (n + 1) * (n + 2) // 2 for n in range(13))
     cls = gr.classify_growth(staircase)

@@ -218,6 +218,12 @@ class TestExactHelpers:
             assert lo == pow2_sides(expo[0] * lg[0], prec)[0]
             assert hi == pow2_sides(expo[1] * lg[1], prec)[1]
 
+    @pytest.mark.parametrize("base", [2, 3, 4, 9])
+    def test_iv_pow_point_root(self, base):
+        # a point exponent that is not an integer takes the general path, perfect squares too
+        lo, hi = iv_pow(base, (Fraction(1, 2), Fraction(1, 2)), 96)
+        assert lo**2 <= base <= hi**2
+
 
 # the seed-0 census inputs of log2_bounds(x, 40)
 CENSUS_LOG2_INPUTS = tuple(

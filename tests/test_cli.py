@@ -145,9 +145,11 @@ class TestExitCodes:
         [
             ("growth", "x\nab\n", "line 1: alphabet size 'x' is not an integer"),
             ("growth", "\n2.5\nab\n", "line 2: alphabet size '2.5' is not an integer"),
+            ("growth", "2\nab\n\nc\n", "line 4: letter 3 outside alphabet of size 2"),
             ("morphism", "a -> ab\nb -> \n", "empty image in morphism line 'b ->'"),
             ("morphism", "a -> \n", "empty image in morphism line 'a ->'"),
             ("morphism", "a -> ab\nb -> ba\na -> b\n", "second image of 'a' in morphism line 'a -> b'"),
+            ("morphism", "a -> ab\nb -> bz9\n", "line 2: word text 'bz9' is not lowercase a-z"),
         ],
     )
     def test_spec_files_name_the_bad_line(self, command, text, message, tmp_path, capsys):

@@ -24,14 +24,14 @@ from wordlab.growth import (
     subword_graph,
 )
 from wordlab.morphisms import fibonacci_morphism, iterate
-from wordlab.words import Alphabet, Word, _is_factor, word
+from wordlab.words import Alphabet, Word, _is_factor, parse_word
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
 
 FREE = MonomialAlgebraSpec.of(A2, [])
-NO_BA = MonomialAlgebraSpec.of(A2, [word("ba")])
-ALTERNATING = MonomialAlgebraSpec.of(A2, [word("aa"), word("bb")])
+NO_BA = MonomialAlgebraSpec.of(A2, [parse_word("ba")])
+ALTERNATING = MonomialAlgebraSpec.of(A2, [parse_word("aa"), parse_word("bb")])
 
 
 class TestGrowthFunction:
@@ -52,9 +52,9 @@ class TestGrowthFunction:
             FREE,
             NO_BA,
             ALTERNATING,
-            MonomialAlgebraSpec.of(A2, [word("aba")]),
-            MonomialAlgebraSpec.of(A3, [word("ab", A3), word("ca", A3)]),
-            MonomialAlgebraSpec.of(A3, [word("abc", A3), word("bb", A3)]),
+            MonomialAlgebraSpec.of(A2, [parse_word("aba")]),
+            MonomialAlgebraSpec.of(A3, [parse_word("ab", A3), parse_word("ca", A3)]),
+            MonomialAlgebraSpec.of(A3, [parse_word("abc", A3), parse_word("bb", A3)]),
         ]
         for spec in specs:
             assert count_words(spec, 12) == count_words_direct(spec, 12)
@@ -72,7 +72,7 @@ class TestClassification:
         assert classify_growth(NO_BA) == GrowthClass("polynomial", 2)
 
     def test_single_loop_linear(self):
-        spec = MonomialAlgebraSpec.of(A2, [word("aa"), word("ab"), word("ba")])
+        spec = MonomialAlgebraSpec.of(A2, [parse_word("aa"), parse_word("ab"), parse_word("ba")])
         assert classify_growth(spec) == GrowthClass("polynomial", 1)
 
     def test_alternating_linear(self):
@@ -80,7 +80,7 @@ class TestClassification:
 
     def test_nilpotent_constant(self):
         spec = MonomialAlgebraSpec.of(
-            A2, [word("aa"), word("ab"), word("ba"), word("bb")]
+            A2, [parse_word("aa"), parse_word("ab"), parse_word("ba"), parse_word("bb")]
         )
         assert classify_growth(spec) == GrowthClass("polynomial", 0)
 
@@ -96,18 +96,18 @@ class TestClassification:
 class TestSubwordGraph:
     def test_window_is_longest_forbidden_minus_one(self):
         assert subword_graph(NO_BA).window == 1
-        assert subword_graph(MonomialAlgebraSpec.of(A2, [word("aba")])).window == 2
+        assert subword_graph(MonomialAlgebraSpec.of(A2, [parse_word("aba")])).window == 2
         assert subword_graph(FREE).window == 1
 
     def test_vertices_and_edges_avoid_forbidden(self):
-        g = subword_graph(MonomialAlgebraSpec.of(A2, [word("aba")]))
+        g = subword_graph(MonomialAlgebraSpec.of(A2, [parse_word("aba")]))
         assert (1, 2, 1) not in {v for v in g.vertices}
         for a, b in g.edges:
             merged = g.vertices[a] + g.vertices[b][-1:]
             assert merged != (1, 2, 1)
 
     def test_reduction_drops_redundant_words(self):
-        spec = MonomialAlgebraSpec.of(A2, [word("ab"), word("aab")])
+        spec = MonomialAlgebraSpec.of(A2, [parse_word("ab"), parse_word("aab")])
         assert [str(f) for f in spec.forbidden] == ["ab"]
 
 
@@ -134,7 +134,7 @@ def reference_subword_graph(spec):
 
 
 def _spec(forbidden, alphabet=A2):
-    return MonomialAlgebraSpec.of(alphabet, [word(f, alphabet) for f in forbidden])
+    return MonomialAlgebraSpec.of(alphabet, [parse_word(f, alphabet) for f in forbidden])
 
 
 def _binary_specs():
@@ -176,8 +176,8 @@ SPEC_FAMILIES = {
     "abbabaababba": lambda: [_spec(["abbabaababba"])],
     # unreduced: a forbidden word inside another keeps a terminal state with children
     "unreduced": lambda: [
-        MonomialAlgebraSpec(A2, (word("ab"), word("aab"))),
-        MonomialAlgebraSpec(A3, (word("bcb", A3), word("c", A3), word("abca", A3))),
+        MonomialAlgebraSpec(A2, (parse_word("ab"), parse_word("aab"))),
+        MonomialAlgebraSpec(A3, (parse_word("bcb", A3), parse_word("c", A3), parse_word("abca", A3))),
     ],
 }
 
@@ -294,10 +294,10 @@ class TestComplexity:
         assert complexity_function(fib, 15) == list(range(2, 17))
 
     def test_periodic(self):
-        assert complexity_function(word("ababab"), 5) == [2, 2, 2, 2, 2]
+        assert complexity_function(parse_word("ababab"), 5) == [2, 2, 2, 2, 2]
 
     def test_balance(self):
-        assert is_balanced(word("aabb")) is False
+        assert is_balanced(parse_word("aabb")) is False
         assert is_balanced(iterate(fibonacci_morphism(), "a", 9)) is True
 
     def test_balance_against_reference(self):
@@ -308,7 +308,7 @@ class TestComplexity:
                 assert is_balanced(w) == D.is_balanced(w.letters)
         fib = iterate(fibonacci_morphism(), "a", 9)
         for end in range(0, len(fib), 5):
-            unbalanced = fib[0:end] + word("bb")
+            unbalanced = fib[0:end] + parse_word("bb")
             assert is_balanced(unbalanced) == D.is_balanced(unbalanced.letters)
 
     def test_balance_against_prefix_sums(self):
@@ -332,7 +332,7 @@ class TestComplexity:
 
     def test_balance_rejects_three_letters(self):
         with pytest.raises(ValueError):
-            is_balanced(word("abc"))
+            is_balanced(parse_word("abc"))
 
     def test_complexity_all_short_binary_words(self):
         for length in range(13):
@@ -343,12 +343,12 @@ class TestComplexity:
                     assert complexity_function(w, n) == ref[:n], (ls, n)
 
     def test_complexity_edge_lengths(self):
-        w = word("abaababaab")
+        w = parse_word("abaababaab")
         assert complexity_function(w, 0) == [] == complexity_function(w, -3)
         assert complexity_function(Word((), A2), 3) == [0, 0, 0]
         assert complexity_function(w, 13) == D.factor_counts(w.letters, 13)
         assert complexity_function(w, 13)[10:] == [0, 0, 0]
-        assert complexity_function(word("aaaa"), 6) == [1, 1, 1, 1, 0, 0]
+        assert complexity_function(parse_word("aaaa"), 6) == [1, 1, 1, 1, 0, 0]
 
     @pytest.mark.parametrize("size", [255, 256, 300, 70_000])
     def test_complexity_wide_letters(self, size):

@@ -24,7 +24,7 @@ from wordlab.morphisms import (
     thue_ternary,
     thue_ternary_morphism,
 )
-from wordlab.words import Alphabet, Word, format_word, parse_word, word
+from wordlab.words import Alphabet, Word, format_word, parse_word
 
 A1 = Alphabet(1)
 A2 = Alphabet(2)
@@ -39,11 +39,11 @@ class TestApplication:
         assert len(apply(thue_morse_morphism(), Word((), A2))) == 0
 
     def test_ternary_image_of_a(self):
-        assert format_word(apply(thue_ternary_morphism(), word("a", A3))) == "abcab"
+        assert format_word(apply(thue_ternary_morphism(), parse_word("a", A3))) == "abcab"
 
     def test_letter_outside_source(self):
         with pytest.raises(ValueError):
-            apply(thue_morse_morphism(), word("abc", A3))
+            apply(thue_morse_morphism(), parse_word("abc", A3))
 
     @given(
         st.lists(st.integers(1, 2), max_size=6), st.lists(st.integers(1, 2), max_size=6)
@@ -68,7 +68,7 @@ def reference_apply(m, w):
     return Word(tuple(out), m.target)
 
 
-def reference_iterate(m, letter, k, cap=morphisms.ITERATE_CAP):
+def reference_iterate(m, letter, k, cap):
     """iterate before its length table: each next length summed letter by letter."""
     w = Word((letter,), m.target)
     for _ in range(k):
@@ -96,18 +96,19 @@ class TestLengthTables:
         assert str(info.value) == f"iterate would exceed the {cap}-letter cap"
 
     @pytest.mark.parametrize("make", BUILTINS)
-    def test_every_start_letter_and_small_caps(self, make):
+    def test_every_start_letter_and_small_caps(self, make, monkeypatch):
         m = make()
         for letter, k, cap in itertools.product(m.source.letters(), range(7), (1, 10, 100)):
+            monkeypatch.setattr(morphisms, "ITERATE_CAP", cap)
             try:
                 expected = reference_iterate(m, letter, k, cap)
             except ValueError as err:
                 with pytest.raises(ValueError, match=str(err)):
-                    iterate(m, letter, k, cap)
+                    iterate(m, letter, k)
             else:
-                assert iterate(m, letter, k, cap) == expected
+                assert iterate(m, letter, k) == expected
                 if letter == 1:
-                    assert iterate(m, "a", k, cap) == expected
+                    assert iterate(m, "a", k) == expected
 
     def test_apply_on_random_morphisms(self):
         rng = random.Random(27)
@@ -132,23 +133,23 @@ class TestLengthTables:
         assert str(info.value) == message
 
     def test_start_text_in_index_form(self):
-        assert iterate(thue_morse_morphism(), "i:2", 2) == iterate(thue_morse_morphism(), "b", 2) == word("baab")
+        assert iterate(thue_morse_morphism(), "i:2", 2) == iterate(thue_morse_morphism(), "b", 2) == parse_word("baab")
 
 
 class TestRepetitions:
     def test_square_found(self):
-        occ = has_square(word("abab"))
+        occ = has_square(parse_word("abab"))
         assert occ is not None and format_word(occ.root) == "ab"
 
     def test_square_free(self):
-        assert has_square(word("abcacb", A3)) is None
+        assert has_square(parse_word("abcacb", A3)) is None
 
     def test_cube(self):
-        occ = has_cube(word("aaa"))
+        occ = has_cube(parse_word("aaa"))
         assert occ is not None and format_word(occ.root) == "a"
 
     def test_leftmost_shortest(self):
-        occ = has_square(word("baa"))
+        occ = has_square(parse_word("baa"))
         assert (occ.start, format_word(occ.root)) == (2, "a")
 
     def test_square_free_ternary_counts(self):

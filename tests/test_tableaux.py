@@ -420,6 +420,12 @@ class TestXi:
         for n in range(0, 9):
             assert xi_count(n, k, "genfun") == D.xi(decreasing_histograms[n], k)
 
+    def test_empty_permutation(self):
+        # S_0 is the empty permutation alone; the tableaux route counts it as the empty shape's one tableau
+        for k in (1, 2, 3, 4):
+            assert [xi_count(0, k, method) for method in ("enumerate", "tableaux", "genfun")] == [1, 1, 1], k
+        assert xi_count(0, 3, "closed3") == 1
+
     def test_genfun_k4(self):
         for n in range(1, 9):
             assert xi_count(n, 4, "genfun") == xi_count(n, 4, "tableaux")

@@ -51,7 +51,6 @@ from wordlab.words import (
     strongly_comparable,
     subword_count_period,
     tails,
-    word,
     zimin_word,
 )
 
@@ -69,17 +68,17 @@ def letters_strategy(max_l=3, max_len=8):
 
 class TestLexCompare:
     def test_prefix_of_self_is_incomparable(self):
-        assert lex_compare(word("ab"), word("ab")) is Cmp.INCOMPARABLE
+        assert lex_compare(parse_word("ab"), parse_word("ab")) is Cmp.INCOMPARABLE
 
     def test_proper_prefix_is_incomparable(self):
-        assert lex_compare(word("ab", A3), word("aba", A3)) is Cmp.INCOMPARABLE
+        assert lex_compare(parse_word("ab", A3), parse_word("aba", A3)) is Cmp.INCOMPARABLE
 
     def test_first_letter_decides(self):
-        assert lex_compare(word("ba"), word("ab")) is Cmp.GREATER
+        assert lex_compare(parse_word("ba"), parse_word("ab")) is Cmp.GREATER
 
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
-            lex_compare(word("ab", A2), word("ab", A3))
+            lex_compare(parse_word("ab", A2), parse_word("ab", A3))
 
     @given(letters_strategy(), letters_strategy())
     def test_trichotomy(self, uv, wv):
@@ -100,29 +99,29 @@ class TestLexCompare:
 
 class TestTails:
     def test_all_suffixes(self):
-        assert [format_word(t) for t in tails(word("abc"))] == ["abc", "bc", "c"]
+        assert [format_word(t) for t in tails(parse_word("abc"))] == ["abc", "bc", "c"]
 
     def test_k_tail_truncates(self):
-        assert format_word(k_tail(word("abc"), 1, 2)) == "ab"
+        assert format_word(k_tail(parse_word("abc"), 1, 2)) == "ab"
 
     def test_k_tail_short_tail_returned_whole(self):
-        assert format_word(k_tail(word("abc"), 3, 5)) == "c"
+        assert format_word(k_tail(parse_word("abc"), 3, 5)) == "c"
 
 
 class TestPeriodPower:
     def test_shortest_then_leftmost(self):
-        occ = find_period_power(word("ababab"), 3)
+        occ = find_period_power(parse_word("ababab"), 3)
         assert (format_word(occ.period), occ.start) == ("ab", 1)
 
     def test_absent(self):
-        assert find_period_power(word("abc"), 2) is None
+        assert find_period_power(parse_word("abc"), 2) is None
 
     def test_single_letter_wins(self):
-        occ = find_period_power(word("aabaab"), 2)
+        occ = find_period_power(parse_word("aabaab"), 2)
         assert (format_word(occ.period), occ.start) == ("a", 1)
 
     def test_root_is_primitive(self):
-        occ = find_period_power(word("abababab"), 2)
+        occ = find_period_power(parse_word("abababab"), 2)
         assert is_primitive(occ.period)
 
 
@@ -175,7 +174,7 @@ class TestPeriodPowerEngine:
 
     def test_leftmost_order_prefers_earlier_start(self):
         # the square of 'ab' starts before the square of 'b'
-        ls = word("ababb").letters
+        ls = parse_word("ababb").letters
         assert _first_power(ls, 2, leftmost=False) == (3, 1)
         assert _first_power(ls, 2, leftmost=True) == (0, 2)
 
@@ -276,17 +275,17 @@ class TestUncheckedWords:
 
 class TestFactorCountPeriod:
     def test_few_factors_forces_period(self):
-        assert subword_count_period(word("ababab"), 2, 3) is True
+        assert subword_count_period(parse_word("ababab"), 2, 3) is True
 
     def test_many_factors(self):
-        assert subword_count_period(word("abcabc", A3), 2, 3) is False
+        assert subword_count_period(parse_word("abcabc", A3), 2, 3) is False
 
     def test_single_factor(self):
-        assert subword_count_period(word("aaaa"), 2, 2) is True
+        assert subword_count_period(parse_word("aaaa"), 2, 2) is True
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            subword_count_period(word("abc"), 2, 2)
+            subword_count_period(parse_word("abc"), 2, 2)
 
     @pytest.mark.parametrize("k,t", [(k, t) for k in range(1, 5) for t in range(1, 5)])
     def test_exhaustive_consequence(self, k, t):
@@ -321,7 +320,7 @@ class TestPrimitivity:
         "text,expected", [("abab", False), ("aba", True), ("aabaab", False), ("a", True)]
     )
     def test_examples(self, text, expected):
-        assert is_primitive(word(text)) is expected
+        assert is_primitive(parse_word(text)) is expected
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -387,13 +386,13 @@ class TestCycleKernel:
 
 class TestStrongComparability:
     def test_distinct_letters(self):
-        assert strongly_comparable(word("ab", A3), word("ac", A3)) is True
+        assert strongly_comparable(parse_word("ab", A3), parse_word("ac", A3)) is True
 
     def test_rotation_equality_fails(self):
-        assert strongly_comparable(word("ab"), word("ba")) is False
+        assert strongly_comparable(parse_word("ab"), parse_word("ba")) is False
 
     def test_prefix_pair_fails(self):
-        assert strongly_comparable(word("a", A2), word("ab", A2)) is False
+        assert strongly_comparable(parse_word("a", A2), parse_word("ab", A2)) is False
 
     def test_equals_nonconjugacy_for_primitive_equal_length(self):
         for length in (2, 3, 4):
@@ -434,24 +433,24 @@ class TestStrongComparability:
 
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError, match="alphabet mismatch"):
-            strongly_comparable(word("ab", A2), word("ab", A3))
+            strongly_comparable(parse_word("ab", A2), parse_word("ab", A3))
 
 
 class TestConjugateClasses:
     def test_rotations_merge(self):
-        classes = conjugate_classes([word("ab"), word("ba")])
+        classes = conjugate_classes([parse_word("ab"), parse_word("ba")])
         assert len(classes) == 1
         assert format_word(classes[0][0].representative) == "ab"
 
     def test_distinct_classes(self):
-        assert len(conjugate_classes([word("ab", A3), word("ac", A3)])) == 2
+        assert len(conjugate_classes([parse_word("ab", A3), parse_word("ac", A3)])) == 2
 
     def test_three_rotations(self):
-        assert len(conjugate_classes([word("abc"), word("bca"), word("cab")])) == 1
+        assert len(conjugate_classes([parse_word("abc"), parse_word("bca"), parse_word("cab")])) == 1
 
     def test_non_primitive_rejected(self):
         with pytest.raises(ValueError):
-            conjugate_classes([word("abab")])
+            conjugate_classes([parse_word("abab")])
 
 
 def _brute_force_bracketings(ls):
@@ -524,22 +523,22 @@ def recursive_render(tree, alphabet):
 class TestRegularAndBracketing:
     @pytest.mark.parametrize("text,expected", [("ba", True), ("ab", False), ("aa", False)])
     def test_is_regular(self, text, expected):
-        assert is_regular(word(text)) is expected
+        assert is_regular(parse_word(text)) is expected
 
     def test_bracketing_examples(self):
-        assert str(shirshov_bracketing(word("ba"))) == "[[b][a]]"
-        assert str(shirshov_bracketing(word("b", A2))) == "[b]"
-        assert str(shirshov_bracketing(word("bba"))) == "[[b][[b][a]]]"
+        assert str(shirshov_bracketing(parse_word("ba"))) == "[[b][a]]"
+        assert str(shirshov_bracketing(parse_word("b", A2))) == "[b]"
+        assert str(shirshov_bracketing(parse_word("bba"))) == "[[b][[b][a]]]"
 
     def test_non_regular_rejected(self):
         with pytest.raises(ValueError):
-            shirshov_bracketing(word("ab"))
+            shirshov_bracketing(parse_word("ab"))
 
     @pytest.mark.parametrize("text", ["ab", "aa", "abab", "baba", "bab", "cacb"])
     def test_non_regular_rejected_by_name(self, text):
         # the stack pass decides regularity: more than one factor is left
         with pytest.raises(ValueError, match=f"word '{text}' is not regular"):
-            shirshov_bracketing(word(text))
+            shirshov_bracketing(parse_word(text))
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError, match="the empty word is not regular"):
@@ -674,7 +673,7 @@ class TestRegularKernels:
             p.left = Leaf(1)
 
     def test_bracketed_word_checks_its_tree(self):
-        BracketedWord(Pair(Leaf(2), Leaf(1)), word("ba"))
+        BracketedWord(Pair(Leaf(2), Leaf(1)), parse_word("ba"))
         for tree, text in (
             (Pair(Leaf(2), Leaf(1)), "ab"),
             (Pair(Leaf(2), Leaf(1)), "baa"),
@@ -682,7 +681,7 @@ class TestRegularKernels:
             (Leaf(2), "a"),
         ):
             with pytest.raises(ValueError, match="does not spell the word"):
-                BracketedWord(tree, word(text, A2))
+                BracketedWord(tree, parse_word(text, A2))
 
     @pytest.mark.parametrize("l,max_len", [(2, 12), (3, 8)])
     def test_frontier_and_render_against_recursion(self, l, max_len):
@@ -732,7 +731,7 @@ class TestRegularKernels:
             for ls in itertools.product((1, 2, 3), repeat=length):
                 for tree in _brute_force_bracketings(ls):
                     assert repr(tree) == generated(tree)
-        bracketed = shirshov_bracketing(word("bbabaa"))
+        bracketed = shirshov_bracketing(parse_word("bbabaa"))
         assert repr(bracketed) == f"BracketedWord(tree={generated(bracketed.tree)}, word={bracketed.word!r})"
 
     def test_repr_deeper_than_the_recursion_limit(self):
@@ -943,9 +942,9 @@ class TestZiminAndPatterns:
             zimin_word(3, Alphabet(2))
 
     def test_pattern_examples(self):
-        assert pattern_occurs(word("aa", Alphabet(1)), word("abab")) is True
-        assert pattern_occurs(word("aa", Alphabet(1)), word("abc")) is False
-        assert pattern_occurs(word("aba", A2), zimin_word(2)) is True
+        assert pattern_occurs(parse_word("aa", Alphabet(1)), parse_word("abab")) is True
+        assert pattern_occurs(parse_word("aa", Alphabet(1)), parse_word("abc")) is False
+        assert pattern_occurs(parse_word("aba", A2), zimin_word(2)) is True
 
     @pytest.mark.parametrize("name,unavoidable", sorted(PATTERN_TABLE.items()))
     def test_occurrence_in_nesting_word(self, name, unavoidable):
